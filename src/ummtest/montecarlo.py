@@ -72,6 +72,16 @@ class McEstimate:
     seed: int
 
 
+def _open_unit(raw):
+    """Map integers in [0, 2^53) to doubles strictly inside (0, 1).
+
+    ``(raw + 0.5) * 2^-53`` rounds half-to-even once raw >= 2^52, which
+    sends raw = 2^53 - 1 to exactly 1.0; only that value is clamped, to the
+    largest double below 1, so every other value is unchanged.
+    """
+    return np.minimum((raw + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+
+
 def block_uniforms(seed, index, rows, nu):
     """Uniform variates for one block, independent of scheduling.
 
@@ -81,16 +91,18 @@ def block_uniforms(seed, index, rows, nu):
     partitioned.  Values lie strictly inside (0, 1) for inverse-CDF use.
     """
     gen = np.random.Generator(np.random.Philox(key=[seed, index]))
-    raw = gen.integers(0, 1 << 53, size=(rows, nu), dtype=np.int64)
-    return (raw + 0.5) * 2.0**-53
+    return _open_unit(gen.integers(0, 1 << 53, size=(rows, nu), dtype=np.int64))
 
 
 def gaussians(u):
     """Standard normal deviates from open-interval uniforms (inverse CDF).
 
-    Monotone increasing in u, so kernels that rank-couple through shared
-    uniforms (quantile coupling across blocklengths or estimators) keep a
-    positive pairing.
+    Wichura's AS241 through ``specfun._normal_tail_inv_vec``: one rational
+    evaluation per value, relative error measured below 1e-15 across
+    (0, 1); outside it the result is nan.  Increasing in u up to rounding
+    (inputs a few ulps apart can come out up to 4 ulps out of order), so
+    kernels that rank-couple through shared uniforms (quantile coupling
+    across blocklengths or estimators) keep a positive pairing.
     """
     return -_normal_tail_inv_vec(np.asarray(u, dtype=float))
 

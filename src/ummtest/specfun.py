@@ -1,13 +1,14 @@
 """Tail probabilities and sphere-integral constants used by every detector.
 
-Scalar, dependency-free implementations of the normal tail Q and its
-inverse, the (non)central chi-square tail and inverse, the log modified
-Bessel function of the first kind, and the von Mises-Fisher normalizing
-constant c_k with its inverse.  All Bessel/c_k arithmetic happens in log
-scale; c_k underflows rapidly in both k and tau otherwise.
+Dependency-free implementations of the normal tail Q and its inverse, the
+(non)central chi-square tail and inverse, the log modified Bessel function
+of the first kind, and the von Mises-Fisher normalizing constant c_k with
+its inverse.  All Bessel/c_k arithmetic happens in log scale; c_k underflows
+rapidly in both k and tau otherwise.
 
-Private ``*_vec`` variants (numpy) back the Monte Carlo hot paths; the
-public scalar functions are the audited reference implementations.
+The normal quantile is one algorithm (AS241) on one set of tables for float
+and ndarray input alike; the incomplete gamma and the chi-square tail keep
+numpy ``*_vec`` copies beside the scalar ones for the Monte Carlo hot paths.
 """
 
 import math
@@ -97,50 +98,63 @@ def normal_tail(z: float) -> float:
     return q if z >= 0.0 else 1.0 - q
 
 
-# Acklam's rational approximation for the normal quantile: |error| < 1.2e-9,
-# then polished by Newton to machine precision.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+# Wichura's AS241 (PPND16; Applied Statistics 37, 1988): one rational
+# function of degree 7/7 per region, relative error about 1e-16.  Each table
+# holds (numerator, denominator) coefficients, highest power first.
+_PPND_CENTRE = (  # argument 0.180625 - q^2, for |q| = |p - 1/2| <= 0.425
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_PPND_NEAR = (  # argument r - 1.6, for r = sqrt(-log min(p, 1 - p)) <= 5
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0),
+)
+_PPND_FAR = (  # argument r - 5, for r > 5
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
 
 
-def _norm_ppf_approx(p):
-    # lower-tail quantile; p in (0,1)
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5]
-        den = (((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0
-        return num / den
-    if p > 1.0 - 0.02425:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5]
-        den = (((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0
-        return -num / den
-    q = p - 0.5
-    r = q * q
-    num = (((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r + _ACK_A[4]) * r + _ACK_A[5]) * q
-    den = ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r + _ACK_B[4]) * r + 1.0
-    return num / den
+def _rational(table, x):
+    """num(x) / den(x) by Horner's rule; x is a float or an ndarray."""
+    n = d = 0.0
+    for a, b in zip(*table):
+        n *= x  # a fresh array on the first pass, then updated in place
+        n += a
+        d *= x
+        d += b
+    return n / d
 
 
 def normal_tail_inv(p: float) -> float:
-    """z with normal_tail(z) = p, for p in the open interval (0, 1)."""
+    """z with normal_tail(z) = p, for p in the open interval (0, 1).
+
+    Wichura's AS241 (PPND16): one rational evaluation in the region of p,
+    no iteration.  Relative error measured below 1e-15 across (0, 1),
+    subnormal p included.  Decreasing in p up to rounding: p a few ulps
+    apart can come out up to 4 ulps out of order.
+    """
     p = float(p)
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise DomainError("normal_tail_inv: p must lie in (0,1)")
-    z = -_norm_ppf_approx(p)  # upper-tail convention
-    for _ in range(3):
-        err = normal_tail(z) - p
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        z += err / pdf
-    return z
+    q = 0.5 - p  # upper-tail convention: z is the lower quantile at 1 - p
+    if abs(q) <= 0.425:
+        return q * _rational(_PPND_CENTRE, 0.180625 - q * q)
+    r = math.sqrt(-math.log(min(p, 1.0 - p)))
+    z = _rational(_PPND_NEAR, r - 1.6) if r <= 5.0 else _rational(_PPND_FAR, r - 5.0)
+    return z if q > 0.0 else -z
 
 
 # ---------------------------------------------------------------------------
@@ -483,40 +497,22 @@ def _reg_gamma_q_vec(a, x):
     return np.clip(out, 0.0, 1.0)
 
 
-def _normal_tail_vec(z):
-    z = np.asarray(z, dtype=float)
-    q = 0.5 * _reg_gamma_q_vec(0.5, 0.5 * z * z)
-    return np.where(z >= 0.0, q, 1.0 - q)
-
-
-def _norm_ppf_approx_vec(p):
-    p = np.asarray(p, dtype=float)
-    z = np.empty_like(p)
-    lo = p < 0.02425
-    hi = p > 1.0 - 0.02425
-    mid = ~(lo | hi)
-    for mask, pp, sign in ((lo, p, 1.0), (hi, 1.0 - p, -1.0)):
-        if mask.any():
-            q = np.sqrt(-2.0 * np.log(pp[mask]))
-            num = ((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q + _ACK_C[4]) * q + _ACK_C[5]
-            den = (((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0
-            z[mask] = sign * num / den
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        num = (((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r + _ACK_A[4]) * r + _ACK_A[5]) * q
-        den = ((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r + _ACK_B[4]) * r + 1.0
-        z[mid] = num / den
-    return z
-
-
 def _normal_tail_inv_vec(p):
+    """normal_tail_inv over an ndarray of p in (0, 1); same tables and regions."""
     p = np.asarray(p, dtype=float)
-    z = -_norm_ppf_approx_vec(p)
-    for _ in range(3):
-        err = _normal_tail_vec(z) - p
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        z = z + err / pdf
+    q = 0.5 - p
+    z = np.empty_like(p)
+    centre = np.abs(q) <= 0.425
+    qc = q[centre]
+    z[centre] = qc * _rational(_PPND_CENTRE, 0.180625 - qc * qc)
+    tail = ~centre
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    near = r <= 5.0
+    zt = np.empty_like(r)
+    zt[near] = _rational(_PPND_NEAR, r[near] - 1.6)
+    zt[~near] = _rational(_PPND_FAR, r[~near] - 5.0)
+    z[tail] = np.copysign(zt, q[tail])
     return z
 
 

@@ -1,5 +1,7 @@
 """Harness determinism, stream layout, Wilson coverage, and sweep sanity."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -44,6 +46,45 @@ def test_block_uniforms_prefix_property():
     full = block_uniforms(42, 5, BLOCK, 3)
     short = block_uniforms(42, 5, 100, 3)
     assert np.array_equal(short, full[:100])
+
+
+def test_open_unit_edges():
+    # (raw + 0.5) * 2^-53 is exact below 2^52 and rounds half-to-even above;
+    # only raw = 2^53 - 1 would round to 1.0 and is clamped
+    raw = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.int64)
+    u = montecarlo._open_unit(raw)
+    assert list(u) == [2.0**-54, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    assert np.all(u > 0.0) and np.all(u < 1.0)
+    assert np.array_equal(u[:3], (raw[:3] + 0.5) * 2.0**-53)
+    assert np.all(np.isfinite(gaussians(u)))
+
+
+def _adjacent_doubles(x, n):
+    """The 2n + 1 consecutive doubles centred on x."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    return np.array(below[:0:-1] + above)
+
+
+@pytest.mark.parametrize("branch", [0.075, 0.925, math.exp(-25.0)])
+def test_gaussians_monotone_at_as241_branch_points(branch):
+    # AS241 switches rational function where |u - 1/2| = 0.425 and where
+    # sqrt(-log min(u, 1 - u)) = 5; each run of adjacent doubles crosses one
+    u = _adjacent_doubles(branch, 4000)
+    if branch > 1e-3:
+        side = np.abs(0.5 - u) <= 0.425
+    else:
+        side = np.sqrt(-np.log(u)) <= 5.0
+    assert side.any() and not side.all()
+    g = gaussians(u)
+    assert np.all(np.isfinite(g))
+    assert g[0] < g[-1]
+    # non-decreasing up to rounding: no value sits more than 4 ulps below
+    # an earlier one (one-ulp steps of log/sqrt and the Horner sums jitter)
+    deficit = np.maximum.accumulate(g) - g
+    assert np.all(deficit <= 4.0 * np.spacing(np.abs(g)))
 
 
 def test_gaussians_shape_monotone_symmetric():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ummtest import specfun
+from ummtest import montecarlo, specfun
 from ummtest.errors import DomainError, RangeError
 
 # ---- frozen oracle values (tests/oracles/oracle_normal.py) ----
@@ -82,6 +82,19 @@ def test_normal_tail_domain():
         specfun.normal_tail_inv(1.0)
     with pytest.raises(DomainError):
         specfun.normal_tail(float("nan"))
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
+
+
+def test_normal_quantile_against_scipy():
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 2000), 1.0 - np.geomspace(1e-16, 0.5, 2000)])
+    scalar = np.array([specfun.normal_tail_inv(x) for x in p])
+    assert np.max(_rel_err(scalar, stats.norm.isf(p))) <= 1e-14
+    assert np.max(_rel_err(montecarlo.gaussians(p), stats.norm.ppf(p))) <= 1e-14
+    # same tables, same regions; only np.log and math.log may differ by an ulp
+    assert np.max(_rel_err(specfun._normal_tail_inv_vec(p), scalar)) <= 2e-15
 
 
 # ---------------------------------------------------------------------------
