@@ -25,7 +25,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError, DomainError
-from .nlp_detect import TradeoffCurve, _check_grid
+from .montecarlo import _check_grid
+from .nlp_detect import TradeoffCurve
 
 __all__ = [
     "hardness_param",

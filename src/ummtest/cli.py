@@ -385,11 +385,11 @@ def cmd_regions(args) -> int:
 
     mu1 = np.zeros(k)
     mu1[0] = float(delta)
+    train = nlp_detect.UmmTrainDetector(p_fa, x=mu1)
     disks = []
     for rho in rhos:
         problem = nlp_detect.NlpProblem(k=k, mu1=mu1, rho=rho)
-        b = nlp_detect.region_boundary(problem, "umm_train", p_fa, x=mu1)
-        disks.append((rho, b))
+        disks.append((rho, train.region(problem)))
 
     columns = ["record", "rho", "center_x", "center_y", "radius"]
     rows = []
@@ -415,7 +415,7 @@ def cmd_regions(args) -> int:
     if k == 2:
         # matched-filter boundary as a segment spanning the figure
         problem = nlp_detect.NlpProblem(k=k, mu1=mu1, rho=0.0)
-        h = nlp_detect.region_boundary(problem, "lrt", p_fa)
+        h = nlp_detect.LrtDetector(p_fa=p_fa).region(problem)
         nrm = float(h.normal @ h.normal)
         p0 = (h.offset / nrm) * h.normal
         u = np.array([-h.normal[1], h.normal[0]]) / math.sqrt(nrm)

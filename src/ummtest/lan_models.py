@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, StabilityError
 from .montecarlo import McConfig, McEstimate
-from .nlp_detect import DetectorVerdict, _check_hypothesis, _check_pfa, _rowsq, _train_verdict
+from .nlp_detect import _check_pfa, _RegionDetector, _rowsq, _training_ball
 from .specfun import _chisq_tail_inv_vec
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "local_coord",
     "local_alternative",
     "training_rho",
-    "aumm_decide",
     "discrete_aumm_pmd",
     "pearson_stat",
     "discrete_fisher",
@@ -490,28 +489,6 @@ def training_rho(model: LanModel, setup: TrainingSetup) -> float:
     return s * s
 
 
-def aumm_decide(
-    x_data, y_data, model: LanModel, theta0, setup: TrainingSetup, p_fa
-) -> DetectorVerdict:
-    """Plug-in verdict: the training test applied to local coordinates.
-
-    Both estimates are normed by the *test* rate r_n, so the training
-    block enters scaled by rho.  With n_x = 0 the rule ignores x_data
-    entirely and reduces to the energy test on mu_hat_y.
-    """
-    _check_pfa(p_fa)
-    th0 = np.asarray(theta0, dtype=float)
-    rho = training_rho(model, setup)
-    root = linalg.sym_sqrt(model.fisher_info(th0))
-    rn = model.norming(setup.n)
-    muy = root @ (rn @ (np.asarray(model.estimate(y_data), dtype=float) - th0))
-    if rho == 0.0 or setup.n_x == 0:
-        mux = np.zeros(model.k)
-    else:
-        mux = root @ (rn @ (np.asarray(model.estimate(x_data), dtype=float) - th0))
-    return _train_verdict(mux, muy, rho, model.k, p_fa)
-
-
 @dataclass(eq=False)
 class LanProblem:
     """A model with its alternative parameter and blocklengths, for simulation."""
@@ -522,6 +499,15 @@ class LanProblem:
 
     def __post_init__(self):
         self.theta1 = self.model._check_theta(self.theta1)
+
+    def standardize(self, data):
+        """Local coordinate J^{1/2} r_n (theta_hat - theta0) of a data block.
+
+        Training and test blocks are both normed by the *test* rate r_n, so
+        in the plug-in rule the training block enters scaled by rho.
+        """
+        model = self.model
+        return local_coord(model.estimate(data), model.theta0, model, self.setup.n).mu
 
     @property
     def label(self) -> str:
@@ -567,22 +553,29 @@ class _AummIndicatorKernel:
         return (miss if self.under_h1 else ~miss).astype(float)
 
 
-class AummDetector:
-    """Plug-in detector at level p_fa; simulates against a LanProblem."""
+class AummDetector(_RegionDetector):
+    """Plug-in detector at level p_fa; simulates against a LanProblem.
 
-    def __init__(self, p_fa):
-        _check_pfa(p_fa)
-        self.p_fa = p_fa
+    Its region is the training test's ball in local coordinates, so on
+    identical standardized inputs the two rules agree bit for bit.
+    """
 
-    def decide(self, x_data, y_data, problem: LanProblem):
-        return aumm_decide(
-            x_data, y_data, problem.model, problem.model.theta0, problem.setup, self.p_fa
-        )
+    def region(self, problem: LanProblem, x=None):
+        """The ball for training block x; with n_x = 0 (or rho = 0) the rule
+        ignores x and reduces to the energy test."""
+        k = problem.model.k
+        rho = training_rho(problem.model, problem.setup)
+        if rho == 0.0 or problem.setup.n_x == 0:
+            zx = np.zeros(k)
+        elif x is None:
+            raise ConfigError("plug-in region needs the training block x")
+        else:
+            zx = problem.standardize(x)
+        return _training_ball(zx, rho, k, self.p_fa)
 
-    def mc_kernel(self, problem: LanProblem, hypothesis):
-        _check_hypothesis(hypothesis)
+    def mc_kernel(self, problem: LanProblem, under_h1):
         return _AummIndicatorKernel(
-            problem.model, problem.theta1, problem.setup, self.p_fa, hypothesis == "H1"
+            problem.model, problem.theta1, problem.setup, self.p_fa, under_h1
         )
 
 

@@ -2,20 +2,17 @@
 
 Covers exactly what the detectors need: an eigendecomposition for known
 covariance / Fisher information matrices, square-root factors, and sample
-standardization.  Sizes here are small (k up to a few dozen), so a cyclic
-Jacobi sweep is accurate and plenty fast, and keeps the package free of
-LAPACK behavior differences across platforms.
+standardization.  Sizes here are small (k up to a few dozen) and every call
+happens at set-up time, so LAPACK's symmetric eigensolver through
+``numpy.linalg.eigh`` serves.  Results may differ across platforms in the
+last bits; the only determinism promised is across worker counts.
 """
-
-import math
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
 
 __all__ = ["sym_eig", "sqrt_factor", "sym_sqrt", "standardize", "spd_solve"]
-
-_SWEEP_LIMIT = 100
 
 
 def _as_sym(m):
@@ -32,41 +29,10 @@ def sym_eig(m):
     """Eigendecomposition m = A diag(w) A^t of a symmetric matrix.
 
     Returns (w, A) with eigenvalues in descending order and orthonormal
-    columns.  Cyclic Jacobi with an off-diagonal threshold of
-    1e-14 * ||m||_F, at most 100 sweeps.
+    columns, from ``numpy.linalg.eigh``.
     """
-    a = _as_sym(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    fnorm = max(float(np.linalg.norm(a)), 1e-300)
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(_SWEEP_LIMIT):
-        # off-diagonal norm from the entries themselves; subtracting the
-        # diagonal from the total squared norm cancels catastrophically
-        off = float(np.linalg.norm(a[mask]))
-        if off <= 1e-14 * fnorm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * fnorm:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(_as_sym(m))
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def _spd_eig(m, who):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .specfun import _normal_tail_inv_vec
 
 __all__ = [
@@ -121,6 +121,17 @@ def wilson_interval(p_hat, trials):
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+def _check_grid(grid):
+    """A false-alarm grid as a float array: non-empty, 1-d, strictly
+    increasing inside (0, 1)."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise DomainError("p_fa grid must be a non-empty 1-d sequence")
+    if np.any(g <= 0.0) or np.any(g >= 1.0) or np.any(np.diff(g) <= 0.0):
+        raise DomainError("p_fa grid must be strictly increasing inside (0, 1)")
+    return g
+
+
 def _block_value_sum(kernel, seed, index, rows):
     u = block_uniforms(seed, index, rows, kernel.nu)
     vals = np.asarray(kernel.values(u), dtype=float)
@@ -162,7 +173,7 @@ def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McE
     ``hypothesis`` "H0" estimates the false-alarm probability (reject when
     the null generated the data), "H1" the missed-detection probability.
     The detector supplies the simulation kernel via
-    ``detector.mc_kernel(problem, hypothesis)``; kernels that cannot be
+    ``detector.mc_kernel(problem, under_h1)``; kernels that cannot be
     built for the given problem raise ConfigError.
     """
     if hypothesis not in ("H0", "H1"):
@@ -172,7 +183,7 @@ def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McE
         raise ConfigError(
             f"{type(detector).__name__} does not provide a simulation kernel"
         )
-    kernel = make(problem, hypothesis)
+    kernel = make(problem, hypothesis == "H1")
     p = run_kernel(kernel, config)
     lo, hi = wilson_interval(p, config.trials)
     return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
@@ -194,11 +205,7 @@ def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
     # deferred import: the detector module builds on this one
     from .nlp_detect import TradeoffCurve
 
-    grid = np.asarray(p_fa_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError("p_fa_grid must be a non-empty 1-d grid")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("p_fa_grid must be strictly increasing inside (0, 1)")
+    grid = _check_grid(p_fa_grid)
 
     md = np.empty(grid.size)
     md_lo = np.empty(grid.size)

@@ -1,23 +1,26 @@
 """Detectors for testing the mean of a Gaussian with known covariance.
 
 Three tests of H0: mean = mu0 against a composite alternative at
-Mahalanobis distance delta, all expressed in standardized coordinates
-z = Sigma^{-1/2}(y - mu0):
+Mahalanobis distance delta.  Each is an acceptance region in standardized
+coordinates z = Sigma^{-1/2}(y - mu0):
 
-* matched filter (``lrt_*``)  -- alternative mean known exactly; accept
-  when mu1' z < T;
-* energy test (``glrt_*``)    -- direction unknown; accept when ||z||^2
-  is below a central chi-square quantile;
-* training test (``umm_*``)   -- a noisy labeled sample x of the
-  alternative is available with precision rho; accept when
-  ||rho x + z||^2 < Q_{(k), ||rho x||^2}^{-1}(p_fa).
+* matched filter (``LrtDetector``, ``lrt_curve``) -- alternative mean known
+  exactly; the half-space mu1' z < T;
+* energy test (``GlrtDetector``, ``glrt_curve``) -- direction unknown; the
+  ball ||z||^2 < q at the origin, q a central chi-square quantile;
+* training test (``UmmTrainDetector``, ``umm_*``) -- a noisy labeled sample
+  x of the alternative is available with precision rho; the ball
+  ||z + rho x||^2 < Q_{(k), ||rho x||^2}^{-1}(p_fa) centered at -rho x.
 
 The training rule holds its false-alarm level conditionally on every
 realization of x, and its tradeoff curve sits between the other two,
 approaching the matched filter as rho grows.
 
-Decision rules and analytic curves are pure functions; Monte Carlo
-estimation goes through the kernel protocol in ``montecarlo``.
+A detector's ``region(problem, x=None)`` is its only rule-specific code:
+``decide`` tests membership in that region and ``mc_kernel`` simulates it
+through the kernel protocol in ``montecarlo``.  The one exception is the
+training test with a fresh x in every trial, whose region moves from trial
+to trial and has a kernel of its own.  Analytic curves are pure functions.
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, RangeError
-from .montecarlo import McConfig, McEstimate
+from .montecarlo import McConfig, McEstimate, _check_grid
 from .specfun import _chisq_tail_inv_vec, _chisq_tail_vec
 
 __all__ = [
@@ -39,16 +42,44 @@ __all__ = [
     "LrtDetector",
     "GlrtDetector",
     "UmmTrainDetector",
-    "lrt_decide",
     "lrt_curve",
-    "glrt_decide",
     "glrt_curve",
-    "umm_train_decide",
     "umm_pmd",
     "umm_curve",
     "bayes_lrt_radius",
-    "region_boundary",
 ]
+
+
+# ---------------------------------------------------------------------------
+# shared argument checks
+
+def _check_pfa(p_fa):
+    if not (0.0 < p_fa < 1.0):
+        raise DomainError(f"p_fa must lie in (0, 1), got {p_fa!r}")
+
+
+def _check_delta(delta) -> float:
+    delta = float(delta)
+    if not delta > 0.0 or not math.isfinite(delta):
+        raise DomainError(f"delta must be a positive real, got {delta!r}")
+    return delta
+
+
+def _check_rho(rho) -> float:
+    rho = float(rho)
+    if not (rho >= 0.0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be a finite nonnegative real, got {rho!r}")
+    return rho
+
+
+def _check_k(k) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"dimension k must be a positive integer, got {k!r}")
+    return int(k)
+
+
+def _rowsq(a):
+    return np.einsum("ij,ij->i", a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +104,11 @@ class NlpProblem:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise DomainError(f"dimension k must be a positive integer, got {self.k!r}")
-        self.k = int(self.k)
+        self.k = _check_k(self.k)
         if (self.delta is None) == (self.mu1 is None):
             raise ConfigError("give exactly one of delta or mu1")
         if self.delta is not None:
-            self.delta = float(self.delta)
-            if not self.delta > 0.0 or not math.isfinite(self.delta):
-                raise DomainError(f"delta must be a positive real, got {self.delta!r}")
+            self.delta = _check_delta(self.delta)
         if self.mu1 is not None:
             self.mu1 = np.asarray(self.mu1, dtype=float)
             if self.mu1.shape != (self.k,):
@@ -94,9 +121,7 @@ class NlpProblem:
             self.cov = np.asarray(self.cov, dtype=float)
             if self.cov.shape != (self.k, self.k):
                 raise ConfigError(f"cov must have shape ({self.k}, {self.k})")
-        self.rho = float(self.rho)
-        if not (self.rho >= 0.0 and math.isfinite(self.rho)):
-            raise DomainError(f"rho must be a finite nonnegative real, got {self.rho!r}")
+        self.rho = _check_rho(self.rho)
         if self.mu1 is not None:
             base = self.mu1 if self.mu0 is None else self.mu1 - self.mu0
             if not np.linalg.norm(base) > 0.0:
@@ -145,12 +170,6 @@ class DetectorVerdict:
         return self.decision == "accept-H0"
 
 
-def _verdict(stat: float, thr: float) -> DetectorVerdict:
-    # ties reject: a measure-zero event, pinned one way for determinism
-    dec = "accept-H0" if stat < thr else "reject-H0"
-    return DetectorVerdict(dec, float(stat), float(thr))
-
-
 @dataclass(eq=False)
 class TradeoffCurve:
     """Error tradeoff along a false-alarm grid.
@@ -177,86 +196,47 @@ class TradeoffCurve:
 
 @dataclass(eq=False)
 class RegionBoundary:
-    """Acceptance-region boundary: a sphere or a hyperplane.
+    """Acceptance region in standardized coordinates: a ball or a half-space.
 
-    Spheres carry ``center``/``radius``; hyperplanes carry a ``normal``
-    and the ``offset`` t of the set {z : normal' z = t}.
+    A sphere accepts ||z - center||^2 < ``sq_radius``, the chi-square
+    quantile exactly as computed (``radius`` is its square root, for
+    drawing); a hyperplane accepts normal' z < ``offset``.
     """
 
     shape: str  # "sphere" | "hyperplane"
     center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
+    sq_radius: Optional[float] = None
     normal: Optional[np.ndarray] = None
     offset: Optional[float] = None
 
+    @property
+    def radius(self) -> Optional[float]:
+        return None if self.sq_radius is None else math.sqrt(self.sq_radius)
 
-# ---------------------------------------------------------------------------
-# shared argument checks
-
-def _check_pfa(p_fa):
-    if not (0.0 < p_fa < 1.0):
-        raise DomainError(f"p_fa must lie in (0, 1), got {p_fa!r}")
-
-
-def _check_grid(grid):
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise DomainError("p_fa grid must be a non-empty 1-d sequence")
-    if np.any(g <= 0.0) or np.any(g >= 1.0) or np.any(np.diff(g) <= 0.0):
-        raise DomainError("p_fa grid must be strictly increasing inside (0, 1)")
-    return g
+    def verdict(self, z) -> DetectorVerdict:
+        """Accept when the standardized point z lies inside the region."""
+        if self.shape == "hyperplane":
+            stat, thr = float(self.normal @ z), self.offset
+        else:
+            d = z - self.center
+            stat, thr = float(d @ d), self.sq_radius
+        # ties reject: a measure-zero event, pinned one way for determinism
+        dec = "accept-H0" if stat < thr else "reject-H0"
+        return DetectorVerdict(dec, stat, thr)
 
 
-def _check_hypothesis(hypothesis):
-    if hypothesis not in ("H0", "H1"):
-        raise ConfigError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
+def _training_ball(zx, rho, k, p_fa) -> RegionBoundary:
+    """The training test's ball for a standardized training sample zx.
 
-
-def _rowsq(a):
-    return np.einsum("ij,ij->i", a, a)
-
-
-# ---------------------------------------------------------------------------
-# decision rules
-
-def lrt_decide(y, problem: NlpProblem, threshold: float) -> DetectorVerdict:
-    """Matched-filter verdict: statistic mu1' z against a fixed threshold."""
-    if problem.mu1 is None:
-        raise ConfigError("matched filter needs an explicit alternative mean")
-    z = problem.standardize(y)
-    m = problem.standardized_mu1()
-    return _verdict(float(m @ z), threshold)
-
-
-def glrt_decide(y, problem: NlpProblem, p_fa) -> DetectorVerdict:
-    """Energy-test verdict at significance level p_fa."""
-    _check_pfa(p_fa)
-    z = problem.standardize(y)
-    thr = specfun.chisq_tail_inv(problem.k, 0.0, p_fa)
-    return _verdict(float(z @ z), thr)
-
-
-def _train_verdict(zx, zy, rho, k, p_fa) -> DetectorVerdict:
-    # shared by the training test here and the plug-in rule in lan_models,
-    # so the two agree bit-for-bit on identical standardized inputs
-    s = rho * zx + zy
-    th0 = rho * rho * float(zx @ zx)
-    thr = specfun.chisq_tail_inv(k, th0, p_fa)
-    return _verdict(float(s @ s), thr)
-
-
-def umm_train_decide(x, y, problem: NlpProblem, p_fa) -> DetectorVerdict:
-    """Training-test verdict; the threshold adapts to the training sample.
-
-    The acceptance sphere for z is centered at -rho zx with squared radius
-    equal to the noncentral quantile at noncentrality ||rho zx||^2, which
-    makes the conditional false-alarm probability exactly p_fa for every
-    x.  rho = 0 reduces to the energy test.
+    Centered at -rho zx, with squared radius the noncentral quantile at
+    noncentrality ||rho zx||^2, which makes the conditional false-alarm
+    probability exactly p_fa for every zx; zx = 0 gives the energy test.
+    Shared with the plug-in rule in lan_models, so the two agree bit for
+    bit on identical standardized inputs.
     """
-    _check_pfa(p_fa)
-    zx = problem.standardize(x)
-    zy = problem.standardize(y)
-    return _train_verdict(zx, zy, problem.rho, problem.k, p_fa)
+    th0 = rho * rho * float(zx @ zx)
+    q = specfun.chisq_tail_inv(k, th0, p_fa)
+    return RegionBoundary("sphere", center=-rho * zx, sq_radius=q)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +244,7 @@ def umm_train_decide(x, y, problem: NlpProblem, p_fa) -> DetectorVerdict:
 
 def lrt_curve(delta, p_fa_grid) -> TradeoffCurve:
     """Matched-filter tradeoff: Q^{-1}(p_fa) + Q^{-1}(p_md) = delta."""
-    delta = float(delta)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    delta = _check_delta(delta)
     g = _check_grid(p_fa_grid)
     md = np.array([specfun.normal_tail(delta - specfun.normal_tail_inv(p)) for p in g])
     return TradeoffCurve(g, md, "analytic", f"lrt delta={delta:g}")
@@ -274,9 +252,7 @@ def lrt_curve(delta, p_fa_grid) -> TradeoffCurve:
 
 def glrt_curve(k, delta, p_fa_grid) -> TradeoffCurve:
     """Energy-test tradeoff; also the best guaranteed-level tradeoff without training."""
-    delta = float(delta)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    delta = _check_delta(delta)
     g = _check_grid(p_fa_grid)
     lam = delta * delta
     md = np.array([
@@ -307,12 +283,12 @@ class _LrtKernel:
 
 
 class _QuadKernel:
-    """||center + z||^2 against a fixed threshold, z ~ N(mean, I)."""
+    """||z - center||^2 against a fixed squared radius, z ~ N(mean, I)."""
 
     def __init__(self, k, mean, center, threshold, under_h1):
         self.nu = k
         self.mean = mean  # None under H0
-        self.center = center  # None for the energy test
+        self.center = center
         self.threshold = threshold
         self.under_h1 = under_h1
 
@@ -320,9 +296,7 @@ class _QuadKernel:
         z = montecarlo.gaussians(u)
         if self.mean is not None:
             z = z + self.mean
-        if self.center is not None:
-            z = z + self.center
-        stat = _rowsq(z)
+        stat = _rowsq(z - self.center)
         miss = stat < self.threshold
         return (miss if self.under_h1 else ~miss).astype(float)
 
@@ -372,9 +346,33 @@ class _UmmPmdKernel:
 
 
 # ---------------------------------------------------------------------------
-# detector objects (decision + simulation kernel under one handle)
+# detectors: one acceptance region each, decisions and kernels derived
 
-class LrtDetector:
+class _RegionDetector:
+    """A rule given by its acceptance region in standardized coordinates.
+
+    Subclasses define ``region(problem, x=None)``, mapping the level to the
+    region for a problem and, for the training test, a training sample x.
+    """
+
+    def __init__(self, p_fa):
+        _check_pfa(p_fa)
+        self.p_fa = p_fa
+
+    def decide(self, y, problem, x=None) -> DetectorVerdict:
+        """Verdict on one observation y (and training sample x, if the rule uses one)."""
+        return self.region(problem, x).verdict(problem.standardize(y))
+
+    def mc_kernel(self, problem, under_h1):
+        """Simulation kernel counting errors of the fixed region under H0 or H1."""
+        b = self.region(problem)
+        if b.shape == "hyperplane":
+            return _LrtKernel(problem.separation(), b.offset, under_h1)
+        mean = problem.standardized_mu1() if under_h1 else None
+        return _QuadKernel(problem.k, mean, b.center, b.sq_radius, under_h1)
+
+
+class LrtDetector(_RegionDetector):
     """Matched filter operated at a fixed threshold or a nominal level.
 
     The level form resolves threshold = delta * Q^{-1}(p_fa) against the
@@ -389,67 +387,57 @@ class LrtDetector:
         self.threshold = threshold
         self.p_fa = p_fa
 
-    def _resolve(self, problem):
+    def region(self, problem, x=None) -> RegionBoundary:
         if self.threshold is not None:
-            return float(self.threshold)
-        return problem.separation() * specfun.normal_tail_inv(self.p_fa)
+            t = float(self.threshold)
+        else:
+            t = problem.separation() * specfun.normal_tail_inv(self.p_fa)
+        return RegionBoundary("hyperplane", normal=problem.standardized_mu1(), offset=t)
 
-    def decide(self, y, problem):
-        return lrt_decide(y, problem, self._resolve(problem))
-
-    def mc_kernel(self, problem, hypothesis):
-        _check_hypothesis(hypothesis)
-        return _LrtKernel(problem.separation(), self._resolve(problem), hypothesis == "H1")
-
-
-class GlrtDetector:
-    """Energy test at significance level p_fa."""
-
-    def __init__(self, p_fa):
-        _check_pfa(p_fa)
-        self.p_fa = p_fa
-
-    def decide(self, y, problem):
-        return glrt_decide(y, problem, self.p_fa)
-
-    def mc_kernel(self, problem, hypothesis):
-        _check_hypothesis(hypothesis)
-        thr = specfun.chisq_tail_inv(problem.k, 0.0, self.p_fa)
-        mean = problem.standardized_mu1() if hypothesis == "H1" else None
-        return _QuadKernel(problem.k, mean, None, thr, hypothesis == "H1")
+    def decide(self, y, problem, x=None) -> DetectorVerdict:
+        # a radius-only problem has no direction to project on; its
+        # simulation is direction-free, a single decision is not
+        if problem.mu1 is None:
+            raise ConfigError("matched filter needs an explicit alternative mean")
+        return super().decide(y, problem, x)
 
 
-class UmmTrainDetector:
+class GlrtDetector(_RegionDetector):
+    """Energy test at significance level p_fa: the training test without training."""
+
+    def region(self, problem, x=None) -> RegionBoundary:
+        return _training_ball(np.zeros(problem.k), 0.0, problem.k, self.p_fa)
+
+
+class UmmTrainDetector(_RegionDetector):
     """Training test at level p_fa, optionally conditioned on a fixed x.
 
     With ``x`` given, simulation freezes the training sample and draws only
     test data (the conditional-significance check); otherwise each trial
-    draws a fresh x ~ N(mu1, I/rho).
+    draws a fresh x ~ N(mu1, I/rho).  ``region`` and ``decide`` take the
+    training sample as argument, falling back on the frozen one.
     """
 
     def __init__(self, p_fa, x=None):
-        _check_pfa(p_fa)
-        self.p_fa = p_fa
+        super().__init__(p_fa)
         self.x = None if x is None else np.asarray(x, dtype=float)
 
-    def decide(self, x, y, problem):
-        return umm_train_decide(x, y, problem, self.p_fa)
+    def region(self, problem, x=None) -> RegionBoundary:
+        x = self.x if x is None else x
+        if x is not None:
+            zx = problem.standardize(x)
+        elif problem.rho == 0.0:
+            zx = np.zeros(problem.k)  # no training: the energy test
+        else:
+            raise ConfigError("training-test region needs the training sample x")
+        return _training_ball(zx, problem.rho, problem.k, self.p_fa)
 
-    def mc_kernel(self, problem, hypothesis):
-        _check_hypothesis(hypothesis)
-        k = problem.k
-        rho = problem.rho
-        under_h1 = hypothesis == "H1"
-        mean = problem.standardized_mu1() if under_h1 else None
-        if self.x is not None:
-            zx = problem.standardize(self.x)
-            th0 = rho * rho * float(zx @ zx)
-            thr = specfun.chisq_tail_inv(k, th0, self.p_fa)
-            return _QuadKernel(k, mean, rho * zx, thr, under_h1)
-        if rho == 0.0:
-            thr = specfun.chisq_tail_inv(k, 0.0, self.p_fa)
-            return _QuadKernel(k, mean, None, thr, under_h1)
-        return _UmmTrainKernel(k, problem.standardized_mu1(), rho, self.p_fa, under_h1)
+    def mc_kernel(self, problem, under_h1):
+        if self.x is None and problem.rho != 0.0:
+            return _UmmTrainKernel(
+                problem.k, problem.standardized_mu1(), problem.rho, self.p_fa, under_h1
+            )
+        return super().mc_kernel(problem, under_h1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +454,13 @@ def umm_pmd(p_fa, delta, rho, k, mc: McConfig) -> McEstimate:
     energy-test value with a zero-width interval.
     """
     _check_pfa(p_fa)
-    delta = float(delta)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    rho = float(rho)
-    if not (rho >= 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be a finite nonnegative real, got {rho!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"dimension k must be a positive integer, got {k!r}")
+    delta = _check_delta(delta)
+    rho = _check_rho(rho)
+    k = _check_k(k)
     if rho == 0.0:
-        v = 1.0 - specfun.chisq_tail(k, delta * delta, specfun.chisq_tail_inv(k, 0.0, p_fa))
+        v = float(glrt_curve(k, delta, [p_fa]).p_md[0])
         return McEstimate(p_hat=v, trials=mc.trials, ci_low=v, ci_high=v, seed=mc.seed)
-    p = montecarlo.run_kernel(_UmmPmdKernel(int(k), delta, rho, p_fa), mc)
+    p = montecarlo.run_kernel(_UmmPmdKernel(k, delta, rho, p_fa), mc)
     lo, hi = montecarlo.wilson_interval(p, mc.trials)
     return McEstimate(p_hat=p, trials=mc.trials, ci_low=lo, ci_high=hi, seed=mc.seed)
 
@@ -511,12 +494,8 @@ def bayes_lrt_radius(delta, rho, k, x_norm, T) -> float:
     region is empty (T too large) or the whole space (T too small), and the
     two cases raise distinct messages.
     """
-    delta = float(delta)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    rho = float(rho)
-    if not (rho >= 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be a finite nonnegative real, got {rho!r}")
+    delta = _check_delta(delta)
+    rho = _check_rho(rho)
     x_norm = float(x_norm)
     if not x_norm >= 0.0:
         raise DomainError(f"x_norm must be nonnegative, got {x_norm!r}")
@@ -532,30 +511,3 @@ def bayes_lrt_radius(delta, rho, k, x_norm, T) -> float:
     except RangeError as exc:
         raise RangeError(f"acceptance region is the whole space: {exc}") from exc
     return tau / delta
-
-
-def region_boundary(problem: NlpProblem, detector: str, p_fa, x=None) -> RegionBoundary:
-    """Acceptance-region boundary in standardized coordinates.
-
-    The matched filter gives the hyperplane mu1' z = T; the energy test an
-    origin-centered sphere; the training test a sphere centered at -rho zx
-    whose radius grows with the training noncentrality.
-    """
-    _check_pfa(p_fa)
-    k = problem.k
-    if detector == "lrt":
-        m = problem.standardized_mu1()
-        t = problem.separation() * specfun.normal_tail_inv(p_fa)
-        return RegionBoundary("hyperplane", normal=m, offset=float(t))
-    if detector == "glrt":
-        r = math.sqrt(specfun.chisq_tail_inv(k, 0.0, p_fa))
-        return RegionBoundary("sphere", center=np.zeros(k), radius=r)
-    if detector == "umm_train":
-        if x is None:
-            raise ConfigError("training-test boundary needs the training sample x")
-        zx = problem.standardize(x)
-        rho = problem.rho
-        th0 = rho * rho * float(zx @ zx)
-        r = math.sqrt(specfun.chisq_tail_inv(k, th0, p_fa))
-        return RegionBoundary("sphere", center=-rho * zx, radius=r)
-    raise ConfigError(f"unknown detector {detector!r}; expected lrt, glrt, or umm_train")

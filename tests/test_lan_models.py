@@ -24,7 +24,6 @@ from ummtest.lan_models import (
     _DiscreteDiskKernel,
     ar_autocov,
     ar_fisher,
-    aumm_decide,
     discrete_aumm_pmd,
     discrete_fisher,
     expfam_fisher,
@@ -34,7 +33,7 @@ from ummtest.lan_models import (
     training_rho,
 )
 from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs
-from ummtest.nlp_detect import NlpProblem, umm_train_decide
+from ummtest.nlp_detect import NlpProblem, UmmTrainDetector
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +163,11 @@ def test_gaussian_plug_in_matches_location_rule():
     setup = TrainingSetup(n=n, n_x=n_x, rho=rho)
     x = model.sample(np.array([0.3, 0.0, -0.1]), n_x, rng)
     y = model.sample(np.zeros(k), n, rng)
-    v1 = aumm_decide(x, y, model, model.theta0, setup, 0.1)
+    lprob = LanProblem(model=model, theta1=np.array([0.3, 0.0, -0.1]), setup=setup)
+    v1 = AummDetector(0.1).decide(y, lprob, x=x)
     prob = NlpProblem(k=k, delta=1.0, rho=rho)
-    v2 = umm_train_decide(
-        math.sqrt(n) * x.mean(axis=0), math.sqrt(n) * y.mean(axis=0), prob, 0.1)
+    v2 = UmmTrainDetector(0.1).decide(
+        math.sqrt(n) * y.mean(axis=0), prob, x=math.sqrt(n) * x.mean(axis=0))
     assert v1.statistic == v2.statistic
     assert v1.threshold == v2.threshold
     assert v1.decision == v2.decision
@@ -176,8 +176,6 @@ def test_gaussian_plug_in_matches_location_rule():
 def test_gaussian_kernel_matches_location_kernel():
     # same uniform layout as the location-problem training kernel, so the
     # estimates agree trial-for-trial up to last-bit threshold rounding
-    from ummtest.nlp_detect import UmmTrainDetector
-
     k, n, n_x = 2, 100, 100
     model = GaussianLocationModel(k)
     mu = np.array([2.0, 0.0])

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from ummtest import montecarlo, nlp_detect, specfun
-from ummtest.errors import ConfigError
+from ummtest.errors import ConfigError, DomainError
 from ummtest.montecarlo import (
     BLOCK,
     McConfig,
@@ -190,11 +190,11 @@ def test_estimate_error_probs_glrt_levels():
 def test_roc_sweep_grid_validation():
     prob = nlp_detect.NlpProblem(k=2, delta=1.0)
     fam = nlp_detect.GlrtDetector
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         roc_sweep(fam, prob, [0.3, 0.1], McConfig(trials=200))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         roc_sweep(fam, prob, [], McConfig(trials=200))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         roc_sweep(fam, prob, [0.0, 0.5], McConfig(trials=200))
 
 

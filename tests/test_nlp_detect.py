@@ -13,21 +13,20 @@ import pytest
 
 from ummtest import linalg, specfun
 from ummtest.errors import ConfigError, DomainError, RangeError
-from ummtest.montecarlo import McConfig, estimate_error_probs
+from ummtest.lan_models import AummDetector, GaussianLocationModel, LanProblem, TrainingSetup
+from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs, gaussians
 from ummtest.nlp_detect import (
     GlrtDetector,
     LrtDetector,
     NlpProblem,
     UmmTrainDetector,
+    _LrtKernel,
+    _QuadKernel,
     bayes_lrt_radius,
     glrt_curve,
-    glrt_decide,
     lrt_curve,
-    lrt_decide,
-    region_boundary,
     umm_curve,
     umm_pmd,
-    umm_train_decide,
 )
 
 # full simulation of the training rule, rho=5 p_fa=0.1 k=2 delta=2 (1e6 trials)
@@ -79,39 +78,39 @@ def test_problem_standardization():
 
 def test_lrt_decide_and_ties():
     prob = NlpProblem(k=2, mu1=np.array([2.0, 0.0]))
-    v = lrt_decide(np.array([0.4, 3.0]), prob, threshold=1.0)
+    v = LrtDetector(threshold=1.0).decide(np.array([0.4, 3.0]), prob)
     assert v.statistic == pytest.approx(0.8)
     assert v.accepted and v.decision == "accept-H0"
     # ties reject
-    v = lrt_decide(np.array([0.5, 0.0]), prob, threshold=1.0)
+    v = LrtDetector(threshold=1.0).decide(np.array([0.5, 0.0]), prob)
     assert not v.accepted
     with pytest.raises(ConfigError):
-        lrt_decide(np.zeros(2), NlpProblem(k=2, delta=1.0), 0.0)
+        LrtDetector(threshold=0.0).decide(np.zeros(2), NlpProblem(k=2, delta=1.0))
 
 
 def test_glrt_decide_matches_threshold():
     prob = NlpProblem(k=3, delta=1.0)
     y = np.array([1.0, -2.0, 0.5])
-    v = glrt_decide(y, prob, 0.2)
+    v = GlrtDetector(0.2).decide(y, prob)
     assert v.statistic == pytest.approx(float(y @ y))
     assert v.threshold == pytest.approx(specfun.chisq_tail_inv(3, 0.0, 0.2))
     with pytest.raises(DomainError):
-        glrt_decide(y, prob, 0.0)
+        GlrtDetector(0.0).decide(y, prob)
 
 
 def test_umm_train_decide_threshold_adapts():
     prob = NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=1.0)
     x = np.array([1.5, 0.5])
     y = np.array([0.2, -0.1])
-    v = umm_train_decide(x, y, prob, 0.1)
+    v = UmmTrainDetector(0.1).decide(y, prob, x=x)
     th0 = float((prob.rho * x) @ (prob.rho * x))
     assert v.threshold == pytest.approx(specfun.chisq_tail_inv(2, th0, 0.1))
     s = prob.rho * x + y
     assert v.statistic == pytest.approx(float(s @ s))
     # rho = 0 collapses onto the energy test
     prob0 = NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=0.0)
-    v0 = umm_train_decide(x, y, prob0, 0.1)
-    g0 = glrt_decide(y, prob0, 0.1)
+    v0 = UmmTrainDetector(0.1).decide(y, prob0, x=x)
+    g0 = GlrtDetector(0.1).decide(y, prob0)
     assert v0.statistic == g0.statistic and v0.threshold == g0.threshold
 
 
@@ -124,11 +123,11 @@ def test_rotation_invariance_of_statistics():
     y = rng.standard_normal(k)
     pa = NlpProblem(k=k, mu1=mu, rho=2.0)
     pb = NlpProblem(k=k, mu1=q @ mu, rho=2.0)
-    assert glrt_decide(y, pa, 0.1).statistic == pytest.approx(
-        glrt_decide(q @ y, pb, 0.1).statistic)
+    assert GlrtDetector(0.1).decide(y, pa).statistic == pytest.approx(
+        GlrtDetector(0.1).decide(q @ y, pb).statistic)
     x = mu + rng.standard_normal(k)
-    va = umm_train_decide(x, y, pa, 0.1)
-    vb = umm_train_decide(q @ x, q @ y, pb, 0.1)
+    va = UmmTrainDetector(0.1).decide(y, pa, x=x)
+    vb = UmmTrainDetector(0.1).decide(q @ y, pb, x=q @ x)
     assert va.statistic == pytest.approx(vb.statistic)
     assert va.threshold == pytest.approx(vb.threshold)
 
@@ -256,23 +255,21 @@ def test_bayes_lrt_radius_range_errors():
 
 def test_region_boundary_shapes():
     prob = NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=5.0)
-    lrt = region_boundary(prob, "lrt", 0.1)
+    lrt = LrtDetector(p_fa=0.1).region(prob)
     assert lrt.shape == "hyperplane"
     assert np.allclose(lrt.normal, [2.0, 0.0])
     assert lrt.offset == pytest.approx(2.0 * specfun.normal_tail_inv(0.1))
-    glrt = region_boundary(prob, "glrt", 0.1)
+    glrt = GlrtDetector(0.1).region(prob)
     assert glrt.shape == "sphere"
     assert np.allclose(glrt.center, 0.0)
     assert glrt.radius == pytest.approx(math.sqrt(specfun.chisq_tail_inv(2, 0.0, 0.1)))
     x = np.array([2.1, -0.3])
-    umm = region_boundary(prob, "umm_train", 0.1, x=x)
+    umm = UmmTrainDetector(0.1).region(prob, x=x)
     th0 = 25.0 * float(x @ x)
     assert np.allclose(umm.center, -5.0 * x)
     assert umm.radius == pytest.approx(math.sqrt(specfun.chisq_tail_inv(2, th0, 0.1)))
     with pytest.raises(ConfigError):
-        region_boundary(prob, "umm_train", 0.1)
-    with pytest.raises(ConfigError):
-        region_boundary(prob, "energy", 0.1)
+        UmmTrainDetector(0.1).region(prob)
 
 
 def test_umm_sphere_is_a_bayes_sphere():
@@ -280,7 +277,7 @@ def test_umm_sphere_is_a_bayes_sphere():
     # sphere at the matching threshold, linking the two constructions
     prob = NlpProblem(k=3, delta=2.0, rho=1.0)
     x = np.array([1.1, -0.7, 0.4])
-    b = region_boundary(prob, "umm_train", 0.1, x=x)
+    b = UmmTrainDetector(0.1).region(prob, x=x)
     d = prob.separation()
     xn = float(np.linalg.norm(x))
     log_T = specfun.log_vmf_const(3, d * b.radius) - specfun.log_vmf_const(
@@ -289,10 +286,50 @@ def test_umm_sphere_is_a_bayes_sphere():
     assert abs(r2 - b.radius) < 1e-9
 
 
+@pytest.mark.parametrize("rule", ["matched-filter", "energy", "training", "plug-in"])
+def test_one_rule_one_truth(rule):
+    # a verdict is membership in the rule's region, and a fixed-region
+    # kernel's H0 value on the same uniforms is the rejection indicator
+    draws = 400
+    u = block_uniforms(3, 0, draws, 2)
+    prob = NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=5.0)
+    if rule == "plug-in":
+        n, n_x = 4, 20
+        model = GaussianLocationModel(2)
+        problem = LanProblem(model, np.array([1.0, 0.0]), TrainingSetup(n=n, n_x=n_x))
+        rng = np.random.default_rng(8)
+        x = model.sample(problem.theta1, n_x, rng)
+        ys = [model.sample(model.theta0, n, rng) for _ in range(draws)]
+        z = np.array([math.sqrt(n) * y.mean(axis=0) for y in ys])  # J = I, theta0 = 0
+        det = AummDetector(0.1)
+        region = det.region(problem, x=x)
+    else:
+        problem = prob
+        ys = z = gaussians(u)
+        det = {
+            "matched-filter": LrtDetector(p_fa=0.1),
+            "energy": GlrtDetector(0.1),
+            "training": UmmTrainDetector(0.1, x=np.array([0.4, -0.1])),
+        }[rule]
+        x = None
+        region = det.region(prob)
+    accepted = np.array([det.decide(y, problem, x=x).accepted for y in ys])
+    if region.shape == "hyperplane":
+        inside = z @ region.normal < region.offset
+    else:
+        inside = np.sum((z - region.center) ** 2, axis=1) < region.sq_radius
+    assert np.array_equal(accepted, inside)
+    assert 0 < np.count_nonzero(~accepted) < draws
+    if rule != "plug-in":
+        kern = det.mc_kernel(prob, False)
+        assert isinstance(kern, _LrtKernel if rule == "matched-filter" else _QuadKernel)
+        assert np.array_equal(accepted, kern.values(u[:, : kern.nu]) == 0.0)
+
+
 def test_detector_level_resolution():
     prob = NlpProblem(k=2, delta=2.0)
     det = LrtDetector(p_fa=0.1)
-    kern = det.mc_kernel(prob, "H0")
+    kern = det.mc_kernel(prob, False)
     assert kern.threshold == pytest.approx(2.0 * specfun.normal_tail_inv(0.1))
     with pytest.raises(ConfigError):
         LrtDetector()
