@@ -262,16 +262,18 @@ def _simulate_nlp(args, grid, mc):
         rho=_as_float(args.rho, "rho") if args.rho is not None else 0.0,
     )
     curve = montecarlo.roc_sweep(_nlp_family(_require(args, "detector")), problem, grid, mc)
-    rows = []
-    for i in range(grid.size):
-        rows.append({
-            "p_fa": float(curve.fa_hat[i]),  # measured, not nominal
-            "p_md": float(curve.p_md[i]),
-            "ci_low": float(curve.ci_low[i]),
-            "ci_high": float(curve.ci_high[i]),
-            "provenance": curve.provenance,
-        })
-    return _CURVE_COLUMNS, rows
+    return _CURVE_COLUMNS, _sim_rows(curve.fa_hat, curve)
+
+
+def _sim_rows(fa_hat, md):
+    """Rows of a simulated curve md, with the measured (not nominal) p_fa."""
+    return [{
+        "p_fa": float(fa_hat[i]),
+        "p_md": float(md.p_md[i]),
+        "ci_low": float(md.ci_low[i]),
+        "ci_high": float(md.ci_high[i]),
+        "provenance": "simulated",
+    } for i in range(md.p_md.size)]
 
 
 def _build_lan_model(args):
@@ -309,26 +311,18 @@ def _simulate_lan(args, grid, mc):
     with_dev = not isinstance(model, lan_models.GaussianLocationModel)
 
     columns = list(_CURVE_COLUMNS) + (["dev_from_limit"] if with_dev else [])
-    rows = []
-    for p in grid:
-        p = float(p)
-        det = lan_models.AummDetector(p)
-        fa = montecarlo.estimate_error_probs(det, problem, "H0", mc)
-        if use_disk:
-            md = lan_models.discrete_aumm_pmd(model, theta1, setup, p, mc)
-        else:
-            md = montecarlo.estimate_error_probs(det, problem, "H1", mc)
-        row = {
-            "p_fa": fa.p_hat,
-            "p_md": md.p_hat,
-            "ci_low": md.ci_low,
-            "ci_high": md.ci_high,
-            "provenance": "simulated",
-        }
-        if with_dev:
-            ref = nlp_detect.umm_pmd(p, float(d), rho_eff, model.k, mc)
-            row["dev_from_limit"] = abs(md.p_hat - ref.p_hat)
-        rows.append(row)
+    if use_disk:
+        dets = [lan_models.AummDetector(float(p)) for p in grid]
+        fa = montecarlo.run_kernel(lan_models.AummDetector.mc_kernel(dets, problem, False), mc)
+        md = lan_models.discrete_aumm_curve(model, theta1, setup, grid, mc)
+    else:
+        md = montecarlo.roc_sweep(lan_models.AummDetector, problem, grid, mc)
+        fa = md.fa_hat
+    rows = _sim_rows(fa, md)
+    if with_dev:
+        ref = nlp_detect.umm_curve(float(d), rho_eff, model.k, grid, mc)
+        for row, r in zip(rows, ref.p_md.tolist()):
+            row["dev_from_limit"] = abs(row["p_md"] - r)
     return columns, rows
 
 

@@ -28,8 +28,10 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, StabilityError
-from .montecarlo import McConfig, McEstimate
-from .nlp_detect import _check_pfa, _RegionDetector, _rowsq, _training_ball
+from .montecarlo import McConfig, McEstimate, _check_grid, _estimates, _point
+from .nlp_detect import (
+    TradeoffCurve, _check_pfa, _RegionDetector, _rowsq, _training_ball, _training_errors,
+)
 from .specfun import _chisq_tail_inv_vec
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "local_alternative",
     "training_rho",
     "discrete_aumm_pmd",
+    "discrete_aumm_curve",
     "pearson_stat",
     "discrete_fisher",
     "ar_autocov",
@@ -154,6 +157,12 @@ def _log_factorials(n):
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
 
 
+def _binom_log_pmf(m, q, lf):
+    """log P(c) for c ~ Bin(m, q) on 0..m, q inside (0, 1)."""
+    c = np.arange(m + 1)
+    return lf[m] - lf[c] - lf[m - c] + c * math.log(q) + (m - c) * math.log1p(-q)
+
+
 def _binom_cdf_row(m, q, lf):
     """CDF of Bin(m, q) on 0..m; lf must cover log-factorials up to m."""
     if q <= 0.0:
@@ -162,9 +171,7 @@ def _binom_cdf_row(m, q, lf):
         row = np.zeros(m + 1)
         row[m] = 1.0
         return row
-    c = np.arange(m + 1)
-    lp = lf[m] - lf[c] - lf[m - c] + c * math.log(q) + (m - c) * math.log1p(-q)
-    row = np.cumsum(np.exp(lp))
+    row = np.cumsum(np.exp(_binom_log_pmf(m, q, lf)))
     # kill ~1e-14 summation drift so quantiles at u -> 1 stay on the support
     return row / row[-1]
 
@@ -519,13 +526,14 @@ class LanProblem:
 
 
 class _AummIndicatorKernel:
-    """Draw training and test estimates, apply the plug-in rule, count errors."""
+    """Draw training and test estimates, apply the plug-in rule at every
+    level through one conditional p-value per trial, count errors."""
 
-    def __init__(self, model, theta1, setup, p_fa, under_h1):
+    def __init__(self, model, theta1, setup, levels, under_h1):
         self.model = model
         self.theta1 = theta1
         self.setup = setup
-        self.p_fa = p_fa
+        self.levels = levels
         self.under_h1 = under_h1
         self.rho = training_rho(model, setup)
         self.root = linalg.sym_sqrt(model.fisher_info())
@@ -537,20 +545,14 @@ class _AummIndicatorKernel:
         return (theta_hat - self.model.theta0) @ (self.sqrt_n * self.root).T
 
     def values(self, u):
-        rows = u.shape[0]
-        k = self.model.k
+        mux = np.zeros((u.shape[0], self.model.k))
         if self.nu_x > 0:
             thx = self.model.draw_estimates(self.theta1, self.setup.n_x, u[:, : self.nu_x])
             mux = self.rho * self._local(thx)
-            thr = _chisq_tail_inv_vec(k, _rowsq(mux), self.p_fa)
-        else:
-            mux = np.zeros((rows, k))
-            thr = specfun.chisq_tail_inv(k, 0.0, self.p_fa)
         theta_test = self.theta1 if self.under_h1 else self.model.theta0
         thy = self.model.draw_estimates(theta_test, self.setup.n, u[:, self.nu_x :])
         stat = _rowsq(mux + self._local(thy))
-        miss = stat < thr
-        return (miss if self.under_h1 else ~miss).astype(float)
+        return _training_errors(self.model.k, _rowsq(mux), stat, self.levels, self.under_h1)
 
 
 class AummDetector(_RegionDetector):
@@ -573,9 +575,10 @@ class AummDetector(_RegionDetector):
             zx = problem.standardize(x)
         return _training_ball(zx, rho, k, self.p_fa)
 
-    def mc_kernel(self, problem: LanProblem, under_h1):
+    @classmethod
+    def mc_kernel(cls, detectors, problem: LanProblem, under_h1):
         return _AummIndicatorKernel(
-            problem.model, problem.theta1, problem.setup, self.p_fa, under_h1
+            problem.model, problem.theta1, problem.setup, [d.p_fa for d in detectors], under_h1
         )
 
 
@@ -590,10 +593,11 @@ class _DiscreteDiskKernel:
     whose probability is a difference of binomial CDFs.  Averaging those
     exact sections over training draws is the same conditional pattern the
     Gaussian umm_pmd estimator uses, with matching uniform consumption
-    (k = 2 per trial), so estimates pair trial-for-trial with it.
+    (k = 2 per trial), so estimates pair trial-for-trial with it.  One row
+    of values per level, from one set of training draws.
     """
 
-    def __init__(self, model, theta1, n, n_x, rho, p_fa):
+    def __init__(self, model, theta1, n, n_x, rho, levels):
         if model.k != 2:
             raise ConfigError(
                 "exact disk sections are implemented for three-symbol alphabets"
@@ -603,27 +607,23 @@ class _DiscreteDiskKernel:
         self.n = int(n)
         self.n_x = int(n_x)
         self.rho = rho
-        self.p_fa = p_fa
+        self.levels = levels
         self.nu = model.k
         self.root = linalg.sym_sqrt(model.fisher_info())
         self.sqrt_n = math.sqrt(self.n)
         # test-lattice geometry, shared by every trial
         p = model._full(self.theta1)
         lf = _log_factorials(self.n)
-        c1 = np.arange(self.n + 1)
-        lp = (
-            lf[self.n]
-            - lf[c1]
-            - lf[self.n - c1]
-            + c1 * math.log(p[0])
-            + (self.n - c1) * math.log1p(-p[0])
-        )
-        w1 = np.exp(lp)
+        w1 = np.exp(_binom_log_pmf(self.n, p[0], lf))
         keep = w1 > 1e-18
-        self.c1 = c1[keep]
+        self.c1 = np.arange(self.n + 1)[keep]
         self.w1 = w1[keep]
-        self.q = p[1] / (p[1] + p[2])
-        self.lf = lf
+        # CDF of c2 ~ Bin(n - c1, q) for each kept c1, led by a zero
+        q = p[1] / (p[1] + p[2])
+        self.cdfs = [
+            np.concatenate(([0.0], _binom_cdf_row(self.n - int(c1v), q, lf)))
+            for c1v in self.c1
+        ]
         self.base = -self.sqrt_n * (self.root @ model.theta0)
         self.s0 = self.root[:, 0] / self.sqrt_n
         self.s1 = self.root[:, 1] / self.sqrt_n
@@ -632,7 +632,7 @@ class _DiscreteDiskKernel:
         """P(||center + mu_hat_y||^2 < thr) exactly, per row."""
         a = float(self.s1 @ self.s1)
         out = np.zeros(centers.shape[0])
-        for c1v, w1 in zip(self.c1, self.w1):
+        for c1v, w1, cdf in zip(self.c1, self.w1, self.cdfs):
             m = self.n - int(c1v)
             u = centers + self.base + self.s0 * float(c1v)
             b = 2.0 * (u @ self.s1)
@@ -645,7 +645,6 @@ class _DiscreteDiskKernel:
             hi = np.ceil((-b + sq) / (2.0 * a)).astype(np.int64) - 1
             lo = np.clip(lo, 0, m + 1)
             hi = np.clip(hi, -1, m)
-            cdf = np.concatenate(([0.0], _binom_cdf_row(m, self.q, self.lf)))
             val = np.where(has & (hi >= lo), cdf[hi + 1] - cdf[lo], 0.0)
             out += w1 * val
         return out
@@ -654,31 +653,43 @@ class _DiscreteDiskKernel:
         counts = self.model.counts_from_uniforms(self.theta1, self.n_x, u)
         thx = counts / float(self.n_x)
         mux = self.rho * ((thx - self.model.theta0) @ (self.sqrt_n * self.root).T)
-        thr = _chisq_tail_inv_vec(2, _rowsq(mux), self.p_fa)
-        return self._miss_given(mux, thr)
+        th0 = _rowsq(mux)
+        return np.stack([
+            self._miss_given(mux, _chisq_tail_inv_vec(2, th0, float(p))) for p in self.levels
+        ])
+
+
+def discrete_aumm_curve(
+    model: DiscreteModel, theta1, setup: TrainingSetup, p_fa_grid, mc: McConfig
+) -> TradeoffCurve:
+    """Miss probability of the plug-in rule on a three-symbol model, along a grid.
+
+    Conditional Monte Carlo: the test block's miss probability given each
+    training draw is computed exactly on the count lattice, so the
+    simulation only averages over training randomness, and one set of
+    training draws serves every level.  Without training (n_x = 0) nothing
+    is random and the exact values come back with zero-width intervals,
+    mirroring umm_pmd's rho = 0 contract.
+    """
+    g = _check_grid(p_fa_grid)
+    if not isinstance(model, DiscreteModel):
+        raise ConfigError("discrete_aumm_curve needs a DiscreteModel")
+    rho = training_rho(model, setup)
+    label = f"discrete plug-in m={model.m} n={setup.n} nx={setup.n_x}"
+    if setup.n_x == 0 or rho == 0.0:
+        kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, 0.0, g)
+        thr = np.array([specfun.chisq_tail_inv(model.k, 0.0, p) for p in g.tolist()])
+        v = kern._miss_given(np.zeros((g.size, model.k)), thr)
+        return TradeoffCurve(g, v, "simulated", label, ci_low=v, ci_high=v)
+    kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, rho, g)
+    md, lo, hi = _estimates(kern, mc)
+    return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
 
 
 def discrete_aumm_pmd(
     model: DiscreteModel, theta1, setup: TrainingSetup, p_fa, mc: McConfig
 ) -> McEstimate:
-    """Miss probability of the plug-in rule on a three-symbol model.
-
-    Conditional Monte Carlo: the test block's miss probability given each
-    training draw is computed exactly on the count lattice, so the
-    simulation only averages over training randomness.  Without training
-    (n_x = 0) nothing is random and the exact value comes back with a
-    zero-width interval, mirroring umm_pmd's rho = 0 contract.
-    """
+    """The one-level case of ``discrete_aumm_curve``, as an estimate."""
     _check_pfa(p_fa)
-    if not isinstance(model, DiscreteModel):
-        raise ConfigError("discrete_aumm_pmd needs a DiscreteModel")
-    rho = training_rho(model, setup)
-    if setup.n_x == 0 or rho == 0.0:
-        kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, 0.0, p_fa)
-        thr = specfun.chisq_tail_inv(model.k, 0.0, p_fa)
-        v = float(kern._miss_given(np.zeros((1, model.k)), np.array([thr]))[0])
-        return McEstimate(p_hat=v, trials=mc.trials, ci_low=v, ci_high=v, seed=mc.seed)
-    kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, rho, p_fa)
-    p = montecarlo.run_kernel(kern, mc)
-    lo, hi = montecarlo.wilson_interval(p, mc.trials)
-    return McEstimate(p_hat=p, trials=mc.trials, ci_low=lo, ci_high=hi, seed=mc.seed)
+    c = discrete_aumm_curve(model, theta1, setup, [p_fa], mc)
+    return _point((c.p_md, c.ci_low, c.ci_high), mc)

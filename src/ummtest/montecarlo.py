@@ -6,11 +6,19 @@ block therefore has no effect on the numbers it produces, and the final
 reduction walks blocks in index order, so an estimate is bit-for-bit
 reproducible for a given ``(trials, seed)`` pair at any worker count.
 
-A simulation kernel is any object with
+A simulation kernel covers every level of a sweep at once.  It is any
+object with
 
     nu          number of uniform variates consumed per trial
-    values(u)   map a ``(trials, nu)`` array of open-interval uniforms to
-                per-trial values in ``[0, 1]``
+    values(u)   map a ``(rows, nu)`` array of open-interval uniforms to a
+                ``(G, rows)`` array of values in ``[0, 1]``, one row per
+                level of the sweep
+
+so each block's uniforms are drawn and transformed once, whatever the
+number of levels, and ``run_kernel`` returns the G means.  Values are laid
+out ``(G, rows)`` and block sums ``(G, blocks)``, and both are reduced
+along their last, contiguous axis, so each level's mean is summed in the
+same order as if it had been simulated alone.
 
 Indicator kernels return 0/1; conditional-expectation kernels may return
 fractional values, for which the Wilson interval is conservative (a
@@ -132,39 +140,51 @@ def _check_grid(grid):
     return g
 
 
-def _block_value_sum(kernel, seed, index, rows):
+def _block_sums(kernel, seed, index, rows):
     u = block_uniforms(seed, index, rows, kernel.nu)
-    vals = np.asarray(kernel.values(u), dtype=float)
-    if vals.shape != (rows,):
-        raise ConfigError(
-            f"kernel returned shape {vals.shape}, expected ({rows},)"
-        )
-    return float(np.sum(vals))
+    vals = np.ascontiguousarray(kernel.values(u), dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != rows:
+        raise ConfigError(f"kernel returned shape {vals.shape}, expected (levels, {rows})")
+    return np.sum(vals, axis=1)
 
 
-def run_kernel(kernel, config: McConfig) -> float:
-    """Mean kernel value over ``config.trials`` trials.
+def run_kernel(kernel, config: McConfig) -> np.ndarray:
+    """Mean kernel value over ``config.trials`` trials, one per level.
 
     Per-block sums are reduced in block order, making the result identical
     for any ``config.workers``.
     """
     n = config.trials
-    nblocks = -(-n // BLOCK)
-    sums = np.empty(nblocks)
-    if config.workers == 1 or nblocks == 1:
-        for i in range(nblocks):
-            sums[i] = _block_value_sum(kernel, config.seed, i, min(BLOCK, n - i * BLOCK))
+    rows = [min(BLOCK, n - i * BLOCK) for i in range(-(-n // BLOCK))]
+    block = lambda i: _block_sums(kernel, config.seed, i, rows[i])
+    if config.workers == 1 or len(rows) == 1:
+        sums = [block(i) for i in range(len(rows))]
     else:
         with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
-            futs = {
-                pool.submit(
-                    _block_value_sum, kernel, config.seed, i, min(BLOCK, n - i * BLOCK)
-                ): i
-                for i in range(nblocks)
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                sums[futs[fut]] = fut.result()
-    return float(np.sum(sums)) / n
+            sums = list(pool.map(block, range(len(rows))))
+    if len({s.shape for s in sums}) != 1:
+        raise ConfigError("kernel returned a different number of levels per block")
+    return np.sum(np.stack(sums, axis=1), axis=1) / n
+
+
+def _estimates(kernel, config: McConfig):
+    """Per-level means of ``kernel`` and their Wilson bounds: (p_hat, ci_low, ci_high)."""
+    p = run_kernel(kernel, config)
+    lo, hi = np.array([wilson_interval(v, config.trials) for v in p.tolist()]).T
+    return p, lo, hi
+
+
+def _point(estimates, config: McConfig) -> McEstimate:
+    """The first level of ``_estimates``-shaped arrays, as an McEstimate."""
+    p, lo, hi = (float(a[0]) for a in estimates)
+    return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
+
+
+def _sweep(detectors, problem, under_h1, config: McConfig):
+    make = getattr(detectors[0], "mc_kernel", None)
+    if make is None:
+        raise ConfigError(f"{type(detectors[0]).__name__} does not provide a simulation kernel")
+    return _estimates(make(detectors, problem, under_h1), config)
 
 
 def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McEstimate:
@@ -172,31 +192,25 @@ def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McE
 
     ``hypothesis`` "H0" estimates the false-alarm probability (reject when
     the null generated the data), "H1" the missed-detection probability.
-    The detector supplies the simulation kernel via
-    ``detector.mc_kernel(problem, under_h1)``; kernels that cannot be
-    built for the given problem raise ConfigError.
+    This is the one-level case of ``roc_sweep``: the detector supplies the
+    simulation kernel via ``detector.mc_kernel([detector], problem,
+    under_h1)``; kernels that cannot be built for the given problem raise
+    ConfigError.
     """
     if hypothesis not in ("H0", "H1"):
         raise ConfigError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    make = getattr(detector, "mc_kernel", None)
-    if make is None:
-        raise ConfigError(
-            f"{type(detector).__name__} does not provide a simulation kernel"
-        )
-    kernel = make(problem, hypothesis == "H1")
-    p = run_kernel(kernel, config)
-    lo, hi = wilson_interval(p, config.trials)
-    return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
+    return _point(_sweep([detector], problem, hypothesis == "H1", config), config)
 
 
 def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
     """Simulated tradeoff curve for ``detector_family`` over a grid.
 
     ``detector_family(p_fa)`` must build the detector operated at nominal
-    false-alarm level ``p_fa``.  Both error probabilities are estimated at
-    every grid point; the same trial streams are reused across points
-    (common random numbers), so sweeps of a nested acceptance-region family
-    come out monotone in the threshold.
+    false-alarm level ``p_fa``.  The first detector's ``mc_kernel`` builds
+    one kernel per hypothesis for the whole grid, so every trial is drawn
+    once per hypothesis and judged at every level (common random numbers):
+    sweeps of a nested acceptance-region family come out monotone in the
+    threshold.
 
     Returns a curve with provenance "simulated": ``p_fa`` holds the nominal
     grid, ``p_md``/``ci_*`` the missed-detection estimates, and the
@@ -206,27 +220,8 @@ def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
     from .nlp_detect import TradeoffCurve
 
     grid = _check_grid(p_fa_grid)
-
-    md = np.empty(grid.size)
-    md_lo = np.empty(grid.size)
-    md_hi = np.empty(grid.size)
-    fa = np.empty(grid.size)
-    fa_lo = np.empty(grid.size)
-    fa_hi = np.empty(grid.size)
-    for i, p in enumerate(grid):
-        det = detector_family(float(p))
-        e0 = estimate_error_probs(det, problem, "H0", config)
-        e1 = estimate_error_probs(det, problem, "H1", config)
-        fa[i], fa_lo[i], fa_hi[i] = e0.p_hat, e0.ci_low, e0.ci_high
-        md[i], md_lo[i], md_hi[i] = e1.p_hat, e1.ci_low, e1.ci_high
-    return TradeoffCurve(
-        p_fa=grid,
-        p_md=md,
-        provenance="simulated",
-        problem=getattr(problem, "label", str(problem)),
-        ci_low=md_lo,
-        ci_high=md_hi,
-        fa_hat=fa,
-        fa_ci_low=fa_lo,
-        fa_ci_high=fa_hi,
-    )
+    dets = [detector_family(float(p)) for p in grid]
+    fa, fa_lo, fa_hi = _sweep(dets, problem, False, config)
+    md, md_lo, md_hi = _sweep(dets, problem, True, config)
+    label = getattr(problem, "label", str(problem))
+    return TradeoffCurve(grid, md, "simulated", label, md_lo, md_hi, fa, fa_lo, fa_hi)

@@ -17,10 +17,13 @@ realization of x, and its tradeoff curve sits between the other two,
 approaching the matched filter as rho grows.
 
 A detector's ``region(problem, x=None)`` is its only rule-specific code:
-``decide`` tests membership in that region and ``mc_kernel`` simulates it
-through the kernel protocol in ``montecarlo``.  The one exception is the
-training test with a fresh x in every trial, whose region moves from trial
-to trial and has a kernel of its own.  Analytic curves are pure functions.
+``decide`` tests membership in that region, and ``mc_kernel`` builds one
+kernel (the protocol in ``montecarlo``) for a whole sweep of levels.  A
+fixed region gives one statistic per trial, compared against every level's
+threshold.  A region that moves from trial to trial (the training test with
+a fresh x) gives one conditional p-value per trial, and the trial is
+rejected at every level that p-value does not exceed.  Analytic curves are
+pure functions.
 """
 
 import math
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, RangeError
-from .montecarlo import McConfig, McEstimate, _check_grid
+from .montecarlo import McConfig, McEstimate, _check_grid, _estimates, _point
 from .specfun import _chisq_tail_inv_vec, _chisq_tail_vec
 
 __all__ = [
@@ -80,6 +83,20 @@ def _check_k(k) -> int:
 
 def _rowsq(a):
     return np.einsum("ij,ij->i", a, a)
+
+
+def _errors(accepted, under_h1):
+    """Error indicators from ``(levels, rows)`` acceptances: a miss under
+    H1, a false alarm under H0."""
+    return (accepted if under_h1 else ~accepted).astype(float)
+
+
+def _training_errors(k, center_sq, stat, levels, under_h1):
+    """Errors of per-trial training balls at every level: a trial's ball
+    rejects at level p exactly when its conditional p-value
+    Q_{(k), ||center||^2}(||z - center||^2) is at most p."""
+    pval = _chisq_tail_vec(k, center_sq, stat)
+    return _errors(pval > np.asarray(levels)[:, None], under_h1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +286,26 @@ class _LrtKernel:
 
     nu = 1
 
-    def __init__(self, delta, threshold, under_h1):
+    def __init__(self, delta, thresholds, under_h1):
         self.delta = delta
-        self.threshold = threshold
+        self.thresholds = np.asarray(thresholds, dtype=float)
         self.under_h1 = under_h1
 
     def values(self, u):
         stat = self.delta * montecarlo.gaussians(u[:, 0])
         if self.under_h1:
             stat += self.delta * self.delta
-            return (stat < self.threshold).astype(float)
-        return (stat >= self.threshold).astype(float)
+        return _errors(stat < self.thresholds[:, None], self.under_h1)
 
 
 class _QuadKernel:
-    """||z - center||^2 against a fixed squared radius, z ~ N(mean, I)."""
+    """||z - center||^2 against one fixed squared radius per level, z ~ N(mean, I)."""
 
-    def __init__(self, k, mean, center, threshold, under_h1):
+    def __init__(self, k, mean, center, thresholds, under_h1):
         self.nu = k
         self.mean = mean  # None under H0
         self.center = center
-        self.threshold = threshold
+        self.thresholds = np.asarray(thresholds, dtype=float)
         self.under_h1 = under_h1
 
     def values(self, u):
@@ -297,19 +313,18 @@ class _QuadKernel:
         if self.mean is not None:
             z = z + self.mean
         stat = _rowsq(z - self.center)
-        miss = stat < self.threshold
-        return (miss if self.under_h1 else ~miss).astype(float)
+        return _errors(stat < self.thresholds[:, None], self.under_h1)
 
 
 class _UmmTrainKernel:
-    """Joint draw of training and test data; per-trial adaptive threshold."""
+    """Joint draw of training and test data; one conditional p-value per trial."""
 
-    def __init__(self, k, mu1, rho, p_fa, under_h1):
+    def __init__(self, k, mu1, rho, levels, under_h1):
         self.nu = 2 * k
         self.k = k
         self.mu1 = mu1
         self.rho = rho
-        self.p_fa = p_fa
+        self.levels = levels
         self.under_h1 = under_h1
 
     def values(self, u):
@@ -319,20 +334,17 @@ class _UmmTrainKernel:
         z = g[:, self.k :]
         if self.under_h1:
             z = z + self.mu1
-        stat = _rowsq(rx + z)
-        thr = _chisq_tail_inv_vec(self.k, _rowsq(rx), self.p_fa)
-        miss = stat < thr
-        return (miss if self.under_h1 else ~miss).astype(float)
+        return _training_errors(self.k, _rowsq(rx), _rowsq(rx + z), self.levels, self.under_h1)
 
 
 class _UmmPmdKernel:
     """Rao-Blackwellized miss probability: exact test-side tail given training."""
 
-    def __init__(self, k, delta, rho, p_fa):
+    def __init__(self, k, delta, rho, levels):
         self.nu = k
         self.k = k
         self.rho = rho
-        self.p_fa = p_fa
+        self.levels = levels
         self.mu1 = np.zeros(k)
         self.mu1[0] = delta
 
@@ -341,8 +353,10 @@ class _UmmPmdKernel:
         rx = self.rho * self.mu1 + math.sqrt(self.rho) * g  # rho X, X ~ N(mu1, I/rho)
         th0 = _rowsq(rx)
         th1 = _rowsq(rx + self.mu1)
-        thr = _chisq_tail_inv_vec(self.k, th0, self.p_fa)
-        return 1.0 - _chisq_tail_vec(self.k, th1, thr)
+        return np.stack([
+            1.0 - _chisq_tail_vec(self.k, th1, _chisq_tail_inv_vec(self.k, th0, float(p)))
+            for p in self.levels
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +377,18 @@ class _RegionDetector:
         """Verdict on one observation y (and training sample x, if the rule uses one)."""
         return self.region(problem, x).verdict(problem.standardize(y))
 
-    def mc_kernel(self, problem, under_h1):
-        """Simulation kernel counting errors of the fixed region under H0 or H1."""
-        b = self.region(problem)
+    @classmethod
+    def mc_kernel(cls, detectors, problem, under_h1):
+        """One kernel counting the errors of every detector's fixed region,
+        under H0 or H1; the regions may differ in their threshold only."""
+        regions = [d.region(problem) for d in detectors]
+        b = regions[0]
         if b.shape == "hyperplane":
-            return _LrtKernel(problem.separation(), b.offset, under_h1)
+            return _LrtKernel(problem.separation(), [r.offset for r in regions], under_h1)
+        if not all(np.array_equal(r.center, b.center) for r in regions):
+            raise ConfigError("the balls of one sweep must share their center")
         mean = problem.standardized_mu1() if under_h1 else None
-        return _QuadKernel(problem.k, mean, b.center, b.sq_radius, under_h1)
+        return _QuadKernel(problem.k, mean, b.center, [r.sq_radius for r in regions], under_h1)
 
 
 class LrtDetector(_RegionDetector):
@@ -432,12 +451,12 @@ class UmmTrainDetector(_RegionDetector):
             raise ConfigError("training-test region needs the training sample x")
         return _training_ball(zx, problem.rho, problem.k, self.p_fa)
 
-    def mc_kernel(self, problem, under_h1):
-        if self.x is None and problem.rho != 0.0:
-            return _UmmTrainKernel(
-                problem.k, problem.standardized_mu1(), problem.rho, self.p_fa, under_h1
-            )
-        return super().mc_kernel(problem, under_h1)
+    @classmethod
+    def mc_kernel(cls, detectors, problem, under_h1):
+        if problem.rho != 0.0 and all(d.x is None for d in detectors):
+            levels, mu1 = [d.p_fa for d in detectors], problem.standardized_mu1()
+            return _UmmTrainKernel(problem.k, mu1, problem.rho, levels, under_h1)
+        return super().mc_kernel(detectors, problem, under_h1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +470,8 @@ def umm_pmd(p_fa, delta, rho, k, mc: McConfig) -> McEstimate:
     th0 = ||rho X||^2 and th1 = ||rho X + mu1||^2 share the same X.  The
     result depends on mu1 only through delta, so the integration runs along
     a fixed axis.  rho = 0 needs no training average and returns the exact
-    energy-test value with a zero-width interval.
+    energy-test value with a zero-width interval.  The one-level case of
+    ``umm_curve``.
     """
     _check_pfa(p_fa)
     delta = _check_delta(delta)
@@ -460,28 +480,22 @@ def umm_pmd(p_fa, delta, rho, k, mc: McConfig) -> McEstimate:
     if rho == 0.0:
         v = float(glrt_curve(k, delta, [p_fa]).p_md[0])
         return McEstimate(p_hat=v, trials=mc.trials, ci_low=v, ci_high=v, seed=mc.seed)
-    p = montecarlo.run_kernel(_UmmPmdKernel(k, delta, rho, p_fa), mc)
-    lo, hi = montecarlo.wilson_interval(p, mc.trials)
-    return McEstimate(p_hat=p, trials=mc.trials, ci_low=lo, ci_high=hi, seed=mc.seed)
+    return _point(_estimates(_UmmPmdKernel(k, delta, rho, [p_fa]), mc), mc)
 
 
 def umm_curve(delta, rho, k, p_fa_grid, mc: McConfig) -> TradeoffCurve:
-    """Training-test tradeoff along a grid: pointwise umm_pmd."""
+    """Training-test tradeoff along a grid: umm_pmd at every level, from
+    one set of training draws."""
     g = _check_grid(p_fa_grid)
-    if float(rho) == 0.0:
+    delta = _check_delta(delta)
+    rho = _check_rho(rho)
+    label = f"umm k={k} delta={delta:g} rho={rho:g}"
+    if rho == 0.0:
         curve = glrt_curve(k, delta, g)
-        curve.problem = f"umm k={k} delta={float(delta):g} rho=0"
+        curve.problem = label
         return curve
-    md = np.empty(g.size)
-    lo = np.empty(g.size)
-    hi = np.empty(g.size)
-    for i, p in enumerate(g):
-        est = umm_pmd(float(p), delta, rho, k, mc)
-        md[i], lo[i], hi[i] = est.p_hat, est.ci_low, est.ci_high
-    return TradeoffCurve(
-        g, md, "simulated", f"umm k={k} delta={float(delta):g} rho={float(rho):g}",
-        ci_low=lo, ci_high=hi,
-    )
+    md, lo, hi = _estimates(_UmmPmdKernel(_check_k(k), delta, rho, g), mc)
+    return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
 
 
 def bayes_lrt_radius(delta, rho, k, x_norm, T) -> float:

@@ -284,3 +284,17 @@ def test_bad_grid_exits_two(capsys):
     assert main(["curve", "--detector", "lrt", "--delta", "2",
                  "--grid", "0.5"]) == 2
     assert "start:stop:count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["discrete", "gaussian"])
+def test_simulate_plugin_worker_invariance(tmp_path, model):
+    # more than one 4096-trial block, so the three workers share the work
+    base = ["simulate", "--model", model, "--k", "2", "--n", "40", "--nx", "80",
+            "--delta", "2", "--grid", "0.05:0.3:3", "--trials", "5000", "--seed", "4"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+    assert main(base + ["--workers", "3", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    _, header, rows = _read(a)
+    assert len(rows) == 3
+    assert ("dev_from_limit" in header) == (model == "discrete")

@@ -1,4 +1,4 @@
-"""Jacobi eigensolver / square roots / standardization, cross-checked vs numpy."""
+"""Symmetric eigensolver (numpy eigh) / square roots / standardization, cross-checked vs numpy."""
 
 import numpy as np
 import pytest

@@ -21,14 +21,14 @@ from ummtest.montecarlo import (
 
 
 class _ProductKernel:
-    # indicator of u0*u1 < c; mean = c(1 - ln c) for c in (0,1)
+    # indicator of u0*u1 < c at one level; mean = c(1 - ln c) for c in (0,1)
     nu = 2
 
     def __init__(self, c=0.09):
         self.c = c
 
     def values(self, u):
-        return (u[:, 0] * u[:, 1] < self.c).astype(float)
+        return (u[:, 0] * u[:, 1] < self.c).astype(float)[None, :]
 
 
 def test_block_uniforms_layout():
@@ -137,10 +137,10 @@ def test_mcconfig_validation():
 
 def test_run_kernel_worker_invariance():
     kern = _ProductKernel()
-    ref = run_kernel(kern, McConfig(trials=20_000, seed=9, workers=1))
-    assert ref == run_kernel(kern, McConfig(trials=20_000, seed=9, workers=8))
-    assert ref == run_kernel(kern, McConfig(trials=20_000, seed=9, workers=3))
-    assert ref != run_kernel(kern, McConfig(trials=20_000, seed=10, workers=1))
+    ref = run_kernel(kern, McConfig(trials=20_000, seed=9, workers=1))[0]
+    assert ref == run_kernel(kern, McConfig(trials=20_000, seed=9, workers=8))[0]
+    assert ref == run_kernel(kern, McConfig(trials=20_000, seed=9, workers=3))[0]
+    assert ref != run_kernel(kern, McConfig(trials=20_000, seed=10, workers=1))[0]
     c = kern.c
     exact = c * (1.0 - np.log(c))
     assert abs(ref - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / 20_000)
@@ -149,7 +149,7 @@ def test_run_kernel_worker_invariance():
 def test_run_kernel_partial_block_matches_manual_sum():
     kern = _ProductKernel()
     trials = BLOCK + 904
-    got = run_kernel(kern, McConfig(trials=trials, seed=5, workers=1))
+    got = run_kernel(kern, McConfig(trials=trials, seed=5, workers=1))[0]
     s0 = np.sum(kern.values(block_uniforms(5, 0, BLOCK, kern.nu)))
     s1 = np.sum(kern.values(block_uniforms(5, 1, 904, kern.nu)))
     assert got == (s0 + s1) / trials
@@ -164,6 +164,14 @@ def test_run_kernel_rejects_bad_shape():
 
     with pytest.raises(ConfigError):
         run_kernel(Bad(), McConfig(trials=200, seed=0))
+
+    class Flat(Bad):
+        # one value per trial without a level axis
+        def values(self, u):
+            return np.zeros(u.shape[0])
+
+    with pytest.raises(ConfigError):
+        run_kernel(Flat(), McConfig(trials=200, seed=0))
 
 
 def test_estimate_error_probs_validation():
@@ -214,3 +222,72 @@ def test_roc_sweep_glrt_curve():
     # common random numbers across a nested family: measured errors are monotone
     assert np.all(np.diff(curve.fa_hat) > 0.0)
     assert np.all(np.diff(curve.p_md) < 0.0)
+
+
+def _sweep_case(rule):
+    """(detector family, problem, (k, delta, rho)) for one rule of the sweep test."""
+    from ummtest import lan_models
+
+    if rule.startswith("plug-in"):
+        model = (lan_models.GaussianLocationModel(2) if rule == "plug-in-gaussian"
+                 else lan_models.DiscreteModel(np.full(3, 1.0 / 3.0)))
+        setup = lan_models.TrainingSetup(n=40, n_x=80)
+        theta1 = lan_models.local_alternative(np.array([2.0, 0.0]), model.theta0, model, 40)
+        return lan_models.AummDetector, lan_models.LanProblem(model, theta1, setup), (2, 2.0, 2.0)
+    prob = nlp_detect.NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=3.0)
+    fam = {
+        "matched-filter": lambda p: nlp_detect.LrtDetector(p_fa=p),
+        "energy": nlp_detect.GlrtDetector,
+        "training": nlp_detect.UmmTrainDetector,
+        "training-frozen-x": lambda p: nlp_detect.UmmTrainDetector(p, x=np.array([1.5, 0.4])),
+    }[rule]
+    return fam, prob, (2, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("rule", ["matched-filter", "energy", "training", "training-frozen-x",
+                                  "plug-in-gaussian", "plug-in-discrete"])
+def test_sweep_equals_its_points(rule, monkeypatch):
+    # a sweep is its grid points run one at a time, bit for bit, but draws
+    # each block once per hypothesis whatever the number of levels
+    from ummtest import lan_models
+
+    fam, problem, (k, delta, rho) = _sweep_case(rule)
+    grid = np.array([0.05, 0.1, 0.3])
+    cfg = McConfig(trials=5000, seed=11)  # two blocks, the second one short
+    nblocks = 2
+    calls = []
+    draw = montecarlo.block_uniforms
+    monkeypatch.setattr(montecarlo, "block_uniforms", lambda *a: calls.append(a) or draw(*a))
+
+    curve = roc_sweep(fam, problem, grid, cfg)
+    assert len(calls) == 2 * nblocks
+    for i, p in enumerate(grid):
+        e0 = estimate_error_probs(fam(float(p)), problem, "H0", cfg)
+        e1 = estimate_error_probs(fam(float(p)), problem, "H1", cfg)
+        assert (curve.fa_hat[i], curve.fa_ci_low[i], curve.fa_ci_high[i]) == (
+            e0.p_hat, e0.ci_low, e0.ci_high)
+        assert (curve.p_md[i], curve.ci_low[i], curve.ci_high[i]) == (
+            e1.p_hat, e1.ci_low, e1.ci_high)
+
+    # the Rao-Blackwellized curves: one kernel for the grid, equal to its points
+    del calls[:]
+    if rule == "plug-in-discrete":
+        model, theta1, setup = problem.model, problem.theta1, problem.setup
+        rb = lan_models.discrete_aumm_curve(model, theta1, setup, grid, cfg)
+        point = lambda p: lan_models.discrete_aumm_pmd(model, theta1, setup, p, cfg)
+    else:
+        rb = nlp_detect.umm_curve(delta, rho, k, grid, cfg)
+        point = lambda p: nlp_detect.umm_pmd(p, delta, rho, k, cfg)
+    assert len(calls) == nblocks
+    for i, p in enumerate(grid):
+        e = point(float(p))
+        assert (rb.p_md[i], rb.ci_low[i], rb.ci_high[i]) == (e.p_hat, e.ci_low, e.ci_high)
+
+
+def test_sweep_needs_one_ball_center():
+    # a fixed-region kernel computes one statistic per trial for all levels
+    prob = nlp_detect.NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=3.0)
+    dets = [nlp_detect.UmmTrainDetector(0.1, x=np.array([1.0, 0.0])),
+            nlp_detect.UmmTrainDetector(0.2, x=np.array([0.0, 1.0]))]
+    with pytest.raises(ConfigError):
+        dets[0].mc_kernel(dets, prob, False)
