@@ -653,10 +653,10 @@ class _DiscreteDiskKernel:
         counts = self.model.counts_from_uniforms(self.theta1, self.n_x, u)
         thx = counts / float(self.n_x)
         mux = self.rho * ((thx - self.model.theta0) @ (self.sqrt_n * self.root).T)
-        th0 = _rowsq(mux)
-        return np.stack([
-            self._miss_given(mux, _chisq_tail_inv_vec(2, th0, float(p))) for p in self.levels
-        ])
+        shape = (len(self.levels), mux.shape[0])
+        th0 = np.broadcast_to(_rowsq(mux), shape)
+        thr = _chisq_tail_inv_vec(2, th0, np.asarray(self.levels, dtype=float)[:, None])
+        return np.stack([self._miss_given(mux, row) for row in thr])
 
 
 def discrete_aumm_curve(

@@ -20,12 +20,17 @@ out ``(G, rows)`` and block sums ``(G, blocks)``, and both are reduced
 along their last, contiguous axis, so each level's mean is summed in the
 same order as if it had been simulated alone.
 
+A detector's ``mc_kernel`` builds such a kernel with an ``under_h1`` flag
+that ``values`` reads, so ``roc_sweep`` sets up the levels once and
+simulates the kernel and a copy of it, one per hypothesis.
+
 Indicator kernels return 0/1; conditional-expectation kernels may return
 fractional values, for which the Wilson interval is conservative (a
 Bernoulli draw with the same mean has the largest variance).
 """
 
 import concurrent.futures
+import copy
 import math
 from dataclasses import dataclass
 
@@ -180,11 +185,11 @@ def _point(estimates, config: McConfig) -> McEstimate:
     return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
 
 
-def _sweep(detectors, problem, under_h1, config: McConfig):
+def _kernel(detectors, problem, under_h1):
     make = getattr(detectors[0], "mc_kernel", None)
     if make is None:
         raise ConfigError(f"{type(detectors[0]).__name__} does not provide a simulation kernel")
-    return _estimates(make(detectors, problem, under_h1), config)
+    return make(detectors, problem, under_h1)
 
 
 def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McEstimate:
@@ -199,7 +204,7 @@ def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McE
     """
     if hypothesis not in ("H0", "H1"):
         raise ConfigError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    return _point(_sweep([detector], problem, hypothesis == "H1", config), config)
+    return _point(_estimates(_kernel([detector], problem, hypothesis == "H1"), config), config)
 
 
 def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
@@ -207,10 +212,10 @@ def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
 
     ``detector_family(p_fa)`` must build the detector operated at nominal
     false-alarm level ``p_fa``.  The first detector's ``mc_kernel`` builds
-    one kernel per hypothesis for the whole grid, so every trial is drawn
-    once per hypothesis and judged at every level (common random numbers):
-    sweeps of a nested acceptance-region family come out monotone in the
-    threshold.
+    one kernel for the whole grid, and a copy of it runs under H1, so the
+    levels are set up once and every trial is drawn once per hypothesis and
+    judged at every level (common random numbers): sweeps of a nested
+    acceptance-region family come out monotone in the threshold.
 
     Returns a curve with provenance "simulated": ``p_fa`` holds the nominal
     grid, ``p_md``/``ci_*`` the missed-detection estimates, and the
@@ -221,7 +226,10 @@ def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
 
     grid = _check_grid(p_fa_grid)
     dets = [detector_family(float(p)) for p in grid]
-    fa, fa_lo, fa_hi = _sweep(dets, problem, False, config)
-    md, md_lo, md_hi = _sweep(dets, problem, True, config)
+    h0 = _kernel(dets, problem, False)
+    h1 = copy.copy(h0)
+    h1.under_h1 = True
+    fa, fa_lo, fa_hi = _estimates(h0, config)
+    md, md_lo, md_hi = _estimates(h1, config)
     label = getattr(problem, "label", str(problem))
     return TradeoffCurve(grid, md, "simulated", label, md_lo, md_hi, fa, fa_lo, fa_hi)

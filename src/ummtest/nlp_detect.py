@@ -299,19 +299,20 @@ class _LrtKernel:
 
 
 class _QuadKernel:
-    """||z - center||^2 against one fixed squared radius per level, z ~ N(mean, I)."""
+    """||z - center||^2 against one fixed squared radius per level; z ~ N(0, I)
+    under H0 and N(mu1, I) under H1."""
 
-    def __init__(self, k, mean, center, thresholds, under_h1):
+    def __init__(self, k, mu1, center, thresholds, under_h1):
         self.nu = k
-        self.mean = mean  # None under H0
+        self.mu1 = mu1
         self.center = center
         self.thresholds = np.asarray(thresholds, dtype=float)
         self.under_h1 = under_h1
 
     def values(self, u):
         z = montecarlo.gaussians(u)
-        if self.mean is not None:
-            z = z + self.mean
+        if self.under_h1:
+            z = z + self.mu1
         stat = _rowsq(z - self.center)
         return _errors(stat < self.thresholds[:, None], self.under_h1)
 
@@ -351,12 +352,13 @@ class _UmmPmdKernel:
     def values(self, u):
         g = montecarlo.gaussians(u)
         rx = self.rho * self.mu1 + math.sqrt(self.rho) * g  # rho X, X ~ N(mu1, I/rho)
-        th0 = _rowsq(rx)
-        th1 = _rowsq(rx + self.mu1)
-        return np.stack([
-            1.0 - _chisq_tail_vec(self.k, th1, _chisq_tail_inv_vec(self.k, th0, float(p)))
-            for p in self.levels
-        ])
+        # every level in one solve: noncentralities along rows, levels down
+        # the column
+        shape = (len(self.levels), g.shape[0])
+        th0 = np.broadcast_to(_rowsq(rx), shape)
+        th1 = np.broadcast_to(_rowsq(rx + self.mu1), shape)
+        thr = _chisq_tail_inv_vec(self.k, th0, np.asarray(self.levels, dtype=float)[:, None])
+        return 1.0 - _chisq_tail_vec(self.k, th1, thr)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +389,8 @@ class _RegionDetector:
             return _LrtKernel(problem.separation(), [r.offset for r in regions], under_h1)
         if not all(np.array_equal(r.center, b.center) for r in regions):
             raise ConfigError("the balls of one sweep must share their center")
-        mean = problem.standardized_mu1() if under_h1 else None
-        return _QuadKernel(problem.k, mean, b.center, [r.sq_radius for r in regions], under_h1)
+        return _QuadKernel(problem.k, problem.standardized_mu1(), b.center,
+                           [r.sq_radius for r in regions], under_h1)
 
 
 class LrtDetector(_RegionDetector):

@@ -9,6 +9,12 @@ rapidly in both k and tau otherwise.
 The normal quantile is one algorithm (AS241) on one set of tables for float
 and ndarray input alike; the incomplete gamma and the chi-square tail keep
 numpy ``*_vec`` copies beside the scalar ones for the Monte Carlo hot paths.
+The vector chi-square engine anchors every element at its own Poisson mode
+(one ``exp`` per element and term kind, at the anchor), sums outward with
+recurrences, and stops each element at its own certified relative
+truncation bound: no sorting, no shared window, and an element's value is
+the same bit for bit whatever array it is computed in.  Its inverse solves
+every element of a (levels, trials) array in one batched Newton solve.
 """
 
 import math
@@ -451,50 +457,87 @@ def vmf_const_inv(k: int, log_target: float) -> float:
 # ---------------------------------------------------------------------------
 # vectorized private kernels (Monte Carlo hot paths)
 
-def _reg_gamma_q_vec(a, x):
-    """Q(a, x) for scalar a > 0 and ndarray x >= 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    pos = x > 0.0
-    ser = pos & (x < a + 1.0)
-    cf = pos & ~ser
-    if ser.any():
-        xs = x[ser]
-        term = np.full_like(xs, 1.0 / a)
-        total = term.copy()
-        n = 0
-        live = np.ones(xs.shape, dtype=bool)
-        while live.any() and n < 10_000:
-            n += 1
-            term[live] *= xs[live] / (a + n)
-            total[live] += term[live]
-            live[live] = np.abs(term[live]) >= np.abs(total[live]) * 1e-17
-        out[ser] = 1.0 - total * np.exp(a * np.log(xs) - xs - math.lgamma(a))
-    if cf.any():
-        xc = x[cf]
-        tiny = 1e-300
-        b = xc + 1.0 - a
-        c = np.full_like(xc, 1.0 / tiny)
-        d = 1.0 / b
-        hsum = d.copy()
-        # freeze each element's product at its first convergence, like the
-        # scalar path's break; late-iteration wobble must not reopen it
-        done = np.zeros(xc.shape, dtype=bool)
-        for i in range(1, 10_000):
-            an = -i * (i - a)
-            b = b + 2.0
-            d = an * d + b
-            np.copyto(d, tiny, where=np.abs(d) < tiny)
-            c = b + an / c
-            np.copyto(c, tiny, where=np.abs(c) < tiny)
-            d = 1.0 / d
-            delta = d * c
-            hsum = np.where(done, hsum, hsum * delta)
-            done |= np.abs(delta - 1.0) < 1e-16
-            if done.all():
+_TOL = 1e-15  # relative truncation of every vector Poisson sum
+_TINY = 1e-300  # floor of the relative bounds, so a vanishing sum still stops
+_MAX_TERMS = 10_000  # cap on incomplete-gamma terms and on Poisson steps each way
+_MAX_PASSES = 100  # cap on Newton passes of the vector inverse
+# lgamma(n / 2) for n = 1..51: every argument the table branch of _log_g needs
+_LGAMMA_HALF = np.array([math.inf] + [math.lgamma(0.5 * n) for n in range(1, 52)])
+
+
+def _log_g(nu, x):
+    """log(x^nu e^-x / Gamma(nu + 1)) elementwise, nu a half-integer >= -1/2.
+
+    For nu >= 1 this is -bd0(nu, x) - c(nu), Loader's saddle-point split:
+    bd0 = nu log(nu/x) + x - nu through log1p, and c = lgamma(nu + 1) -
+    nu log nu + nu, from a table of lgamma at half-integers below nu = 25
+    and Stirling's series above.  Neither part cancels large terms, so the
+    result stays accurate in absolute terms (and smooth in x) where the
+    direct form nu log x - x - lgamma(nu + 1) loses digits to terms of size
+    nu log x.
+    """
+    lg = _LGAMMA_HALF[np.minimum(2.0 * nu + 2.0, 51.0).astype(np.int64)]  # read below nu = 25
+    n1 = np.maximum(nu, 1.0)
+    d = n1 - x
+    bd0 = n1 * np.log1p(d / x) - d
+    s = 1.0 / (n1 * n1)
+    stirling = 0.5 * (_LN_2PI + np.log(n1)) + (((s * (-1 / 1680) + 1 / 1260) * s - 1 / 360) * s
+                                               + 1 / 12) / n1
+    c = np.where(n1 < 25.0, lg - n1 * np.log(n1) + n1, stirling)
+    return np.where(nu >= 1.0, -bd0 - c, nu * np.log(x) - x - lg)
+
+
+def _reg_gamma_q_vec(a, x, pre):
+    """Q(a, x) elementwise for ndarrays a > 0 and x > 0.
+
+    ``pre`` is x^a e^-x / Gamma(a), computed by the caller.  The series for
+    P serves x < a + 1, the Lentz continued fraction for Q the rest; each
+    element stops at its own convergence, so its value does not depend on
+    the other elements.  Raises RangeError past ``_MAX_TERMS`` terms.
+    """
+    out = np.empty_like(x)
+    ser = x < a + 1.0
+    for series, sel in ((True, np.flatnonzero(ser)), (False, np.flatnonzero(~ser))):
+        aa, xx = a[sel], x[sel]
+        if series:
+            term = 1.0 / aa
+            acc = term.copy()
+        else:
+            tiny = 1e-300
+            b = xx + 1.0 - aa
+            c = np.full_like(xx, 1.0 / tiny)
+            d = 1.0 / b
+            acc = d.copy()
+        for n in range(1, _MAX_TERMS + 1):
+            if sel.size == 0:
                 break
-        out[cf] = np.exp(a * np.log(xc) - xc - math.lgamma(a)) * hsum
-    return np.clip(out, 0.0, 1.0)
+            if series:
+                term *= xx / (aa + n)
+                acc += term
+                done = term < acc * 1e-17
+            else:
+                an = -n * (n - aa)
+                b += 2.0
+                d = an * d + b
+                np.copyto(d, tiny, where=np.abs(d) < tiny)
+                c = b + an / c
+                np.copyto(c, tiny, where=np.abs(c) < tiny)
+                d = 1.0 / d
+                delta = d * c
+                acc *= delta
+                done = np.abs(delta - 1.0) < 1e-16
+            if done.any():
+                out[sel[done]] = acc[done]
+                keep = ~done
+                sel, aa, xx, acc = sel[keep], aa[keep], xx[keep], acc[keep]
+                if series:
+                    term = term[keep]
+                else:
+                    b, c, d = b[keep], c[keep], d[keep]
+        if sel.size:
+            raise RangeError("incomplete gamma: no convergence in %d terms" % _MAX_TERMS)
+    out *= pre
+    return np.clip(np.where(ser, 1.0 - out, out), 0.0, 1.0)
 
 
 def _normal_tail_inv_vec(p):
@@ -516,55 +559,113 @@ def _normal_tail_inv_vec(p):
     return z
 
 
-_CHUNK = 4096
-
-
-def _chisq_window(hmax):
-    return int(math.ceil(9.0 * math.sqrt(hmax + 1.0))) + 15
-
+_CHECK = 8  # Poisson steps between two truncation checks
 
 def _chisq_tail_pdf_vec(k, lam, t):
-    """Vector (tail, pdf) for shared dof k, ndarrays lam >= 0 and t > 0.
+    """(tail, pdf) of the noncentral chi-square, elementwise over ndarrays.
 
-    Elements are processed in chunks sorted by noncentrality so that one
-    Poisson j-window is shared per chunk; each mixture increment is an
-    independent log-scale evaluation (no underflow chains).
+    Shared dof k; lam >= 0 and t > 0 broadcast together.  The tail is the
+    Poisson(h = lam/2) mixture sum_j w_j Q(a + j, x), a = k/2, x = t/2, and
+    the pdf the same mixture of central densities.  Each element is anchored
+    at its own Poisson mode j0 = floor(h), the only place that calls exp:
+    w_j0, the density term e_j0 = x^(a+j0-1) e^-x / Gamma(a+j0) and
+    Q(a + j0, x).  From there it steps up and down in lockstep with the
+    recurrences w h/j, e x/(a+j) and Q +- e, on the products u = w Q and
+    v = w e.  Every eight steps each element checks its own certified bounds
+    on the unswept terms: above the top index Q <= 1 and the Poisson and
+    density ratios are geometric; below the bottom index Q only falls; and
+    a density term is at most its tail term.  A direction stops once its bounds are within 1e-15 of the element's
+    running tail and pdf, so the truncation error is relative (down to
+    values near 1e-285) and an element's result does not depend on the
+    others.  Raises RangeError after ``_MAX_TERMS`` steps.
     """
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
+    shape = lam.shape
     a = 0.5 * k
-    order = np.argsort(lam, kind="stable")
-    tail = np.empty_like(lam)
-    pdf = np.empty_like(lam)
-    for start in range(0, lam.size, _CHUNK):
-        idx = order[start:start + _CHUNK]
-        h = 0.5 * lam[idx]
-        x = np.maximum(0.5 * t[idx], 1e-300)
-        hmax = float(h[-1]) if h.size else 0.0
-        jlo = max(int(h[0]) - _chisq_window(hmax), 0)
-        jhi = int(hmax) + _chisq_window(hmax)
-        lnh = np.log(np.maximum(h, 1e-300))
-        lnx = np.log(x)
-        # anchor at jlo, then sweep upward; every Poisson weight and every
-        # tail increment is a fresh log-scale exp so an underflowed value
-        # cannot poison the rest of the sweep
-        w = np.exp(jlo * lnh - h - math.lgamma(jlo + 1.0))
-        c = _reg_gamma_q_vec(a + jlo, x)
-        tl = w * c
-        pf = w * np.exp((a + jlo - 1.0) * lnx - x - math.lgamma(a + jlo))
-        used = w.copy()
-        for j in range(jlo + 1, jhi + 2):
-            e = np.exp((a + j - 1.0) * lnx - x - math.lgamma(a + j))
-            w = np.exp(j * lnh - h - math.lgamma(j + 1.0))
-            c = np.minimum(c + e, 1.0)
-            tl += w * c
-            pf += w * e
-            used += w
-            if float(np.max(1.0 - used)) < 1e-15:
-                break
-        tail[idx] = np.clip(tl, 0.0, 1.0)
-        pdf[idx] = 0.5 * np.maximum(pf, 0.0)
-    return tail, pdf
+    am1 = a - 1.0
+    h = 0.5 * lam.ravel()
+    x = np.maximum(0.5 * t.ravel(), _TINY)
+    j0 = np.floor(h)
+    w = np.exp(_log_g(j0, np.maximum(h, _TINY)))
+    e = np.exp(_log_g(j0 + am1, x))
+    u = w * _reg_gamma_q_vec(j0 + a, x, x * e)
+    v = w * e
+    # sweep state, one row each: h, x, hx, 1/h, 1/x, top and bottom index,
+    # top weight, top and bottom terms u and v, tail, pdf, position
+    s = np.stack([h, x, h * x, 1.0 / np.maximum(h, _TINY), 1.0 / x, j0, j0, w, u, v, u, v, u, v,
+                  np.arange(h.size)])
+    tail = np.empty(h.size)
+    pdf = np.empty(h.size)
+    step = 0
+    up = down = True  # some element still sweeps that way
+    while s.shape[1]:
+        if step >= _MAX_TERMS:
+            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps"
+                             % _MAX_TERMS)
+        h, x, hx, hinv, xinv, ju, jd, w, uu, vu, ud, vd, tl, pf, pos = s
+        r = np.empty_like(h)
+        f = np.empty_like(h)
+        for _ in range(_CHECK):
+            if up:  # one index up: w h/j, e x/(a+j-1), Q + e
+                ju += 1.0
+                np.divide(h, ju, out=r)
+                w *= r
+                uu *= r
+                np.add(ju, am1, out=f)
+                np.divide(x, f, out=f)
+                f *= r
+                vu *= f
+                uu += vu
+                tl += uu
+                pf += vu
+            if down:  # one index down: w j/h, Q - e, e (a+j-1)/x
+                np.multiply(jd, hinv, out=r)
+                ud -= vd
+                ud *= r
+                np.add(jd, am1, out=f)
+                f *= xinv
+                f *= r
+                vd *= f
+                jd -= 1.0
+                np.maximum(jd, 0.0, out=jd)  # at index 0 the factor j zeroes the terms
+                tl += ud
+                pf += vd
+        step += _CHECK
+        # certified bounds on the unswept terms; a direction whose bound
+        # holds is frozen by zeroing its terms, so later steps add exact
+        # zeros to it
+        tol_t = _TOL * tl + _TINY
+        tol_p = _TOL * pf + _TINY
+        # the density terms are bounded twice: by their geometric ratio, and
+        # by the tail terms, since e_j <= Q_j (up to the factor m of the
+        # j = 0 term at k = 1), for where the ratio exceeds 1
+        if up:
+            rest = w * h
+            up_ok = (rest <= tol_t * step) & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
+                                              | (rest <= tol_p * step))
+            for row in (w, uu, vu):
+                np.copyto(row, 0.0, where=up_ok)
+        if down:
+            rest = ud * jd
+            cd = jd * (jd + am1)
+            m = 1.0 if k > 1 else 0.5 + 0.5 * np.sqrt(1.0 + 2.0 * xinv)
+            down_ok = (rest <= tol_t * (h - jd)) & ((vd * cd <= tol_p * (hx - cd))
+                                                    | (rest * m <= tol_p * (h - jd)))
+            for row in (ud, vd):
+                np.copyto(row, 0.0, where=down_ok)
+        # a finished element only adds zeros from here on, so it is
+        # dropped once a quarter of the state has finished
+        done = up_ok & down_ok
+        if 4 * np.count_nonzero(done) >= done.size:
+            at = pos[done].astype(np.int64)
+            tail[at] = tl[done]
+            pdf[at] = pf[done]
+            keep = np.flatnonzero(~done)
+            s = s[:, keep]
+            up_ok, down_ok = up_ok[keep], down_ok[keep]
+        up, down = not up_ok.all(), not down_ok.all()
+    return (np.clip(tail, 0.0, 1.0).reshape(shape),
+            (0.5 * np.maximum(pdf, 0.0)).reshape(shape))
 
 
 def _chisq_tail_vec(k, lam, t):
@@ -572,28 +673,50 @@ def _chisq_tail_vec(k, lam, t):
 
 
 def _chisq_tail_inv_vec(k, lam, p):
-    """Vector upper quantile at shared dof k and probability p."""
-    lam = np.asarray(lam, dtype=float)
-    z = normal_tail_inv(p)
-    t = np.maximum(np.sqrt(2.0 * (k + 2.0 * lam)) * z + k + lam, 1e-6)
+    """Vector upper quantile: t with tail(k, lam, t) = p, elementwise.
+
+    lam and p broadcast together (a column of levels against a row of
+    noncentralities inverts a whole sweep in one call).  Safeguarded Newton
+    on the log tail, from Sankaran's approximation (Biometrika 50, 1963),
+    good to about 1e-7 relative at large lam; each element stops once its
+    tail is within 1e-12 of p in relative terms.  Raises RangeError when an
+    element has not converged after ``_MAX_PASSES`` passes.
+    """
+    lam, p = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(p, dtype=float))
+    shape = lam.shape
+    lam, p = lam.ravel(), p.ravel()
+    # Sankaran's approximation: (X / (k + lam))^h is close to normal
+    kl = k + lam
+    k2 = k + 2.0 * lam
+    h = 1.0 - (2.0 / 3.0) * kl * (k + 3.0 * lam) / (k2 * k2)
+    r = k2 / (kl * kl)
+    m = (h - 1.0) * (1.0 - 3.0 * h)
+    mean = 1.0 + h * r * (h - 1.0 - 0.5 * (2.0 - h) * m * r)
+    sd = h * np.sqrt(2.0 * r) * (1.0 + 0.5 * m * r)
+    base = np.maximum(mean + sd * _normal_tail_inv_vec(p), 0.0)
+    t = np.maximum(kl * base ** (1.0 / h), 1e-6)
     lo = np.zeros_like(t)
     hi = np.full_like(t, np.inf)
     active = np.arange(t.size)
-    for _ in range(100):
-        ta = t[active]
+    for _ in range(_MAX_PASSES):
+        ta, pa = t[active], p[active]
         tail, pdf = _chisq_tail_pdf_vec(k, lam[active], ta)
-        err = tail - p
-        live = np.abs(err) >= 1e-12
+        live = np.abs(tail - pa) > 1e-12 * pa
         active = active[live]
         if active.size == 0:
-            break
-        ta, err, pdf = ta[live], err[live], pdf[live]
+            return t.reshape(shape)
+        ta, pa, tail, pdf = ta[live], pa[live], tail[live], pdf[live]
         la, ha = lo[active], hi[active]
-        np.copyto(la, ta, where=err > 0.0)
-        np.copyto(ha, ta, where=err <= 0.0)
-        tn = ta + err / np.maximum(pdf, 1e-300)
+        np.copyto(la, ta, where=tail > pa)
+        np.copyto(ha, ta, where=tail <= pa)
+        # Newton on the log tail: near the root the plain Newton step, far
+        # out a step that does not stall where the tail falls off
+        # exponentially
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tn = ta + np.log(tail / pa) * tail / pdf
         mid = np.where(np.isfinite(ha), 0.5 * (la + ha), 2.0 * np.maximum(ta, 1.0))
         bad = (tn <= la) | (tn >= ha) | ~np.isfinite(tn)
         tn = np.where(bad, mid, tn)
         lo[active], hi[active], t[active] = la, ha, tn
-    return t
+    raise RangeError("noncentral chi-square inverse: %d elements not converged in %d passes"
+                     % (active.size, _MAX_PASSES))

@@ -24,6 +24,7 @@ from ummtest.lan_models import (
     _DiscreteDiskKernel,
     ar_autocov,
     ar_fisher,
+    discrete_aumm_curve,
     discrete_aumm_pmd,
     discrete_fisher,
     expfam_fisher,
@@ -264,6 +265,21 @@ def test_discrete_null_level_approaches_nominal():
     devs = [abs(exact_fa(n) - 0.1) for n in (50, 800, 3200)]
     assert devs[2] < devs[0]
     assert devs[2] < 5e-4
+
+
+def test_discrete_aumm_curve_is_one_solve_of_its_points():
+    # one batched inversion for the grid; each level matches the one-level
+    # estimate, up to 1e-12 relative
+    model = DiscreteModel(np.array([0.5, 0.3, 0.2]))
+    setup = TrainingSetup(n=60, n_x=120)
+    theta1 = local_alternative(np.array([2.0, -1.0]), model.theta0, model, setup.n)
+    grid = np.array([0.02, 0.1, 0.4])
+    mc = McConfig(trials=1500, seed=4)
+    c = discrete_aumm_curve(model, theta1, setup, grid, mc)
+    for i, p in enumerate(grid):
+        e = discrete_aumm_pmd(model, theta1, setup, float(p), mc)
+        for got, ref in ((c.p_md[i], e.p_hat), (c.ci_low[i], e.ci_low), (c.ci_high[i], e.ci_high)):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
 def test_discrete_aumm_pmd_guards():

@@ -284,6 +284,18 @@ def test_sweep_equals_its_points(rule, monkeypatch):
         assert (rb.p_md[i], rb.ci_low[i], rb.ci_high[i]) == (e.p_hat, e.ci_low, e.ci_high)
 
 
+def test_sweep_builds_its_regions_once(monkeypatch):
+    # the H0 and H1 kernels of a sweep share one set of thresholds: one
+    # chi-square quantile per level, not one per level and hypothesis
+    calls = []
+    inv = specfun.chisq_tail_inv
+    monkeypatch.setattr(specfun, "chisq_tail_inv", lambda *a: calls.append(a) or inv(*a))
+    prob = nlp_detect.NlpProblem(k=3, delta=2.0)
+    curve = roc_sweep(nlp_detect.GlrtDetector, prob, [0.05, 0.1, 0.3], McConfig(trials=500))
+    assert len(calls) == 3
+    assert np.all(np.diff(curve.fa_hat) > 0.0) and np.all(np.diff(curve.p_md) < 0.0)
+
+
 def test_sweep_needs_one_ball_center():
     # a fixed-region kernel computes one statistic per trial for all levels
     prob = nlp_detect.NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=3.0)

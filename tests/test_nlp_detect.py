@@ -189,6 +189,19 @@ def test_umm_pmd_validation():
         umm_pmd(0.1, 2.0, 1.0, 0, mc)
 
 
+@pytest.mark.parametrize("k, delta, rho", [(2, 2.0, 20.0), (5, 3.0, 2.0)])
+def test_umm_curve_is_one_solve_of_its_points(k, delta, rho):
+    # the curve inverts every level in one batched solve; each level matches
+    # the one-level estimate, up to 1e-12 relative
+    grid = np.array([0.02, 0.1, 0.4])
+    mc = McConfig(trials=1500, seed=3)
+    c = umm_curve(delta, rho, k, grid, mc)
+    for i, p in enumerate(grid):
+        e = umm_pmd(float(p), delta, rho, k, mc)
+        for got, ref in ((c.p_md[i], e.p_hat), (c.ci_low[i], e.ci_low), (c.ci_high[i], e.ci_high)):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
+
+
 def test_umm_curve_rho0_is_relabeled_energy_curve():
     grid = np.array([0.05, 0.2, 0.5])
     c = umm_curve(2.0, 0.0, 4, grid, McConfig(trials=1000))

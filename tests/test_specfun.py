@@ -166,6 +166,103 @@ def test_chisq_domain_errors():
 
 
 # ---------------------------------------------------------------------------
+# vector noncentral chi-square engine (the Monte Carlo hot path)
+
+VEC_DOFS = (1, 2, 8, 32)
+# one array mixing the noncentrality from 0 to 1e4
+VEC_LAMS = np.array([0.0, 1e-8, 0.3, 1.0, 2.5, 7.0, 20.0, 64.0, 150.0, 400.0,
+                     1000.0, 2500.0, 6000.0, 1e4])
+VEC_REL_TOL = 1e-10  # relative error bound of the vector engine against scipy
+
+
+def _vec_grid(k):
+    """(lam, t, tail) over VEC_LAMS and tails from 1e-12 to 1 - 1e-12."""
+    q = np.concatenate([np.geomspace(1e-12, 0.5, 9), 1.0 - np.geomspace(1e-12, 0.4, 8)])
+    lam, q = (a.ravel() for a in np.meshgrid(VEC_LAMS, q))
+    t = stats.ncx2.isf(q, k, lam)
+    return lam, t, stats.ncx2.sf(t, k, lam)
+
+
+@pytest.mark.parametrize("k", VEC_DOFS)
+def test_vector_tail_and_pdf_against_scipy(k):
+    lam, t, ref = _vec_grid(k)
+    assert ref.min() < 1e-11 and ref.max() > 1.0 - 1e-11
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, lam, t)
+    assert np.max(_rel_err(tail, ref)) <= VEC_REL_TOL
+    assert np.max(_rel_err(pdf, stats.ncx2.pdf(t, k, lam))) <= VEC_REL_TOL
+    assert np.array_equal(specfun._chisq_tail_vec(k, lam, t), tail)
+
+
+@pytest.mark.parametrize("k", VEC_DOFS)
+def test_vector_inverse_against_scipy(k):
+    p = np.geomspace(1e-12, 0.5, 12)
+    lam, p = (a.ravel() for a in np.meshgrid(VEC_LAMS, p))
+    t = specfun._chisq_tail_inv_vec(k, lam, p)
+    assert np.max(_rel_err(t, stats.ncx2.isf(p, k, lam))) <= VEC_REL_TOL
+    # the stopping rule is relative: the engine's own tail at t is p to 1e-12
+    assert np.max(_rel_err(specfun._chisq_tail_vec(k, lam, t), p)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, lam, p", [(2, 0.0, 1e-300), (2, 1e4, 1e-12), (1, 3.0, 1e-200),
+                                       (32, 100.0, 1e-100)])
+def test_vector_inverse_far_upper_tail(k, lam, p):
+    # Newton on the log tail reaches levels where a plain Newton step stalls
+    t = specfun._chisq_tail_inv_vec(k, np.array([lam]), p)[0]
+    assert abs(t - stats.ncx2.isf(p, k, lam)) <= VEC_REL_TOL * t
+
+
+def test_vector_inverse_broadcasts_levels_against_noncentralities():
+    lam = np.array([0.0, 3.0, 40.0, 900.0])
+    levels = np.array([0.05, 0.1, 0.3])
+    t = specfun._chisq_tail_inv_vec(2, np.broadcast_to(lam, (3, 4)), levels[:, None])
+    assert t.shape == (3, 4)
+    for i, p in enumerate(levels):
+        assert np.array_equal(t[i], specfun._chisq_tail_inv_vec(2, lam, p))
+
+
+def test_vector_engine_elements_are_independent():
+    # each element stops at its own truncation bound and Newton pass, so its
+    # value is the same bit for bit whatever else shares the array
+    k = 3
+    lam, t, _ = _vec_grid(k)
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, lam, t)
+    p = np.clip(tail, 1e-12, 0.5)
+    inv = specfun._chisq_tail_inv_vec(k, lam, p)
+    for i in range(0, lam.size, 3):
+        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, lam[i:i + 1], t[i:i + 1])
+        assert one_tail[0] == tail[i] and one_pdf[0] == pdf[i], (lam[i], t[i])
+    for i in range(0, lam.size, 11):
+        assert specfun._chisq_tail_inv_vec(k, lam[i:i + 1], p[i:i + 1])[0] == inv[i]
+
+
+@pytest.mark.parametrize("k", (1, 2, 8))
+def test_vector_engine_far_from_the_bulk(k):
+    # far below the mean the density terms grow toward index 0 and underflow;
+    # the sum still stops, with scipy's values (tail 1 or 0, density 0)
+    lam = np.array([3e4, 3e4, 3e4, 50.0])
+    t = np.array([5.4, 3000.0, 1e-3, 4000.0])
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, lam, t)
+    assert np.array_equal(tail, stats.ncx2.sf(t, k, lam))
+    assert np.array_equal(pdf, stats.ncx2.pdf(t, k, lam))
+
+
+def test_vector_engine_caps_raise(monkeypatch):
+    lam = np.array([1e4])
+    # incomplete gamma at the anchor: Q(5001, 5000) needs hundreds of terms
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 16)
+    with pytest.raises(RangeError, match="incomplete gamma"):
+        specfun._chisq_tail_pdf_vec(2, lam, np.array([1e4]))
+    # the Poisson sweep: at t = 100 the anchor converges in a few terms, the
+    # sweep needs hundreds of steps
+    with pytest.raises(RangeError, match="Poisson sum"):
+        specfun._chisq_tail_pdf_vec(2, lam, np.array([100.0]))
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "_MAX_PASSES", 1)
+    with pytest.raises(RangeError, match="not converged"):
+        specfun._chisq_tail_inv_vec(2, lam, 0.1)
+
+
+# ---------------------------------------------------------------------------
 # Bessel / matched-density normalizer
 
 def test_log_bessel_pinned():
