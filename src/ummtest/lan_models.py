@@ -157,9 +157,11 @@ def _log_factorials(n):
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
 
 
-def _binom_log_pmf(m, q, lf):
-    """log P(c) for c ~ Bin(m, q) on 0..m, q inside (0, 1)."""
-    c = np.arange(m + 1)
+def _binom_log_pmf(m, q, lf, c=None):
+    """log P(c) for c ~ Bin(m, q), q inside (0, 1); c runs over 0..m unless
+    given (then m and c broadcast, c <= m)."""
+    if c is None:
+        c = np.arange(m + 1)
     return lf[m] - lf[c] - lf[m - c] + c * math.log(q) + (m - c) * math.log1p(-q)
 
 
@@ -176,21 +178,54 @@ def _binom_cdf_row(m, q, lf):
     return row / row[-1]
 
 
+# Bin(m, q) mass allowed above the last CDF column that _binom_quantile builds
+_BINOM_CUT = 1e-20
+
+
+def _binom_top(m, q):
+    """Smallest c >= m q with P(Bin(m, q) >= c) <= _BINOM_CUT by the Chernoff
+    bound exp(-m KL(c/m || q)), or m when no such c exists."""
+    c = np.arange(max(math.ceil(m * q), 1), m + 1)
+    a = c / m
+    b = 1.0 - a
+    kl = a * np.log(a / q) + b * np.log(np.maximum(b, 1e-300) / (1.0 - q))
+    ok = np.flatnonzero(m * kl >= -math.log(_BINOM_CUT))
+    return int(c[ok[0]]) if ok.size else m
+
+
 def _binom_quantile(u, m, q, lf):
     """Smallest c with CDF(c) >= u, for per-element trial counts m.
 
-    Vectorized by grouping equal m: one CDF row per distinct count.
+    The CDF rows of all distinct counts form one 2-D array, each row the
+    cumulative sum ``_binom_cdf_row`` forms, and one vectorized binary
+    search inverts every element.  The rows stop at ``_binom_top`` of the
+    largest count: every term past it is below half an ulp of its running
+    sum, which is near 1, so the cut changes no CDF value and no count.
     """
     u = np.asarray(u, dtype=float)
     m = np.asarray(m, dtype=np.int64)
-    out = np.zeros(u.shape, dtype=np.int64)
-    for mv in np.unique(m):
-        if mv == 0:
-            continue
-        sel = m == mv
-        row = _binom_cdf_row(int(mv), q, lf)
-        out[sel] = np.searchsorted(row, u[sel], side="left")
-    return out
+    if m.size == 0 or q <= 0.0:
+        return np.zeros(u.shape, dtype=np.int64)
+    if q >= 1.0:
+        return np.where(u > 0.0, m, 0)
+    counts, row = np.unique(m, return_inverse=True)
+    top = _binom_top(int(counts[-1]), q)
+    c = np.arange(top + 1)
+    mm = counts[:, None]
+    cdf = np.cumsum(np.where(c <= mm, np.exp(_binom_log_pmf(mm, q, lf, np.minimum(c, mm))), 0.0),
+                    axis=1)
+    cdf /= cdf[:, -1:]
+    # first column whose CDF reaches u, which lies in [lo, hi]
+    lo = np.zeros(u.shape, dtype=np.int64)
+    hi = np.full(u.shape, top)
+    while True:
+        live = np.flatnonzero(lo < hi)
+        if live.size == 0:
+            return lo
+        mid = (lo[live] + hi[live]) >> 1
+        reached = cdf[row[live], mid] >= u[live]
+        hi[live] = np.where(reached, mid, hi[live])
+        lo[live] = np.where(reached, lo[live], mid + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +553,13 @@ class LanProblem:
 
     @property
     def label(self) -> str:
-        d = local_coord(self.theta1, self.model.theta0, self.model, self.setup.n).hardness
+        # ||mu|| of local_coord as the quadratic form sqrt(v' J v), v = r_n
+        # (theta1 - theta0): the same hardness without a matrix root
+        model = self.model
+        v = model.norming(self.setup.n) @ (self.theta1 - model.theta0)
+        d = math.sqrt(float(v @ model.fisher_info(model.theta0) @ v))
         return (
-            f"{type(self.model).__name__} k={self.model.k} d={d:g} "
+            f"{type(model).__name__} k={model.k} d={d:g} "
             f"n={self.setup.n} nx={self.setup.n_x}"
         )
 

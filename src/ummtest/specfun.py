@@ -7,14 +7,19 @@ its inverse.  All Bessel/c_k arithmetic happens in log scale; c_k underflows
 rapidly in both k and tau otherwise.
 
 The normal quantile is one algorithm (AS241) on one set of tables for float
-and ndarray input alike; the incomplete gamma and the chi-square tail keep
-numpy ``*_vec`` copies beside the scalar ones for the Monte Carlo hot paths.
-The vector chi-square engine anchors every element at its own Poisson mode
-(one ``exp`` per element and term kind, at the anchor), sums outward with
-recurrences, and stops each element at its own certified relative
-truncation bound: no sorting, no shared window, and an element's value is
-the same bit for bit whatever array it is computed in.  Its inverse solves
-every element of a (levels, trials) array in one batched Newton solve.
+and ndarray input alike.  The chi-square engine is one algorithm too, run
+twice: in pure Python on floats for the public functions, and on ndarrays
+by the ``*_vec`` kernels of the Monte Carlo hot paths (a 0-d call to numpy
+costs several times the scalar one).  Both share their constants, their
+log-density split and Sankaran's starting point.  Each sum is anchored at
+its own Poisson mode (one ``exp`` per term kind, at the anchor; scaled by a
+power of two in the far upper tail), sums outward with recurrences, and
+stops at its own certified relative truncation bound, so a vector
+element's value is the same bit for bit whatever array it is computed in.
+Each inverse takes Newton steps on the log tail and stops once the tail is
+within 1e-12 of p in relative terms; the vector one solves a whole
+(levels, trials) array in one batched solve.  Every capped loop raises
+RangeError instead of returning its last iterate.
 """
 
 import math
@@ -35,57 +40,56 @@ __all__ = [
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_TOL = 1e-15  # relative truncation of every Poisson sum
+_TINY = 1e-300  # floor of the relative bounds, so a vanishing sum still stops
+_MAX_TERMS = 10_000  # cap on incomplete-gamma terms and on Poisson steps each way
+_MAX_PASSES = 100  # cap on the Newton passes of every inverse
+_CHECK = 8  # Poisson steps between two truncation checks
+# below this log density term at the anchor, a far upper tail sums in units of
+# a power of two near that term, so neither underflow nor the _TINY floor
+# limits its relative accuracy
+_LOG_FLOOR = math.log(1e-250)
 
 
 # ---------------------------------------------------------------------------
 # regularized incomplete gamma (scalar)
 
-def _gamma_q_series(a, x):
-    # Q(a,x) = 1 - P(a,x); series for P converges well for x < a + 1.
-    term = 1.0 / a
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * 1e-17 or n > 10_000:
-            break
-    logp = a * math.log(x) - x - math.lgamma(a)
-    return 1.0 - total * math.exp(logp)
+def _reg_gamma_q(a, x, pre):
+    """Q(a, x) for a > 0, x >= 0: ``_reg_gamma_q_vec`` on one element.
 
-
-def _gamma_q_cf(a, x):
-    # Modified Lentz continued fraction for Q(a,x); stable for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(a * math.log(x) - x - math.lgamma(a)) * h
-
-
-def _reg_gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x), a > 0, x >= 0."""
-    if x <= 0.0:
-        return 1.0
+    ``pre`` is x^a e^-x / Gamma(a), computed by the caller.  The series for
+    P serves x < a + 1, the Lentz continued fraction for Q the rest (where a
+    prefactor scaled by 2^-n gives Q scaled alike).  Raises RangeError past
+    ``_MAX_TERMS`` terms.
+    """
     if x < a + 1.0:
-        return min(max(_gamma_q_series(a, x), 0.0), 1.0)
-    return min(max(_gamma_q_cf(a, x), 0.0), 1.0)
+        term = acc = 1.0 / a
+        for n in range(1, _MAX_TERMS + 1):
+            term *= x / (a + n)
+            acc += term
+            if term < acc * 1e-17:
+                return 1.0 - acc * pre
+    else:
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c = 1.0 / tiny
+        d = acc = 1.0 / b
+        for n in range(1, _MAX_TERMS + 1):
+            an = -n * (n - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            acc *= delta
+            if abs(delta - 1.0) < 1e-16:
+                return acc * pre
+    raise RangeError("incomplete gamma: no convergence in %d terms" % _MAX_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,8 @@ def normal_tail(z: float) -> float:
     z = float(z)
     if not math.isfinite(z):
         raise DomainError("normal_tail: z must be finite")
-    q = 0.5 * _reg_gamma_q(0.5, 0.5 * z * z)
+    x = 0.5 * z * z
+    q = 0.5 * _reg_gamma_q(0.5, x, math.sqrt(x / math.pi) * math.exp(-x))
     return q if z >= 0.0 else 1.0 - q
 
 
@@ -175,75 +180,105 @@ def _check_chisq_params(k, lam):
     return int(k), lam
 
 
-def _g_term(nu, x):
-    # x^nu e^-x / Gamma(nu+1), evaluated in log scale (fresh each call so a
-    # single underflow cannot poison a recurrence chain)
-    return math.exp(nu * math.log(x) - x - math.lgamma(nu + 1.0))
+def _log_g(nu, x):
+    """log(x^nu e^-x / Gamma(nu + 1)): ``_log_g_vec`` on one element.
+
+    The same saddle-point split (see there); ``math.lgamma(nu + 1)`` gives
+    the values its table holds below nu = 25.  bd0 takes numpy's log1p, as
+    the vector path does: multiplied by nu, a last-bit difference between
+    two log1p implementations would reach the anchor nu times over.
+    """
+    if nu < 1.0:
+        return nu * math.log(x) - x - math.lgamma(nu + 1.0)
+    d = nu - x
+    bd0 = nu * float(np.log1p(d / x)) - d
+    if nu < 25.0:
+        c = math.lgamma(nu + 1.0) - nu * math.log(nu) + nu
+    else:
+        s = 1.0 / (nu * nu)
+        c = 0.5 * (_LN_2PI + math.log(nu)) + (((s * (-1 / 1680) + 1 / 1260) * s - 1 / 360) * s
+                                              + 1 / 12) / nu
+    return -bd0 - c
 
 
 def _chisq_tail_pdf(k, lam, t):
-    """(tail, pdf) of the noncentral chi-square at t; certified truncation.
+    """(tail, pdf) of the noncentral chi-square at one point, t >= 0.
 
-    Poisson(lam/2) mixture of central chi-square tails, swept outward from
-    the mode weight.  Central tails follow the one-step recurrence
-    Q(a+1,x) = Q(a,x) + g(a,x); the sweep stops once the unused Poisson
-    mass plus the running term drops below 1e-14 (each mixed tail is <= 1,
-    so the unused mass bounds the truncation error).
+    ``_chisq_tail_pdf_vec``'s algorithm on floats: the same anchor at the
+    Poisson mode, the same scaling in the far upper tail, the same
+    recurrences in lockstep up and down and the same certified relative
+    bounds, checked every ``_CHECK`` steps (and once before the first,
+    which ends a sum with no terms to add).  It adds the same terms in the
+    same order as the vector engine on a one-element array, so the two
+    differ only by the last bits of the anchor's ``exp`` and ``log``.
+    Raises RangeError after ``_MAX_TERMS`` steps.
     """
     a = 0.5 * k
-    x = 0.5 * t
+    am1 = a - 1.0
     h = 0.5 * lam
-    if t <= 0.0:
-        # pdf at 0 is infinite for k=1, positive for k=2; callers only use
-        # the pdf inside Newton where t > 0 holds
-        return 1.0, 0.0
-    if h < 1e-300:
-        tail = _reg_gamma_q(a, x)
-        return tail, 0.5 * _g_term(a - 1.0, x)
-    j0 = int(h)
-    lw0 = j0 * math.log(h) - h - math.lgamma(j0 + 1.0)
-    w0 = math.exp(lw0)
-    c0 = _reg_gamma_q(a + j0, x)
-    tail = w0 * c0
-    pdf = w0 * _g_term(a + j0 - 1.0, x)
-    # upward from the mode; stop once the geometric bound on the unswept
-    # upper Poisson mass (times the tail bound 1) is negligible
-    w, c = w0, c0
-    j = j0
+    x = max(0.5 * t, _TINY)
+    hx = h * x
+    hinv = 1.0 / max(h, _TINY)
+    xinv = 1.0 / x
+    m = 1.0 if k > 1 else 0.5 + 0.5 * math.sqrt(1.0 + 2.0 * xinv)
+    j0 = float(math.floor(h))
+    lw = _log_g(j0, max(h, _TINY))
+    le = _log_g(j0 + am1, x)
+    n = math.floor((lw + le) / _LN2) if lw + le < _LOG_FLOOR and x >= a + j0 + 1.0 else 0
+    w = math.exp(lw)
+    e = math.exp(le - n * _LN2)
+    uu = ud = tl = w * _reg_gamma_q(j0 + a, x, x * e)
+    vu = vd = pf = w * e
+    ju = jd = j0
+    step = 0
+    up = down = True
     while True:
-        g = _g_term(a + j, x)
-        j += 1
-        w *= h / j
-        c = min(c + g, 1.0)
-        tail += w * c
-        pdf += w * _g_term(a + j - 1.0, x)
-        if j + 2.0 > h:
-            r = h / (j + 2.0)
-            if w * (h / (j + 1.0)) / (1.0 - r) < 1e-15:
-                break
-        if j > j0 + 1_000_000:
-            break
-    # downward from the mode, with the mirrored mass bound
-    w, c = w0, c0
-    j = j0
-    while j > 0:
-        w *= j / h
-        j -= 1
-        c = max(c - _g_term(a + j, x), 0.0)
-        tail += w * c
-        pdf += w * _g_term(a + j - 1.0, x)
-        if j - 1.0 < h and j > 0:
-            if w * (j / h) / (1.0 - (j - 1.0) / h) < 1e-15:
-                break
-    return min(max(tail, 0.0), 1.0), 0.5 * max(pdf, 0.0)
+        tol_t = _TOL * tl + _TINY
+        tol_p = _TOL * pf + _TINY
+        if up:  # w is not scaled, so its bounds are scaled to the sums
+            rest = w * h
+            up = not (rest <= math.ldexp(tol_t * step, n)
+                      and (vu * hx <= tol_p * (ju * (ju + a) - hx)
+                           or rest <= math.ldexp(tol_p * step, n)))
+        if down:
+            rest = ud * jd
+            cd = jd * (jd + am1)
+            down = not (rest <= tol_t * (h - jd)
+                        and (vd * cd <= tol_p * (hx - cd) or rest * m <= tol_p * (h - jd)))
+        if not (up or down):
+            return min(max(math.ldexp(tl, n), 0.0), 1.0), math.ldexp(0.5 * max(pf, 0.0), n)
+        if step >= _MAX_TERMS:
+            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps"
+                             % _MAX_TERMS)
+        for _ in range(_CHECK):
+            if up:  # w h/j, e x/(a+j-1), Q + e
+                ju += 1.0
+                r = h / ju
+                w *= r
+                vu *= x / (ju + am1) * r
+                uu = uu * r + vu
+                tl += uu
+                pf += vu
+            if down:  # w j/h, Q - e, e (a+j-1)/x; at index 0 the factor j zeroes the terms
+                r = jd * hinv
+                ud = (ud - vd) * r
+                vd *= (jd + am1) * xinv * r
+                jd = max(jd - 1.0, 0.0)
+                tl += ud
+                pf += vd
+        step += _CHECK
 
 
 def chisq_tail(k: int, lam: float, t: float) -> float:
     """P(X > t) for X ~ noncentral chi-square with k dof, noncentrality lam.
 
     lam = 0 reduces exactly to the central chi-square (regularized upper
-    incomplete gamma).  Absolute error <= 1e-11 by certified truncation of
-    the Poisson mixture.
+    incomplete gamma).  The truncation of the Poisson mixture is certified
+    to 1e-15 relative.  For tails from 1e-300 to 1/2, k <= 1000 and
+    lam <= 1e4 the relative error measured below 1e-12, against scipy
+    where scipy keeps its digits and against mpmath far out, where it does
+    not.  A tail near 1 is accurate in absolute terms only: its complement,
+    the lower tail, is not summed on its own.
     """
     k, lam = _check_chisq_params(k, lam)
     t = float(t)
@@ -256,8 +291,8 @@ def chisq_tail_inv_approx(k: int, lam: float, p: float) -> float:
     """Normal approximation to the noncentral chi-square upper quantile.
 
     Returns sqrt(2(k + 2 lam)) * normal_tail_inv(p) + k + lam; the
-    correction term is O(1/sqrt(max(k, lam))), so this degrades gracefully
-    and is used as the Newton starting point for the exact inverse.
+    correction term is O(1/sqrt(max(k, lam))), so this degrades gracefully.
+    The exact inverse starts from Sankaran's approximation instead.
     """
     k, lam = _check_chisq_params(k, lam)
     if not (0.0 < p < 1.0):
@@ -265,42 +300,54 @@ def chisq_tail_inv_approx(k: int, lam: float, p: float) -> float:
     return math.sqrt(2.0 * (k + 2.0 * lam)) * normal_tail_inv(p) + k + lam
 
 
+def _sankaran(k, lam, z, maximum=max):
+    """Sankaran's approximation (Biometrika 50, 1963) to the upper quantile.
+
+    (X / (k + lam))^h is close to normal, so the quantile at the normal
+    deviate z = normal_tail_inv(p) follows in closed form, good to about
+    1e-7 relative at large lam.  Floats take ``maximum=max``, ndarrays
+    ``np.maximum``; the result stays above 1e-6, where the density is
+    finite.
+    """
+    kl = k + lam
+    k2 = k + 2.0 * lam
+    h = 1.0 - (2.0 / 3.0) * kl * (k + 3.0 * lam) / (k2 * k2)
+    r = k2 / (kl * kl)
+    m = (h - 1.0) * (1.0 - 3.0 * h)
+    mean = 1.0 + h * r * (h - 1.0 - 0.5 * (2.0 - h) * m * r)
+    sd = h * (2.0 * r) ** 0.5 * (1.0 + 0.5 * m * r)
+    return maximum(kl * maximum(mean + sd * z, 0.0) ** (1.0 / h), 1e-6)
+
+
 def chisq_tail_inv(k: int, lam: float, p: float) -> float:
-    """t with chisq_tail(k, lam, t) = p, driven to ~1e-12 on the p scale."""
+    """t with chisq_tail(k, lam, t) = p, to 1e-12 relative on the p scale.
+
+    ``_chisq_tail_inv_vec`` on one element: safeguarded Newton on the log
+    tail from Sankaran's start, stopping once |tail - p| <= 1e-12 p.
+    Against scipy the relative error in t measured below 2e-12 for p from
+    1e-300 to 1/2, k <= 1000 and lam <= 1e4.  For p near 1 the result is
+    accurate in p, not in t, since the tail there is 1 minus a small lower
+    tail.  Raises RangeError after ``_MAX_PASSES`` passes.
+    """
     k, lam = _check_chisq_params(k, lam)
     p = float(p)
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise DomainError("chisq_tail_inv: p must lie in (0,1)")
-    t = chisq_tail_inv_approx(k, lam, p)
-    if t <= 0.0:
-        t = 1e-8
-    # bracket, then safeguarded Newton (tail is strictly decreasing in t)
-    lo, hi = 0.0, t
-    while _chisq_tail_pdf(k, lam, hi)[0] > p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    for _ in range(200):
+    t = _sankaran(k, lam, normal_tail_inv(p))
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_PASSES):
         tail, pdf = _chisq_tail_pdf(k, lam, t)
-        err = tail - p
-        if abs(err) < 1e-12:
+        if abs(tail - p) <= 1e-12 * p:
             return t
-        if err > 0.0:
+        if tail > p:
             lo = t
         else:
             hi = t
-        if pdf > 0.0:
-            step = err / pdf
-            tn = t + step
-        else:
-            tn = 0.5 * (lo + hi)
-        if not (lo < tn < hi):
-            tn = 0.5 * (lo + hi)
-        if abs(tn - t) < 1e-13 * max(t, 1.0):
-            return tn
+        tn = t + math.log(tail / p) * tail / pdf if tail > 0.0 and pdf > 0.0 else math.nan
+        if not lo < tn < hi:
+            tn = 0.5 * (lo + hi) if hi < math.inf else 2.0 * max(t, 1.0)
         t = tn
-    return t
+    raise RangeError("noncentral chi-square inverse: not converged in %d passes" % _MAX_PASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +465,10 @@ def log_vmf_const(k: int, tau: float) -> float:
 
 
 def vmf_const_inv(k: int, log_target: float) -> float:
-    """tau >= 0 with log_vmf_const(k, tau) = log_target (unique by monotonicity)."""
+    """tau >= 0 with log_vmf_const(k, tau) = log_target (unique by monotonicity).
+
+    Safeguarded Newton; raises RangeError after ``_MAX_PASSES`` passes.
+    """
     k, _ = _check_vmf(k, 0.0)
     log_target = float(log_target)
     if not math.isfinite(log_target):
@@ -436,7 +486,7 @@ def vmf_const_inv(k: int, log_target: float) -> float:
             raise RangeError("vmf_const_inv: target unreachable below tau = 1e12")
     lo = 0.0
     tau = 0.5 * hi
-    for _ in range(200):
+    for _ in range(_MAX_PASSES):
         f = log_vmf_const(k, tau) - log_target
         if abs(f) < 1e-11:
             return tau
@@ -451,21 +501,17 @@ def vmf_const_inv(k: int, log_target: float) -> float:
         if abs(tn - tau) < 1e-15 * max(tau, 1.0):
             return tn
         tau = tn
-    return tau
+    raise RangeError("vmf_const_inv: not converged in %d passes" % _MAX_PASSES)
 
 
 # ---------------------------------------------------------------------------
 # vectorized private kernels (Monte Carlo hot paths)
 
-_TOL = 1e-15  # relative truncation of every vector Poisson sum
-_TINY = 1e-300  # floor of the relative bounds, so a vanishing sum still stops
-_MAX_TERMS = 10_000  # cap on incomplete-gamma terms and on Poisson steps each way
-_MAX_PASSES = 100  # cap on Newton passes of the vector inverse
-# lgamma(n / 2) for n = 1..51: every argument the table branch of _log_g needs
+# lgamma(n / 2) for n = 1..51: every argument the table branch of _log_g_vec needs
 _LGAMMA_HALF = np.array([math.inf] + [math.lgamma(0.5 * n) for n in range(1, 52)])
 
 
-def _log_g(nu, x):
+def _log_g_vec(nu, x):
     """log(x^nu e^-x / Gamma(nu + 1)) elementwise, nu a half-integer >= -1/2.
 
     For nu >= 1 this is -bd0(nu, x) - c(nu), Loader's saddle-point split:
@@ -491,9 +537,10 @@ def _reg_gamma_q_vec(a, x, pre):
     """Q(a, x) elementwise for ndarrays a > 0 and x > 0.
 
     ``pre`` is x^a e^-x / Gamma(a), computed by the caller.  The series for
-    P serves x < a + 1, the Lentz continued fraction for Q the rest; each
-    element stops at its own convergence, so its value does not depend on
-    the other elements.  Raises RangeError past ``_MAX_TERMS`` terms.
+    P serves x < a + 1, the Lentz continued fraction for Q the rest (where a
+    prefactor scaled by 2^-n gives Q scaled alike); each element stops at
+    its own convergence, so its value does not depend on the other
+    elements.  Raises RangeError past ``_MAX_TERMS`` terms.
     """
     out = np.empty_like(x)
     ser = x < a + 1.0
@@ -537,7 +584,7 @@ def _reg_gamma_q_vec(a, x, pre):
         if sel.size:
             raise RangeError("incomplete gamma: no convergence in %d terms" % _MAX_TERMS)
     out *= pre
-    return np.clip(np.where(ser, 1.0 - out, out), 0.0, 1.0)
+    return np.where(ser, 1.0 - out, out)
 
 
 def _normal_tail_inv_vec(p):
@@ -559,8 +606,6 @@ def _normal_tail_inv_vec(p):
     return z
 
 
-_CHECK = 8  # Poisson steps between two truncation checks
-
 def _chisq_tail_pdf_vec(k, lam, t):
     """(tail, pdf) of the noncentral chi-square, elementwise over ndarrays.
 
@@ -569,15 +614,19 @@ def _chisq_tail_pdf_vec(k, lam, t):
     the pdf the same mixture of central densities.  Each element is anchored
     at its own Poisson mode j0 = floor(h), the only place that calls exp:
     w_j0, the density term e_j0 = x^(a+j0-1) e^-x / Gamma(a+j0) and
-    Q(a + j0, x).  From there it steps up and down in lockstep with the
-    recurrences w h/j, e x/(a+j) and Q +- e, on the products u = w Q and
-    v = w e.  Every eight steps each element checks its own certified bounds
-    on the unswept terms: above the top index Q <= 1 and the Poisson and
-    density ratios are geometric; below the bottom index Q only falls; and
-    a density term is at most its tail term.  A direction stops once its bounds are within 1e-15 of the element's
-    running tail and pdf, so the truncation error is relative (down to
-    values near 1e-285) and an element's result does not depend on the
-    others.  Raises RangeError after ``_MAX_TERMS`` steps.
+    Q(a + j0, x).  Where the density term there is below 1e-250 and x lies
+    above the mode, in the far upper tail, the terms are carried in units
+    of a power of two 2^n near it and scaled back at the end, so that
+    tails down to 1e-300 keep their relative accuracy.  From there it steps
+    up and down in lockstep with the recurrences w h/j, e x/(a+j) and
+    Q +- e, on the products u = w Q and v = w e.  Every eight steps each
+    element checks its own certified bounds on the unswept terms: above the
+    top index Q <= 1 and the Poisson and density ratios are geometric;
+    below the bottom index Q only falls; and a density term is at most its
+    tail term.  A direction stops once its bounds are within 1e-15 of the
+    element's running tail and pdf, so the truncation error is relative
+    and an element's result does not depend on the others.  Raises
+    RangeError after ``_MAX_TERMS`` steps.
     """
     lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
     shape = lam.shape
@@ -586,8 +635,15 @@ def _chisq_tail_pdf_vec(k, lam, t):
     h = 0.5 * lam.ravel()
     x = np.maximum(0.5 * t.ravel(), _TINY)
     j0 = np.floor(h)
-    w = np.exp(_log_g(j0, np.maximum(h, _TINY)))
-    e = np.exp(_log_g(j0 + am1, x))
+    lw = _log_g_vec(j0, np.maximum(h, _TINY))
+    le = _log_g_vec(j0 + am1, x)
+    # far in the upper tail the terms sum in units of 2^n near the anchor's
+    # density term (w stays unscaled)
+    far = (lw + le < _LOG_FLOOR) & (x >= a + j0 + 1.0)
+    scaled = far.any()
+    n = np.where(far, np.floor((lw + le) / _LN2), 0.0).astype(np.int64) if scaled else 0
+    w = np.exp(lw)
+    e = np.exp(le - n * _LN2)
     u = w * _reg_gamma_q_vec(j0 + a, x, x * e)
     v = w * e
     # sweep state, one row each: h, x, hx, 1/h, 1/x, top and bottom index,
@@ -641,8 +697,11 @@ def _chisq_tail_pdf_vec(k, lam, t):
         # j = 0 term at k = 1), for where the ratio exceeds 1
         if up:
             rest = w * h
-            up_ok = (rest <= tol_t * step) & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
-                                              | (rest <= tol_p * step))
+            cap_t, cap_p = tol_t * step, tol_p * step
+            if scaled:  # w is not scaled, so its bounds are scaled to the sums
+                sc = n[pos.astype(np.int64)]
+                cap_t, cap_p = np.ldexp(cap_t, sc), np.ldexp(cap_p, sc)
+            up_ok = (rest <= cap_t) & ((vu * hx <= tol_p * (ju * (ju + a) - hx)) | (rest <= cap_p))
             for row in (w, uu, vu):
                 np.copyto(row, 0.0, where=up_ok)
         if down:
@@ -664,8 +723,10 @@ def _chisq_tail_pdf_vec(k, lam, t):
             s = s[:, keep]
             up_ok, down_ok = up_ok[keep], down_ok[keep]
         up, down = not up_ok.all(), not down_ok.all()
-    return (np.clip(tail, 0.0, 1.0).reshape(shape),
-            (0.5 * np.maximum(pdf, 0.0)).reshape(shape))
+    pdf = 0.5 * np.maximum(pdf, 0.0)
+    if scaled:
+        tail, pdf = np.ldexp(tail, n), np.ldexp(pdf, n)
+    return np.clip(tail, 0.0, 1.0).reshape(shape), pdf.reshape(shape)
 
 
 def _chisq_tail_vec(k, lam, t):
@@ -677,24 +738,14 @@ def _chisq_tail_inv_vec(k, lam, p):
 
     lam and p broadcast together (a column of levels against a row of
     noncentralities inverts a whole sweep in one call).  Safeguarded Newton
-    on the log tail, from Sankaran's approximation (Biometrika 50, 1963),
-    good to about 1e-7 relative at large lam; each element stops once its
-    tail is within 1e-12 of p in relative terms.  Raises RangeError when an
-    element has not converged after ``_MAX_PASSES`` passes.
+    on the log tail, from ``_sankaran``'s start; each element stops once
+    its tail is within 1e-12 of p in relative terms.  Raises RangeError
+    when an element has not converged after ``_MAX_PASSES`` passes.
     """
     lam, p = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(p, dtype=float))
     shape = lam.shape
     lam, p = lam.ravel(), p.ravel()
-    # Sankaran's approximation: (X / (k + lam))^h is close to normal
-    kl = k + lam
-    k2 = k + 2.0 * lam
-    h = 1.0 - (2.0 / 3.0) * kl * (k + 3.0 * lam) / (k2 * k2)
-    r = k2 / (kl * kl)
-    m = (h - 1.0) * (1.0 - 3.0 * h)
-    mean = 1.0 + h * r * (h - 1.0 - 0.5 * (2.0 - h) * m * r)
-    sd = h * np.sqrt(2.0 * r) * (1.0 + 0.5 * m * r)
-    base = np.maximum(mean + sd * _normal_tail_inv_vec(p), 0.0)
-    t = np.maximum(kl * base ** (1.0 / h), 1e-6)
+    t = _sankaran(k, lam, _normal_tail_inv_vec(p), np.maximum)
     lo = np.zeros_like(t)
     hi = np.full_like(t, np.inf)
     active = np.arange(t.size)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ummtest import linalg, specfun
+from ummtest import lan_models, linalg, specfun
 from ummtest.errors import ConfigError, DomainError, StabilityError
 from ummtest.lan_models import (
     ArModel,
@@ -229,6 +229,57 @@ def test_discrete_counts_match_multinomial_law():
     assert np.max(np.abs(var - ref)) < 0.15
     # cell counts are negatively correlated under the chain, as they should be
     assert np.corrcoef(counts.T)[0, 1] < 0.0
+
+
+def _full_row_quantile(u, m, q, lf):
+    # the inverse-CDF draw as it was first written: one full CDF row per
+    # distinct count, searched row by row
+    out = np.zeros(u.shape, dtype=np.int64)
+    for mv in np.unique(m):
+        if mv == 0:
+            continue
+        sel = m == mv
+        row = lan_models._binom_cdf_row(int(mv), q, lf)
+        out[sel] = np.searchsorted(row, u[sel], side="left")
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 7, 1000, 3000))
+def test_binomial_quantile_matches_full_rows(n):
+    # the 2-D, column-cut inversion gives exactly the counts of full rows,
+    # at the extreme uniforms block_uniforms can return and at m = 0
+    rng = np.random.default_rng(n)
+    lf = lan_models._log_factorials(n)
+    for q in (1e-4, 0.01, 1.0 / 9.0, 0.3, 0.5, 0.77, 0.999, 0.0, 1.0):
+        m = rng.integers(0, n + 1, 3000)
+        u = rng.random(3000)
+        m[:6] = [0, 0, n, n, n // 2, 1]
+        u[:6] = [2.0 ** -54, 1.0 - 2.0 ** -53] * 3
+        got = lan_models._binom_quantile(u, m, q, lf)
+        assert np.array_equal(got, _full_row_quantile(u, m, q, lf)), q
+    u = block_uniforms(5, 0, 4096, 1)[:, 0]
+    m = np.full(u.size, n)
+    assert np.array_equal(lan_models._binom_quantile(u, m, 0.25, lf),
+                          _full_row_quantile(u, m, 0.25, lf))
+
+
+def test_binomial_cut_holds_all_but_the_stated_mass():
+    for n, q in ((1000, 1.0 / 9.0), (1000, 0.5), (50, 0.01), (3000, 0.97)):
+        assert stats.binom.sf(lan_models._binom_top(n, q), n, q) <= lan_models._BINOM_CUT
+    # at the first link of the k = 8 chain the rows keep under a third of 0..n
+    assert lan_models._binom_top(1000, 1.0 / 9.0) < 1000 // 3
+
+
+def test_lan_problem_label_needs_no_matrix_root(monkeypatch):
+    model = DiscreteModel([0.2, 0.3, 0.5])
+    prob = LanProblem(model, np.array([0.25, 0.28]), TrainingSetup(n=500, n_x=100))
+    d = local_coord(prob.theta1, model.theta0, model, 500).hardness
+
+    def no_root(*args):
+        raise AssertionError("label computed a matrix root")
+
+    monkeypatch.setattr(linalg, "sym_sqrt", no_root)
+    assert prob.label == f"DiscreteModel k=2 d={d:g} n=500 nx=100"
 
 
 def test_discrete_no_training_value_is_exact():

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from ummtest import montecarlo, specfun
@@ -32,6 +32,19 @@ NCX2_TAIL_MC = 0.54226740        # P(X > -2 ln 0.1), X ~ ncx2(k=2, lam=4)
 NCX2_TAIL_MC_3SIG = 4.726e-4
 NCX2_Q90_MC = 12.06151467        # empirical 0.9-quantile of the same X
 NCX2_Q90_MC_3SIG = 1.099e-2
+
+# ---- frozen oracle values (tests/oracles/oracle_ncx2_far_tail.py, mpmath) ----
+# (k, lam, t, P(X > t)); scipy's ncx2.sf returns 0 at the last two and is 2%
+# off at the second
+NCX2_FAR_TAIL = [
+    (1, 1.0, 1447.58, 1.0007490349803555779e-300),
+    (8, 400.0, 2647.18, 5.5851241414510828266e-216),
+    (1, 10000.0, 16448.29, 6.9403872715383045617e-176),
+    (1000, 10000.0, 20000.0, 6.5496773846236869758e-304),
+]
+# quantiles the absolute stopping test used to miss (76.09 and 11450.11)
+NCX2_ISF_2_0_1EM300 = 1381.5510557964274104
+NCX2_ISF_2_1E4_1EM12 = 11457.415118976163669
 
 # ---- frozen oracle values (tests/oracles/oracle_bessel_vmf.py, mpmath) ----
 LOG_I_HALF_1 = -0.064351991073531798753
@@ -165,6 +178,74 @@ def test_chisq_domain_errors():
         specfun.chisq_tail_inv(2, 1.0, 1.5)
 
 
+SCALAR_REL_TOL = 1e-10  # relative error bound of the scalar path against scipy and mpmath
+
+
+def _scipy_quantile(k, lam, p):
+    """(t, P(X > t)) from scipy at level p, or None where scipy's own pair
+    does not round-trip: far out at large lam its ncx2 loses digits (see
+    NCX2_FAR_TAIL), and those levels are left to the mpmath pins."""
+    dist, args = (stats.ncx2, (k, lam)) if lam > 0.0 else (stats.chi2, (k,))
+    t = float(dist.isf(p, *args))
+    q = float(dist.sf(t, *args)) if math.isfinite(t) else 0.0
+    return (t, q) if q > 0.0 and abs(q - p) <= 1e-12 * p else None
+
+
+_DOFS = st.integers(min_value=1, max_value=1000)
+_LAMS = st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=4.0).map(lambda e: 10.0 ** e))
+_LEVELS = st.floats(min_value=-300.0, max_value=math.log10(0.5)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOFS, _LAMS, _LEVELS)
+@example(1, 1.0, 1e-300)
+@example(1000, 1e4, 1e-100)
+def test_chisq_tail_relative_against_scipy(k, lam, p):
+    ref = _scipy_quantile(k, lam, p)
+    assume(ref is not None)
+    t, q = ref
+    assert abs(specfun.chisq_tail(k, lam, t) - q) <= SCALAR_REL_TOL * q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOFS, _LAMS, _LEVELS)
+@example(2, 0.0, 1e-300)
+@example(2, 1e4, 1e-12)
+@example(1, 1e4, 0.5)
+def test_chisq_tail_inv_relative_against_scipy(k, lam, p):
+    ref = _scipy_quantile(k, lam, p)
+    assume(ref is not None)
+    assert abs(specfun.chisq_tail_inv(k, lam, p) - ref[0]) <= SCALAR_REL_TOL * ref[0]
+
+
+@pytest.mark.parametrize("k, lam, t, ref", NCX2_FAR_TAIL)
+def test_chisq_far_upper_tail_against_mpmath(k, lam, t, ref):
+    # the anchor's terms underflow here unless the sums are scaled
+    assert abs(specfun.chisq_tail(k, lam, t) - ref) <= SCALAR_REL_TOL * ref
+    assert abs(specfun.chisq_tail_inv(k, lam, ref) - t) <= SCALAR_REL_TOL * t
+    vec = specfun._chisq_tail_vec(k, np.array([lam]), np.array([t]))[0]
+    assert abs(vec - ref) <= SCALAR_REL_TOL * ref
+
+
+@pytest.mark.parametrize("k, lam, p, ref", [(2, 0.0, 1e-300, NCX2_ISF_2_0_1EM300),
+                                            (2, 1e4, 1e-12, NCX2_ISF_2_1E4_1EM12)])
+def test_chisq_tail_inv_mended_faults(k, lam, p, ref):
+    assert abs(specfun.chisq_tail_inv(k, lam, p) - ref) <= 1e-10 * ref
+
+
+def test_scalar_caps_raise(monkeypatch):
+    # the same caps and cases as test_vector_engine_caps_raise
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 16)
+    with pytest.raises(RangeError, match="incomplete gamma"):
+        specfun.chisq_tail(2, 1e4, 1e4)
+    with pytest.raises(RangeError, match="Poisson sum"):
+        specfun.chisq_tail(2, 1e4, 100.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "_MAX_PASSES", 1)
+    with pytest.raises(RangeError, match="not converged"):
+        specfun.chisq_tail_inv(2, 1e4, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # vector noncentral chi-square engine (the Monte Carlo hot path)
 
@@ -262,6 +343,21 @@ def test_vector_engine_caps_raise(monkeypatch):
         specfun._chisq_tail_inv_vec(2, lam, 0.1)
 
 
+@pytest.mark.parametrize("k", VEC_DOFS)
+def test_scalar_path_agrees_with_vector_engine(k):
+    # one algorithm on floats and on arrays: the same element agrees to
+    # rounding, tail, pdf and inverse alike
+    lam, t, _ = _vec_grid(k)
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, lam, t)
+    one = np.array([specfun._chisq_tail_pdf(k, lv, tv) for lv, tv in zip(lam.tolist(), t.tolist())])
+    assert np.max(_rel_err(one[:, 0], tail)) <= 1e-13
+    assert np.max(_rel_err(one[:, 1], pdf)) <= 1e-13
+    lam, p = (a.ravel() for a in np.meshgrid(VEC_LAMS, np.geomspace(1e-12, 0.5, 12)))
+    inv = specfun._chisq_tail_inv_vec(k, lam, p)
+    one = np.array([specfun.chisq_tail_inv(k, lv, pv) for lv, pv in zip(lam.tolist(), p.tolist())])
+    assert np.max(_rel_err(one, inv)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Bessel / matched-density normalizer
 
@@ -299,3 +395,11 @@ def test_vmf_const_inv_range_errors():
     assert specfun.vmf_const_inv(4, top) == 0.0
     with pytest.raises(RangeError):
         specfun.vmf_const_inv(4, top + 1.0)
+
+
+def test_vmf_const_inv_cap_raises(monkeypatch):
+    log_c = specfun.log_vmf_const(8, 15.0)
+    assert abs(specfun.vmf_const_inv(8, log_c) - 15.0) < 1e-7 * 15.0
+    monkeypatch.setattr(specfun, "_MAX_PASSES", 1)
+    with pytest.raises(RangeError, match="not converged"):
+        specfun.vmf_const_inv(8, log_c)
