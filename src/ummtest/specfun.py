@@ -17,9 +17,10 @@ power of two in the far upper tail), sums outward with recurrences, and
 stops at its own certified relative truncation bound, so a vector
 element's value is the same bit for bit whatever array it is computed in.
 Each inverse takes Newton steps on the log tail and stops once the tail is
-within 1e-12 of p in relative terms; the vector one solves a whole
-(levels, trials) array in one batched solve.  Every capped loop raises
-RangeError instead of returning its last iterate.
+within 1e-12 of p in relative terms (or t is pinned to a few ulps); the
+vector one solves a whole (levels, trials) array in one batched solve.
+The term caps grow with the spread of each sum, and every capped loop
+raises RangeError instead of returning its last iterate.
 """
 
 import math
@@ -43,13 +44,28 @@ _LN_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _TOL = 1e-15  # relative truncation of every Poisson sum
 _TINY = 1e-300  # floor of the relative bounds, so a vanishing sum still stops
-_MAX_TERMS = 10_000  # cap on incomplete-gamma terms and on Poisson steps each way
-_MAX_PASSES = 100  # cap on the Newton passes of every inverse
+_MAX_TERMS = 10_000  # least cap on incomplete-gamma terms and on Poisson steps each way
+_MAX_PASSES = 200  # cap on the Newton passes of every inverse
 _CHECK = 8  # Poisson steps between two truncation checks
+# an inverse also stops once its bracket is this narrow relative to t (a few
+# ulps), where the spacing of the floats, not the iteration, limits how close
+# the tail at t comes to p
+_T_ULPS = 4e-16
 # below this log density term at the anchor, a far upper tail sums in units of
 # a power of two near that term, so neither underflow nor the _TINY floor
 # limits its relative accuracy
 _LOG_FLOOR = math.log(1e-250)
+
+
+def _term_cap(scale):
+    """Cap on the terms of a sum whose spread is sqrt(scale) terms.
+
+    ``_MAX_TERMS``, or 100 spreads where that is more: the incomplete gamma
+    at a ~ x and the Poisson(h) sweep need about 9 spreads (the Poisson
+    weights underflow within 40), so the cap holds for every scale and
+    still stops a loop that does not converge.
+    """
+    return int(_MAX_TERMS * max(1.0, 0.01 * math.sqrt(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +77,12 @@ def _reg_gamma_q(a, x, pre):
     ``pre`` is x^a e^-x / Gamma(a), computed by the caller.  The series for
     P serves x < a + 1, the Lentz continued fraction for Q the rest (where a
     prefactor scaled by 2^-n gives Q scaled alike).  Raises RangeError past
-    ``_MAX_TERMS`` terms.
+    ``_term_cap(a)`` terms.
     """
+    cap = _term_cap(a)
     if x < a + 1.0:
         term = acc = 1.0 / a
-        for n in range(1, _MAX_TERMS + 1):
+        for n in range(1, cap + 1):
             term *= x / (a + n)
             acc += term
             if term < acc * 1e-17:
@@ -75,7 +92,7 @@ def _reg_gamma_q(a, x, pre):
         b = x + 1.0 - a
         c = 1.0 / tiny
         d = acc = 1.0 / b
-        for n in range(1, _MAX_TERMS + 1):
+        for n in range(1, cap + 1):
             an = -n * (n - a)
             b += 2.0
             d = an * d + b
@@ -89,7 +106,7 @@ def _reg_gamma_q(a, x, pre):
             acc *= delta
             if abs(delta - 1.0) < 1e-16:
                 return acc * pre
-    raise RangeError("incomplete gamma: no convergence in %d terms" % _MAX_TERMS)
+    raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +228,7 @@ def _chisq_tail_pdf(k, lam, t):
     which ends a sum with no terms to add).  It adds the same terms in the
     same order as the vector engine on a one-element array, so the two
     differ only by the last bits of the anchor's ``exp`` and ``log``.
-    Raises RangeError after ``_MAX_TERMS`` steps.
+    Raises RangeError after ``_term_cap(h)`` steps.
     """
     a = 0.5 * k
     am1 = a - 1.0
@@ -230,6 +247,7 @@ def _chisq_tail_pdf(k, lam, t):
     uu = ud = tl = w * _reg_gamma_q(j0 + a, x, x * e)
     vu = vd = pf = w * e
     ju = jd = j0
+    cap = _term_cap(h)
     step = 0
     up = down = True
     while True:
@@ -247,9 +265,8 @@ def _chisq_tail_pdf(k, lam, t):
                         and (vd * cd <= tol_p * (hx - cd) or rest * m <= tol_p * (h - jd)))
         if not (up or down):
             return min(max(math.ldexp(tl, n), 0.0), 1.0), math.ldexp(0.5 * max(pf, 0.0), n)
-        if step >= _MAX_TERMS:
-            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps"
-                             % _MAX_TERMS)
+        if step >= cap:
+            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps" % cap)
         for _ in range(_CHECK):
             if up:  # w h/j, e x/(a+j-1), Q + e
                 ju += 1.0
@@ -278,7 +295,10 @@ def chisq_tail(k: int, lam: float, t: float) -> float:
     lam <= 1e4 the relative error measured below 1e-12, against scipy
     where scipy keeps its digits and against mpmath far out, where it does
     not.  A tail near 1 is accurate in absolute terms only: its complement,
-    the lower tail, is not summed on its own.
+    the lower tail, is not summed on its own.  Larger lam is served too (to
+    about 1e-10 relative at lam = 1e8): the term caps grow with the Poisson
+    spread sqrt(lam / 2), and RangeError is raised only when a sum does not
+    converge within them.
     """
     k, lam = _check_chisq_params(k, lam)
     t = float(t)
@@ -323,11 +343,14 @@ def chisq_tail_inv(k: int, lam: float, p: float) -> float:
     """t with chisq_tail(k, lam, t) = p, to 1e-12 relative on the p scale.
 
     ``_chisq_tail_inv_vec`` on one element: safeguarded Newton on the log
-    tail from Sankaran's start, stopping once |tail - p| <= 1e-12 p.
-    Against scipy the relative error in t measured below 2e-12 for p from
-    1e-300 to 1/2, k <= 1000 and lam <= 1e4.  For p near 1 the result is
-    accurate in p, not in t, since the tail there is 1 minus a small lower
-    tail.  Raises RangeError after ``_MAX_PASSES`` passes.
+    tail from Sankaran's start, stopping once |tail - p| <= 1e-12 p, or once
+    the bracket on t is a few ulps wide (at large lam and small p the floats
+    near t lie too far apart for the first test).  Against scipy the
+    relative error in t measured below 2e-12 for p from 1e-300 to 1/2,
+    k <= 1000 and lam <= 1e4, and below 1e-12 at lam = 1e6 and 1e7.  For p
+    near 1 the result is accurate in p, not in t, since the tail there is 1
+    minus a small lower tail.  Raises RangeError after ``_MAX_PASSES``
+    passes.
     """
     k, lam = _check_chisq_params(k, lam)
     p = float(p)
@@ -337,7 +360,7 @@ def chisq_tail_inv(k: int, lam: float, p: float) -> float:
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_PASSES):
         tail, pdf = _chisq_tail_pdf(k, lam, t)
-        if abs(tail - p) <= 1e-12 * p:
+        if abs(tail - p) <= 1e-12 * p or hi - lo <= _T_ULPS * t:
             return t
         if tail > p:
             lo = t
@@ -540,8 +563,9 @@ def _reg_gamma_q_vec(a, x, pre):
     P serves x < a + 1, the Lentz continued fraction for Q the rest (where a
     prefactor scaled by 2^-n gives Q scaled alike); each element stops at
     its own convergence, so its value does not depend on the other
-    elements.  Raises RangeError past ``_MAX_TERMS`` terms.
+    elements.  Raises RangeError past ``_term_cap`` of the largest a terms.
     """
+    cap = _term_cap(np.max(a, initial=0.0))
     out = np.empty_like(x)
     ser = x < a + 1.0
     for series, sel in ((True, np.flatnonzero(ser)), (False, np.flatnonzero(~ser))):
@@ -555,7 +579,7 @@ def _reg_gamma_q_vec(a, x, pre):
             c = np.full_like(xx, 1.0 / tiny)
             d = 1.0 / b
             acc = d.copy()
-        for n in range(1, _MAX_TERMS + 1):
+        for n in range(1, cap + 1):
             if sel.size == 0:
                 break
             if series:
@@ -582,7 +606,7 @@ def _reg_gamma_q_vec(a, x, pre):
                 else:
                     b, c, d = b[keep], c[keep], d[keep]
         if sel.size:
-            raise RangeError("incomplete gamma: no convergence in %d terms" % _MAX_TERMS)
+            raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
     out *= pre
     return np.where(ser, 1.0 - out, out)
 
@@ -626,7 +650,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
     tail term.  A direction stops once its bounds are within 1e-15 of the
     element's running tail and pdf, so the truncation error is relative
     and an element's result does not depend on the others.  Raises
-    RangeError after ``_MAX_TERMS`` steps.
+    RangeError after ``_term_cap`` of the largest h steps.
     """
     lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
     shape = lam.shape
@@ -640,8 +664,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
     # far in the upper tail the terms sum in units of 2^n near the anchor's
     # density term (w stays unscaled)
     far = (lw + le < _LOG_FLOOR) & (x >= a + j0 + 1.0)
-    scaled = far.any()
-    n = np.where(far, np.floor((lw + le) / _LN2), 0.0).astype(np.int64) if scaled else 0
+    n = np.where(far, np.floor((lw + le) / _LN2), 0.0).astype(np.int64)
     w = np.exp(lw)
     e = np.exp(le - n * _LN2)
     u = w * _reg_gamma_q_vec(j0 + a, x, x * e)
@@ -652,12 +675,12 @@ def _chisq_tail_pdf_vec(k, lam, t):
                   np.arange(h.size)])
     tail = np.empty(h.size)
     pdf = np.empty(h.size)
+    cap = _term_cap(np.max(h, initial=0.0))
     step = 0
     up = down = True  # some element still sweeps that way
     while s.shape[1]:
-        if step >= _MAX_TERMS:
-            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps"
-                             % _MAX_TERMS)
+        if step >= cap:
+            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps" % cap)
         h, x, hx, hinv, xinv, ju, jd, w, uu, vu, ud, vd, tl, pf, pos = s
         r = np.empty_like(h)
         f = np.empty_like(h)
@@ -697,11 +720,10 @@ def _chisq_tail_pdf_vec(k, lam, t):
         # j = 0 term at k = 1), for where the ratio exceeds 1
         if up:
             rest = w * h
-            cap_t, cap_p = tol_t * step, tol_p * step
-            if scaled:  # w is not scaled, so its bounds are scaled to the sums
-                sc = n[pos.astype(np.int64)]
-                cap_t, cap_p = np.ldexp(cap_t, sc), np.ldexp(cap_p, sc)
-            up_ok = (rest <= cap_t) & ((vu * hx <= tol_p * (ju * (ju + a) - hx)) | (rest <= cap_p))
+            sc = n[pos.astype(np.int64)]  # w is not scaled, so its bounds are scaled to the sums
+            up_ok = ((rest <= np.ldexp(tol_t * step, sc))
+                     & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
+                        | (rest <= np.ldexp(tol_p * step, sc))))
             for row in (w, uu, vu):
                 np.copyto(row, 0.0, where=up_ok)
         if down:
@@ -723,9 +745,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
             s = s[:, keep]
             up_ok, down_ok = up_ok[keep], down_ok[keep]
         up, down = not up_ok.all(), not down_ok.all()
-    pdf = 0.5 * np.maximum(pdf, 0.0)
-    if scaled:
-        tail, pdf = np.ldexp(tail, n), np.ldexp(pdf, n)
+    tail, pdf = np.ldexp(tail, n), np.ldexp(0.5 * np.maximum(pdf, 0.0), n)
     return np.clip(tail, 0.0, 1.0).reshape(shape), pdf.reshape(shape)
 
 
@@ -739,8 +759,9 @@ def _chisq_tail_inv_vec(k, lam, p):
     lam and p broadcast together (a column of levels against a row of
     noncentralities inverts a whole sweep in one call).  Safeguarded Newton
     on the log tail, from ``_sankaran``'s start; each element stops once
-    its tail is within 1e-12 of p in relative terms.  Raises RangeError
-    when an element has not converged after ``_MAX_PASSES`` passes.
+    its tail is within 1e-12 of p in relative terms, or its bracket on t is
+    a few ulps wide.  Raises RangeError when an element has not converged
+    after ``_MAX_PASSES`` passes.
     """
     lam, p = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(p, dtype=float))
     shape = lam.shape
@@ -752,7 +773,7 @@ def _chisq_tail_inv_vec(k, lam, p):
     for _ in range(_MAX_PASSES):
         ta, pa = t[active], p[active]
         tail, pdf = _chisq_tail_pdf_vec(k, lam[active], ta)
-        live = np.abs(tail - pa) > 1e-12 * pa
+        live = (np.abs(tail - pa) > 1e-12 * pa) & (hi[active] - lo[active] > _T_ULPS * ta)
         active = active[live]
         if active.size == 0:
             return t.reshape(shape)

@@ -233,6 +233,18 @@ def test_chisq_tail_inv_mended_faults(k, lam, p, ref):
     assert abs(specfun.chisq_tail_inv(k, lam, p) - ref) <= 1e-10 * ref
 
 
+@pytest.mark.parametrize("k, lam, p", [(4, 1e6, 1e-12), (1, 1e6, 1e-100), (4, 1e7, 1e-3),
+                                       (4, 1e7, 1e-12)])
+def test_chisq_large_noncentrality(k, lam, p):
+    # past lam = 1e4 the sums need more than _MAX_TERMS terms, so the caps
+    # grow with the Poisson spread; and the floats near t are too far apart
+    # for the tail to come within 1e-12 of p, so the inverse stops on its
+    # bracket instead
+    t = specfun.chisq_tail_inv(k, lam, p)
+    assert abs(t - stats.ncx2.isf(p, k, lam)) <= 1e-12 * t
+    assert abs(specfun.chisq_tail(k, lam, t) - p) <= 1e-10 * p
+
+
 def test_scalar_caps_raise(monkeypatch):
     # the same caps and cases as test_vector_engine_caps_raise
     monkeypatch.setattr(specfun, "_MAX_TERMS", 16)
