@@ -16,6 +16,7 @@ configuration.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -313,7 +314,7 @@ def _simulate_lan(args, grid, mc):
     columns = list(_CURVE_COLUMNS) + (["dev_from_limit"] if with_dev else [])
     if use_disk:
         dets = [lan_models.AummDetector(float(p)) for p in grid]
-        fa = montecarlo.run_kernel(lan_models.AummDetector.mc_kernel(dets, problem, False), mc)
+        fa = montecarlo.run_kernel(lan_models.AummDetector.mc_kernel(dets, problem, (False,)), mc)
         md = lan_models.discrete_aumm_curve(model, theta1, setup, grid, mc)
     else:
         md = montecarlo.roc_sweep(lan_models.AummDetector, problem, grid, mc)
@@ -470,7 +471,10 @@ def _add_mc(sp):
                     help="threads; never changes output bytes (default 1)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing reads it and
+    fills a fresh namespace on every call, so calls share no options."""
     parser = argparse.ArgumentParser(
         prog="ummtest",
         description="Error-tradeoff curves, detectors, and Monte Carlo validation "

@@ -193,14 +193,30 @@ def _binom_top(m, q):
     return int(c[ok[0]]) if ok.size else m
 
 
+def _binom_cdf_rows(counts, q, lf):
+    """CDFs of Bin(m, q) for every m in ``counts``, one row each.
+
+    Each row is the cumulative sum ``_binom_cdf_row`` forms, bit for bit,
+    for q inside (0, 1).  The rows stop at ``_binom_top`` of the largest
+    count: every term past it is below half an ulp of its running sum,
+    which is near 1, so the cut changes no CDF value, and a row's CDF is 1
+    from the cut on.  lf must cover log-factorials up to the largest count.
+    """
+    mm = np.asarray(counts, dtype=np.int64)[:, None]
+    top = _binom_top(int(mm.max()), q)
+    c = np.arange(top + 1)
+    cdf = np.cumsum(np.where(c <= mm, np.exp(_binom_log_pmf(mm, q, lf, np.minimum(c, mm))), 0.0),
+                    axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
 def _binom_quantile(u, m, q, lf):
     """Smallest c with CDF(c) >= u, for per-element trial counts m.
 
-    The CDF rows of all distinct counts form one 2-D array, each row the
-    cumulative sum ``_binom_cdf_row`` forms, and one vectorized binary
-    search inverts every element.  The rows stop at ``_binom_top`` of the
-    largest count: every term past it is below half an ulp of its running
-    sum, which is near 1, so the cut changes no CDF value and no count.
+    The CDF rows of all distinct counts form one 2-D array
+    (``_binom_cdf_rows``), and one vectorized binary search inverts every
+    element.
     """
     u = np.asarray(u, dtype=float)
     m = np.asarray(m, dtype=np.int64)
@@ -209,12 +225,8 @@ def _binom_quantile(u, m, q, lf):
     if q >= 1.0:
         return np.where(u > 0.0, m, 0)
     counts, row = np.unique(m, return_inverse=True)
-    top = _binom_top(int(counts[-1]), q)
-    c = np.arange(top + 1)
-    mm = counts[:, None]
-    cdf = np.cumsum(np.where(c <= mm, np.exp(_binom_log_pmf(mm, q, lf, np.minimum(c, mm))), 0.0),
-                    axis=1)
-    cdf /= cdf[:, -1:]
+    cdf = _binom_cdf_rows(counts, q, lf)
+    top = cdf.shape[1] - 1
     # first column whose CDF reaches u, which lies in [lo, hi]
     lo = np.zeros(u.shape, dtype=np.int64)
     hi = np.full(u.shape, top)
@@ -565,15 +577,16 @@ class LanProblem:
 
 
 class _AummIndicatorKernel:
-    """Draw training and test estimates, apply the plug-in rule at every
-    level through one conditional p-value per trial, count errors."""
+    """Draw training estimates once and test estimates under each
+    hypothesis, apply the plug-in rule at every level through one
+    conditional p-value per trial and hypothesis, count errors."""
 
-    def __init__(self, model, theta1, setup, levels, under_h1):
+    def __init__(self, model, theta1, setup, levels, hypotheses):
         self.model = model
         self.theta1 = theta1
         self.setup = setup
         self.levels = levels
-        self.under_h1 = under_h1
+        self.hypotheses = hypotheses
         self.rho = training_rho(model, setup)
         self.root = linalg.sym_sqrt(model.fisher_info())
         self.nu_x = model.uniforms_per_block(setup.n_x) if setup.n_x > 0 else 0
@@ -588,10 +601,12 @@ class _AummIndicatorKernel:
         if self.nu_x > 0:
             thx = self.model.draw_estimates(self.theta1, self.setup.n_x, u[:, : self.nu_x])
             mux = self.rho * self._local(thx)
-        theta_test = self.theta1 if self.under_h1 else self.model.theta0
-        thy = self.model.draw_estimates(theta_test, self.setup.n, u[:, self.nu_x :])
-        stat = _rowsq(mux + self._local(thy))
-        return _training_errors(self.model.k, _rowsq(mux), stat, self.levels, self.under_h1)
+        stats = []
+        for h in self.hypotheses:
+            theta_test = self.theta1 if h else self.model.theta0
+            thy = self.model.draw_estimates(theta_test, self.setup.n, u[:, self.nu_x :])
+            stats.append(_rowsq(mux + self._local(thy)))
+        return _training_errors(self.model.k, _rowsq(mux), stats, self.levels, self.hypotheses)
 
 
 class AummDetector(_RegionDetector):
@@ -615,9 +630,9 @@ class AummDetector(_RegionDetector):
         return _training_ball(zx, rho, k, self.p_fa)
 
     @classmethod
-    def mc_kernel(cls, detectors, problem: LanProblem, under_h1):
+    def mc_kernel(cls, detectors, problem: LanProblem, hypotheses):
         return _AummIndicatorKernel(
-            problem.model, problem.theta1, problem.setup, [d.p_fa for d in detectors], under_h1
+            problem.model, problem.theta1, problem.setup, [d.p_fa for d in detectors], hypotheses
         )
 
 
@@ -657,12 +672,16 @@ class _DiscreteDiskKernel:
         keep = w1 > 1e-18
         self.c1 = np.arange(self.n + 1)[keep]
         self.w1 = w1[keep]
-        # CDF of c2 ~ Bin(n - c1, q) for each kept c1, led by a zero
+        # CDF of c2 ~ Bin(n - c1, q) for each kept c1 on columns 0..n, led
+        # by a zero; a section reads its row up to column n - c1 only
         q = p[1] / (p[1] + p[2])
-        self.cdfs = [
-            np.concatenate(([0.0], _binom_cdf_row(self.n - int(c1v), q, lf)))
-            for c1v in self.c1
-        ]
+        self.cdfs = np.ones((self.c1.size, self.n + 2))
+        self.cdfs[:, 0] = 0.0
+        if q >= 1.0:  # all mass at c2 = n - c1 (q <= 0 puts it at 0: all ones)
+            self.cdfs[:, 1:] = np.arange(self.n + 1) >= (self.n - self.c1)[:, None]
+        elif q > 0.0:
+            rows = _binom_cdf_rows(self.n - self.c1, q, lf)
+            self.cdfs[:, 1 : rows.shape[1] + 1] = rows
         self.base = -self.sqrt_n * (self.root @ model.theta0)
         self.s0 = self.root[:, 0] / self.sqrt_n
         self.s1 = self.root[:, 1] / self.sqrt_n

@@ -6,23 +6,27 @@ block therefore has no effect on the numbers it produces, and the final
 reduction walks blocks in index order, so an estimate is bit-for-bit
 reproducible for a given ``(trials, seed)`` pair at any worker count.
 
-A simulation kernel covers every level of a sweep at once.  It is any
-object with
+A simulation kernel covers every level of a sweep, under every hypothesis
+its caller asks for, at once.  It is any object with
 
     nu          number of uniform variates consumed per trial
     values(u)   map a ``(rows, nu)`` array of open-interval uniforms to a
-                ``(G, rows)`` array of values in ``[0, 1]``, one row per
-                level of the sweep
+                ``(H * G, rows)`` array of values in ``[0, 1]``: one row per
+                level of the sweep, for each of its H hypotheses in turn
 
 so each block's uniforms are drawn and transformed once, whatever the
-number of levels, and ``run_kernel`` returns the G means.  Values are laid
-out ``(G, rows)`` and block sums ``(G, blocks)``, and both are reduced
-along their last, contiguous axis, so each level's mean is summed in the
-same order as if it had been simulated alone.
+number of levels and hypotheses, and ``run_kernel`` returns the H * G
+means.  Values are laid out ``(H * G, rows)`` and block sums
+``(H * G, blocks)``, and both are reduced along their last, contiguous
+axis, so each level's mean is summed in the same order as if it had been
+simulated alone.
 
-A detector's ``mc_kernel`` builds such a kernel with an ``under_h1`` flag
-that ``values`` reads, so ``roc_sweep`` sets up the levels once and
-simulates the kernel and a copy of it, one per hypothesis.
+A detector's ``mc_kernel(detectors, problem, hypotheses)`` builds such a
+kernel; ``hypotheses`` is a tuple of flags, False for H0 and True for H1.
+``roc_sweep`` asks for ``(False, True)``: both hypotheses judge the same
+trials (common random numbers) from one draw and one transform per block.
+``estimate_error_probs`` asks for one hypothesis and never computes the
+other.
 
 Indicator kernels return 0/1; conditional-expectation kernels may return
 fractional values, for which the Wilson interval is conservative (a
@@ -30,7 +34,6 @@ Bernoulli draw with the same mean has the largest variance).
 """
 
 import concurrent.futures
-import copy
 import math
 from dataclasses import dataclass
 
@@ -185,11 +188,11 @@ def _point(estimates, config: McConfig) -> McEstimate:
     return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
 
 
-def _kernel(detectors, problem, under_h1):
+def _kernel(detectors, problem, hypotheses):
     make = getattr(detectors[0], "mc_kernel", None)
     if make is None:
         raise ConfigError(f"{type(detectors[0]).__name__} does not provide a simulation kernel")
-    return make(detectors, problem, under_h1)
+    return make(detectors, problem, hypotheses)
 
 
 def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McEstimate:
@@ -197,14 +200,14 @@ def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McE
 
     ``hypothesis`` "H0" estimates the false-alarm probability (reject when
     the null generated the data), "H1" the missed-detection probability.
-    This is the one-level case of ``roc_sweep``: the detector supplies the
-    simulation kernel via ``detector.mc_kernel([detector], problem,
-    under_h1)``; kernels that cannot be built for the given problem raise
-    ConfigError.
+    This is the one-level, one-hypothesis case of ``roc_sweep``: the
+    detector supplies the simulation kernel via
+    ``detector.mc_kernel([detector], problem, (hypothesis == "H1",))``;
+    kernels that cannot be built for the given problem raise ConfigError.
     """
     if hypothesis not in ("H0", "H1"):
         raise ConfigError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    return _point(_estimates(_kernel([detector], problem, hypothesis == "H1"), config), config)
+    return _point(_estimates(_kernel([detector], problem, (hypothesis == "H1",)), config), config)
 
 
 def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
@@ -212,10 +215,10 @@ def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
 
     ``detector_family(p_fa)`` must build the detector operated at nominal
     false-alarm level ``p_fa``.  The first detector's ``mc_kernel`` builds
-    one kernel for the whole grid, and a copy of it runs under H1, so the
-    levels are set up once and every trial is drawn once per hypothesis and
-    judged at every level (common random numbers): sweeps of a nested
-    acceptance-region family come out monotone in the threshold.
+    one kernel for the whole grid and both hypotheses, so the levels are set
+    up once and every trial is drawn and transformed once, then judged
+    under H0 and H1 at every level (common random numbers): sweeps of a
+    nested acceptance-region family come out monotone in the threshold.
 
     Returns a curve with provenance "simulated": ``p_fa`` holds the nominal
     grid, ``p_md``/``ci_*`` the missed-detection estimates, and the
@@ -226,10 +229,9 @@ def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):
 
     grid = _check_grid(p_fa_grid)
     dets = [detector_family(float(p)) for p in grid]
-    h0 = _kernel(dets, problem, False)
-    h1 = copy.copy(h0)
-    h1.under_h1 = True
-    fa, fa_lo, fa_hi = _estimates(h0, config)
-    md, md_lo, md_hi = _estimates(h1, config)
+    est = _estimates(_kernel(dets, problem, (False, True)), config)
+    if est[0].size != 2 * grid.size:
+        raise ConfigError(f"kernel returned {est[0].size} levels, expected {2 * grid.size}")
+    (fa, fa_lo, fa_hi), (md, md_lo, md_hi) = zip(*(np.split(a, 2) for a in est))
     label = getattr(problem, "label", str(problem))
     return TradeoffCurve(grid, md, "simulated", label, md_lo, md_hi, fa, fa_lo, fa_hi)

@@ -18,7 +18,8 @@ approaching the matched filter as rho grows.
 
 A detector's ``region(problem, x=None)`` is its only rule-specific code:
 ``decide`` tests membership in that region, and ``mc_kernel`` builds one
-kernel (the protocol in ``montecarlo``) for a whole sweep of levels.  A
+kernel (the protocol in ``montecarlo``) for a whole sweep of levels and
+the hypotheses asked for, from one draw per trial.  A
 fixed region gives one statistic per trial, compared against every level's
 threshold.  A region that moves from trial to trial (the training test with
 a fresh x) gives one conditional p-value per trial, and the trial is
@@ -91,12 +92,25 @@ def _errors(accepted, under_h1):
     return (accepted if under_h1 else ~accepted).astype(float)
 
 
-def _training_errors(k, center_sq, stat, levels, under_h1):
-    """Errors of per-trial training balls at every level: a trial's ball
-    rejects at level p exactly when its conditional p-value
-    Q_{(k), ||center||^2}(||z - center||^2) is at most p."""
-    pval = _chisq_tail_vec(k, center_sq, stat)
-    return _errors(pval > np.asarray(levels)[:, None], under_h1)
+def _region_errors(stats, thresholds, hypotheses):
+    """Errors of one fixed region per level, stacked hypothesis after
+    hypothesis: ``stats`` holds one row of per-trial statistics for each
+    entry of ``hypotheses``, and a trial is accepted below a threshold."""
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    return np.concatenate([_errors(s < thr, h) for s, h in zip(stats, hypotheses)])
+
+
+def _training_errors(k, center_sq, stats, levels, hypotheses):
+    """Errors of per-trial training balls at every level, stacked hypothesis
+    after hypothesis: a trial's ball rejects at level p exactly when its
+    conditional p-value Q_{(k), ||center||^2}(||z - center||^2) is at most p.
+    ``stats`` holds one row of squared distances per hypothesis, and every
+    p-value comes from one tail call; each element's value does not depend
+    on the others, so stacking moves no bit."""
+    stats = np.stack(stats)
+    pval = _chisq_tail_vec(k, np.broadcast_to(center_sq, stats.shape), stats)
+    lv = np.asarray(levels)[:, None]
+    return np.concatenate([_errors(p > lv, h) for p, h in zip(pval, hypotheses)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,56 +300,54 @@ class _LrtKernel:
 
     nu = 1
 
-    def __init__(self, delta, thresholds, under_h1):
+    def __init__(self, delta, thresholds, hypotheses):
         self.delta = delta
         self.thresholds = np.asarray(thresholds, dtype=float)
-        self.under_h1 = under_h1
+        self.hypotheses = hypotheses
 
     def values(self, u):
         stat = self.delta * montecarlo.gaussians(u[:, 0])
-        if self.under_h1:
-            stat += self.delta * self.delta
-        return _errors(stat < self.thresholds[:, None], self.under_h1)
+        shift = self.delta * self.delta
+        stats = [stat + shift if h else stat for h in self.hypotheses]
+        return _region_errors(stats, self.thresholds, self.hypotheses)
 
 
 class _QuadKernel:
     """||z - center||^2 against one fixed squared radius per level; z ~ N(0, I)
     under H0 and N(mu1, I) under H1."""
 
-    def __init__(self, k, mu1, center, thresholds, under_h1):
+    def __init__(self, k, mu1, center, thresholds, hypotheses):
         self.nu = k
         self.mu1 = mu1
         self.center = center
         self.thresholds = np.asarray(thresholds, dtype=float)
-        self.under_h1 = under_h1
+        self.hypotheses = hypotheses
 
     def values(self, u):
         z = montecarlo.gaussians(u)
-        if self.under_h1:
-            z = z + self.mu1
-        stat = _rowsq(z - self.center)
-        return _errors(stat < self.thresholds[:, None], self.under_h1)
+        stats = [_rowsq((z + self.mu1 if h else z) - self.center) for h in self.hypotheses]
+        return _region_errors(stats, self.thresholds, self.hypotheses)
 
 
 class _UmmTrainKernel:
-    """Joint draw of training and test data; one conditional p-value per trial."""
+    """Joint draw of training and test data; one conditional p-value per
+    trial and hypothesis."""
 
-    def __init__(self, k, mu1, rho, levels, under_h1):
+    def __init__(self, k, mu1, rho, levels, hypotheses):
         self.nu = 2 * k
         self.k = k
         self.mu1 = mu1
         self.rho = rho
         self.levels = levels
-        self.under_h1 = under_h1
+        self.hypotheses = hypotheses
 
     def values(self, u):
         g = montecarlo.gaussians(u)
         # training is labeled with the alternative under both hypotheses
         rx = self.rho * self.mu1 + math.sqrt(self.rho) * g[:, : self.k]
         z = g[:, self.k :]
-        if self.under_h1:
-            z = z + self.mu1
-        return _training_errors(self.k, _rowsq(rx), _rowsq(rx + z), self.levels, self.under_h1)
+        stats = [_rowsq(rx + (z + self.mu1 if h else z)) for h in self.hypotheses]
+        return _training_errors(self.k, _rowsq(rx), stats, self.levels, self.hypotheses)
 
 
 class _UmmPmdKernel:
@@ -380,17 +392,18 @@ class _RegionDetector:
         return self.region(problem, x).verdict(problem.standardize(y))
 
     @classmethod
-    def mc_kernel(cls, detectors, problem, under_h1):
-        """One kernel counting the errors of every detector's fixed region,
-        under H0 or H1; the regions may differ in their threshold only."""
+    def mc_kernel(cls, detectors, problem, hypotheses):
+        """One kernel counting the errors of every detector's fixed region
+        under each hypothesis in ``hypotheses`` (False for H0, True for H1);
+        the regions may differ in their threshold only."""
         regions = [d.region(problem) for d in detectors]
         b = regions[0]
         if b.shape == "hyperplane":
-            return _LrtKernel(problem.separation(), [r.offset for r in regions], under_h1)
+            return _LrtKernel(problem.separation(), [r.offset for r in regions], hypotheses)
         if not all(np.array_equal(r.center, b.center) for r in regions):
             raise ConfigError("the balls of one sweep must share their center")
         return _QuadKernel(problem.k, problem.standardized_mu1(), b.center,
-                           [r.sq_radius for r in regions], under_h1)
+                           [r.sq_radius for r in regions], hypotheses)
 
 
 class LrtDetector(_RegionDetector):
@@ -454,11 +467,11 @@ class UmmTrainDetector(_RegionDetector):
         return _training_ball(zx, problem.rho, problem.k, self.p_fa)
 
     @classmethod
-    def mc_kernel(cls, detectors, problem, under_h1):
+    def mc_kernel(cls, detectors, problem, hypotheses):
         if problem.rho != 0.0 and all(d.x is None for d in detectors):
             levels, mu1 = [d.p_fa for d in detectors], problem.standardized_mu1()
-            return _UmmTrainKernel(problem.k, mu1, problem.rho, levels, under_h1)
-        return super().mc_kernel(detectors, problem, under_h1)
+            return _UmmTrainKernel(problem.k, mu1, problem.rho, levels, hypotheses)
+        return super().mc_kernel(detectors, problem, hypotheses)
 
 
 # ---------------------------------------------------------------------------

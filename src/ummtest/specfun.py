@@ -721,9 +721,14 @@ def _chisq_tail_pdf_vec(k, lam, t):
         if up:
             rest = w * h
             sc = n[pos.astype(np.int64)]  # w is not scaled, so its bounds are scaled to the sums
+            # far out, scaled density terms times hx may overflow; the
+            # product is then inf, the ratio bound reads false and the
+            # direction keeps summing unless the other bound holds, so an
+            # overflow never stops a sweep early
+            with np.errstate(over="ignore"):
+                ratio_ok = vu * hx <= tol_p * (ju * (ju + a) - hx)
             up_ok = ((rest <= np.ldexp(tol_t * step, sc))
-                     & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
-                        | (rest <= np.ldexp(tol_p * step, sc))))
+                     & (ratio_ok | (rest <= np.ldexp(tol_p * step, sc))))
             for row in (w, uu, vu):
                 np.copyto(row, 0.0, where=up_ok)
         if down:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ummtest import __version__, specfun
+from ummtest import __version__, cli, lan_models, specfun
 from ummtest.asymptotics import allocation_hardness, hardness_param
 from ummtest.cli import main
 from ummtest.nlp_detect import glrt_curve, lrt_curve
@@ -298,3 +298,41 @@ def test_simulate_plugin_worker_invariance(tmp_path, model):
     _, header, rows = _read(a)
     assert len(rows) == 3
     assert ("dev_from_limit" in header) == (model == "discrete")
+
+
+def test_back_to_back_calls_share_no_options(capsys):
+    # the parser is built once per process; each call parses into its own
+    # namespace, so an option given once does not stick to later calls
+    base = ["simulate", "--detector", "glrt", "--k", "2", "--delta", "2", "--trials", "500"]
+    cli._build_parser.cache_clear()
+    assert main(base) == 0
+    first = capsys.readouterr().out
+    assert main(base + ["--seed", "3"]) == 0
+    assert "# seed: 3" in capsys.readouterr().out
+    assert main(base) == 0
+    again = capsys.readouterr().out
+    assert "# seed: 0" in again
+    assert again == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_discrete_disk_false_alarms_draw_under_h0_only(tmp_path, monkeypatch):
+    # the false-alarm column of the three-symbol path draws its test
+    # estimates from the null alone; the miss column is the exact section
+    # average and draws training estimates only
+    draws = []
+    draw = lan_models.DiscreteModel.draw_estimates
+
+    def recorded(self, theta, n, u):
+        draws.append((np.array(theta), n))
+        return draw(self, theta, n, u)
+
+    monkeypatch.setattr(lan_models.DiscreteModel, "draw_estimates", recorded)
+    n, nx = 60, 90
+    assert main(["simulate", "--model", "discrete", "--k", "2", "--delta", "2",
+                 "--n", str(n), "--nx", str(nx), "--grid", "0.05:0.3:3",
+                 "--trials", "5000", "--out", str(tmp_path / "d.csv")]) == 0
+    tests = [theta for theta, size in draws if size == n]
+    assert len(tests) == 2  # one per block
+    assert all(np.array_equal(theta, np.full(2, 1.0 / 3.0)) for theta in tests)
+    assert len(draws) == 2 * len(tests)  # and one training draw per block

@@ -263,6 +263,31 @@ def test_binomial_quantile_matches_full_rows(n):
                           _full_row_quantile(u, m, 0.25, lf))
 
 
+def test_disk_kernel_rows_are_the_full_rows(monkeypatch):
+    # the disk kernel builds its CDF rows in one call; each equals the full
+    # row of _binom_cdf_row bit for bit and reads 1 past it, also at q = 1
+    # and q = 0, where one count takes all the mass
+    model = DiscreteModel(np.array([0.5, 0.3, 0.2]))
+    n = 1000
+    lf = lan_models._log_factorials(n)
+    row = lan_models._binom_cdf_row
+    built = []
+    monkeypatch.setattr(lan_models, "_binom_cdf_row", lambda *a: built.append(a) or row(*a))
+    alternatives = (local_alternative(np.array([2.0, -1.0]), model.theta0, model, n),
+                    np.array([0.5, 0.5]), np.array([0.5, 0.0]))
+    for theta1 in alternatives:
+        kern = _DiscreteDiskKernel(model, theta1, n, 100, 0.5, [0.1])
+        assert built == []
+        p = model._full(theta1)
+        q = p[1] / (p[1] + p[2])
+        assert kern.cdfs.shape == (kern.c1.size, n + 2)
+        for c1v, cdf in zip(kern.c1, kern.cdfs):
+            m = n - int(c1v)
+            assert cdf[0] == 0.0
+            assert np.array_equal(cdf[1 : m + 2], row(m, q, lf))
+            assert np.all(cdf[m + 2 :] == 1.0)
+
+
 def test_binomial_cut_holds_all_but_the_stated_mass():
     for n, q in ((1000, 1.0 / 9.0), (1000, 0.5), (50, 0.01), (3000, 0.97)):
         assert stats.binom.sf(lan_models._binom_top(n, q), n, q) <= lan_models._BINOM_CUT

@@ -248,7 +248,7 @@ def _sweep_case(rule):
                                   "plug-in-gaussian", "plug-in-discrete"])
 def test_sweep_equals_its_points(rule, monkeypatch):
     # a sweep is its grid points run one at a time, bit for bit, but draws
-    # each block once per hypothesis whatever the number of levels
+    # each block once whatever the number of levels and hypotheses
     from ummtest import lan_models
 
     fam, problem, (k, delta, rho) = _sweep_case(rule)
@@ -260,7 +260,7 @@ def test_sweep_equals_its_points(rule, monkeypatch):
     monkeypatch.setattr(montecarlo, "block_uniforms", lambda *a: calls.append(a) or draw(*a))
 
     curve = roc_sweep(fam, problem, grid, cfg)
-    assert len(calls) == 2 * nblocks
+    assert len(calls) == nblocks
     for i, p in enumerate(grid):
         e0 = estimate_error_probs(fam(float(p)), problem, "H0", cfg)
         e1 = estimate_error_probs(fam(float(p)), problem, "H1", cfg)
@@ -302,4 +302,50 @@ def test_sweep_needs_one_ball_center():
     dets = [nlp_detect.UmmTrainDetector(0.1, x=np.array([1.0, 0.0])),
             nlp_detect.UmmTrainDetector(0.2, x=np.array([0.0, 1.0]))]
     with pytest.raises(ConfigError):
-        dets[0].mc_kernel(dets, prob, False)
+        dets[0].mc_kernel(dets, prob, (False,))
+
+
+def test_single_hypothesis_evaluates_one_tail_per_trial(monkeypatch):
+    # a one-hypothesis estimate of the training test computes that
+    # hypothesis only: one conditional p-value per trial, from one draw
+    elements, draws = [], []
+    tail = nlp_detect._chisq_tail_vec
+    draw = montecarlo.block_uniforms
+
+    def counted(k, lam, t):
+        elements.append(np.broadcast(lam, t).size)
+        return tail(k, lam, t)
+
+    monkeypatch.setattr(nlp_detect, "_chisq_tail_vec", counted)
+    monkeypatch.setattr(montecarlo, "block_uniforms", lambda *a: draws.append(a) or draw(*a))
+    prob = nlp_detect.NlpProblem(k=2, delta=2.0, rho=3.0)
+    cfg = McConfig(trials=5000, seed=3)
+    for hyp in ("H0", "H1"):
+        del elements[:], draws[:]
+        estimate_error_probs(nlp_detect.UmmTrainDetector(0.1), prob, hyp, cfg)
+        assert sum(elements) == cfg.trials
+        assert len(draws) == 2
+    # a sweep evaluates both hypotheses in one tail call per block
+    del elements[:]
+    roc_sweep(nlp_detect.UmmTrainDetector, prob, [0.05, 0.1, 0.3], cfg)
+    assert elements == [2 * BLOCK, 2 * (cfg.trials - BLOCK)]
+
+
+def test_sweep_rejects_a_kernel_with_a_wrong_level_count():
+    # a sweep's kernel returns G levels under H0, then G under H1
+    class _Odd:
+        nu = 1
+
+        def values(self, u):
+            return np.zeros((3, u.shape[0]))
+
+    class _Det:
+        def __init__(self, p):
+            pass
+
+        @staticmethod
+        def mc_kernel(detectors, problem, hypotheses):
+            return _Odd()
+
+    with pytest.raises(ConfigError):
+        roc_sweep(_Det, None, [0.1, 0.2], McConfig(trials=200))

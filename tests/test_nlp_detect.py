@@ -334,7 +334,7 @@ def test_one_rule_one_truth(rule):
     assert np.array_equal(accepted, inside)
     assert 0 < np.count_nonzero(~accepted) < draws
     if rule != "plug-in":
-        kern = det.mc_kernel([det], prob, False)
+        kern = det.mc_kernel([det], prob, (False,))
         assert isinstance(kern, _LrtKernel if rule == "matched-filter" else _QuadKernel)
         assert np.array_equal(accepted, kern.values(u[:, : kern.nu])[0] == 0.0)
 
@@ -342,7 +342,7 @@ def test_one_rule_one_truth(rule):
 def test_detector_level_resolution():
     prob = NlpProblem(k=2, delta=2.0)
     det = LrtDetector(p_fa=0.1)
-    kern = det.mc_kernel([det], prob, False)
+    kern = det.mc_kernel([det], prob, (False,))
     assert kern.thresholds[0] == pytest.approx(2.0 * specfun.normal_tail_inv(0.1))
     with pytest.raises(ConfigError):
         LrtDetector()

@@ -9,6 +9,7 @@ either.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,17 @@ def test_vector_engine_elements_are_independent():
         assert one_tail[0] == tail[i] and one_pdf[0] == pdf[i], (lam[i], t[i])
     for i in range(0, lam.size, 11):
         assert specfun._chisq_tail_inv_vec(k, lam[i:i + 1], p[i:i + 1])[0] == inv[i]
+
+
+def test_vector_inverse_raises_no_overflow_warning():
+    # far in the upper tail at large noncentrality the scaled density terms
+    # times hx overflow in the up-direction bound; the bound reads false
+    # there and the result stays right, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = specfun._chisq_tail_inv_vec(1, np.array([1e7]), np.array([1e-300]))
+    assert t[0] == pytest.approx(10235678.89734737, rel=1e-15)
+    assert t[0] == pytest.approx(specfun.chisq_tail_inv(1, 1e7, 1e-300), rel=1e-15)
 
 
 @pytest.mark.parametrize("k", (1, 2, 8))
