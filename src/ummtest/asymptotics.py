@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import ConfigError, DomainError
 from .montecarlo import _check_grid
-from .nlp_detect import TradeoffCurve
+from .nlp_detect import TradeoffCurve, _check_delta, _check_rho
 
 __all__ = [
     "hardness_param",
@@ -48,15 +48,6 @@ def _check_dim(k) -> int:
     return int(k)
 
 
-def _check_delta_rho(delta, rho):
-    delta, rho = float(delta), float(rho)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"delta must be positive and finite, got {delta!r}")
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DomainError(f"rho must be nonnegative and finite, got {rho!r}")
-    return delta, rho
-
-
 def hardness_param(delta, rho, k) -> float:
     """Effective hardness of the training-data detector at dimension k.
 
@@ -64,7 +55,7 @@ def hardness_param(delta, rho, k) -> float:
     to delta itself as rho -> inf (training pins down the alternative) and
     to delta^2 sqrt(1+2 rho)/sqrt(2k) when k dominates.
     """
-    delta, rho = _check_delta_rho(delta, rho)
+    delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
     s = 1.0 + 2.0 * rho
     d2 = delta * delta
@@ -91,7 +82,7 @@ def hardness_high_rho(delta, rho) -> float:
 
     Leading term when rho grows with k = o(rho); the error is O(k/rho).
     """
-    delta, rho = _check_delta_rho(delta, rho)
+    delta, rho = _check_delta(delta), _check_rho(rho)
     return delta * (1.0 - 0.5 / (1.0 + rho))
 
 
@@ -101,7 +92,7 @@ def hardness_high_k(delta, rho, k) -> float:
     Leading term when k is of order delta^4 (1 + rho); the relative error
     shrinks like sqrt((1 + rho)/k) along that scaling.
     """
-    delta, rho = _check_delta_rho(delta, rho)
+    delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
     return delta * delta * math.sqrt(1.0 + 2.0 * rho) / math.sqrt(2.0 * k)
 
@@ -209,7 +200,7 @@ def blocklength_for_dimension(k, rho, delta, target_hardness) -> int:
     hardness grows without bound in n and the answer always exists; it
     scales like sqrt(k) at fixed (rho, delta, target) once k dominates.
     """
-    delta, rho = _check_delta_rho(delta, rho)
+    delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
     t = float(target_hardness)
     if not (math.isfinite(t) and t > 0.0):

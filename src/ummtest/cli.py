@@ -300,10 +300,9 @@ def _simulate_lan(args, grid, mc):
     setup = lan_models.TrainingSetup(
         n=n, n_x=nx, rho=_as_float(args.rho, "rho") if args.rho is not None else None
     )
-    rho_eff = lan_models.training_rho(model, setup)
     mu = np.zeros(model.k)
     mu[0] = float(d)
-    theta1 = lan_models.local_alternative(mu, model.theta0, model, n)
+    theta1 = lan_models.local_alternative(mu, model, n)
     problem = lan_models.LanProblem(model, theta1, setup)
 
     # three-symbol models get the conditional estimator (exact test-block
@@ -321,7 +320,7 @@ def _simulate_lan(args, grid, mc):
         fa = md.fa_hat
     rows = _sim_rows(fa, md)
     if with_dev:
-        ref = nlp_detect.umm_curve(float(d), rho_eff, model.k, grid, mc)
+        ref = nlp_detect.umm_curve(float(d), problem.rho, model.k, grid, mc)
         for row, r in zip(rows, ref.p_md.tolist()):
             row["dev_from_limit"] = abs(row["p_md"] - r)
     return columns, rows

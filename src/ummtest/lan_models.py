@@ -1,11 +1,11 @@
 """Locally asymptotically normal models and the plug-in detector.
 
 A smooth model with an efficient estimator behaves, near the null, like the
-Gaussian location problem: mapping estimates through
+Gaussian location problem: mapping estimates through the local coordinate
 
-    mu_hat = J^{1/2} r_n (theta_hat - theta0)
+    mu_hat = sqrt(n) J^{1/2} (theta_hat - theta0)
 
-turns the training test of ``nlp_detect`` into the plug-in rule
+makes the training test of ``nlp_detect`` the plug-in rule
 
     accept H0  iff  ||rho mu_hat_x + mu_hat_y||^2 < Q_{(k), eta0}^{-1}(p_fa)
 
@@ -15,9 +15,12 @@ grows.  This module provides the model interface, three concrete families
 information builders, the local reparametrization, the decision rule, and
 simulation kernels for finite-blocklength studies.
 
-Both normings here are sqrt(n) I, so the training quality is rho = n_x / n;
-a model with any other norming is accepted as long as the ratio
-r_{n_x} r_n^{-1} stays a scalar matrix, and rejected otherwise.
+Every family here has the rate sqrt(n), so the training quality is
+rho = n_x / n.  The map is the model's ``local(theta_hat, n)``, on the root
+J^{1/2} that each model computes once, at construction; ``local_coord``,
+``local_alternative``, ``LanProblem.standardize`` and both simulation
+kernels go through it, and ``AummDetector`` is ``UmmTrainDetector`` run on
+a ``LanProblem``.
 """
 
 import math
@@ -29,9 +32,7 @@ import numpy as np
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, StabilityError
 from .montecarlo import McConfig, McEstimate, _check_grid, _estimates, _point
-from .nlp_detect import (
-    TradeoffCurve, _check_pfa, _RegionDetector, _rowsq, _training_ball, _training_errors,
-)
+from .nlp_detect import TradeoffCurve, UmmTrainDetector, _check_pfa, _rowsq, _training_errors
 from .specfun import _chisq_tail_inv_vec
 
 __all__ = [
@@ -244,27 +245,40 @@ def _binom_quantile(u, m, q, lf):
 # model interface and the three concrete families
 
 class LanModel:
-    """Behavioral interface: sampling, estimation, information, norming.
+    """Behavioral interface: sampling, estimation, information, local map.
 
     Concrete models expose
 
         k                       parameter dimension
         theta0                  the null parameter (1-d, length k)
+        root                    J^{1/2} at theta0; each __init__ ends
+                                with ``_set_root()``
         sample(theta, n, rng)   one data block from an explicit generator
         estimate(data)          efficient estimator theta_hat
         fisher_info(theta=None) information matrix (default: at theta0)
-        norming(n)              the rate matrix r_n
         uniforms_per_block(n)   uniform variates one kernel trial consumes
         draw_estimates(theta, n, u)
                                 batched theta_hat draws from kernel uniforms
 
     ``draw_estimates`` is the Monte Carlo path: it must reproduce the exact
     finite-n law of the estimator from ``(rows, uniforms_per_block(n))``
-    open-interval uniforms, deterministically.
+    open-interval uniforms, deterministically.  Every family has the rate
+    sqrt(n).
     """
 
     k: int
     theta0: np.ndarray
+    root: np.ndarray
+
+    def _set_root(self):
+        # once per model, at construction, so that no kernel computes it on
+        # a pool thread
+        self.root = linalg.sym_sqrt(self.fisher_info())
+
+    def local(self, theta_hat, n):
+        """Local coordinate sqrt(n) J^{1/2} (theta_hat - theta0) of one
+        estimate, or of each row of a batch."""
+        return (theta_hat - self.theta0) @ (math.sqrt(n) * self.root).T
 
     def sample(self, theta, n, rng):
         raise NotImplementedError
@@ -274,12 +288,6 @@ class LanModel:
 
     def fisher_info(self, theta=None):
         raise NotImplementedError
-
-    def norming(self, n):
-        """Rate matrix r_n; sqrt(n) I for every family implemented here."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"blocklength must be a positive integer, got {n!r}")
-        return math.sqrt(n) * np.eye(self.k)
 
     def uniforms_per_block(self, n):
         raise NotImplementedError
@@ -297,7 +305,7 @@ class LanModel:
 class GaussianLocationModel(LanModel):
     """I.i.d. N(theta, I_k) observations; the sample mean is efficient.
 
-    J = I and r_n = sqrt(n) I, so the local coordinate of the sample mean
+    J = I, so the local coordinate of the sample mean
     is sqrt(n) (ybar - theta0) and the plug-in rule reproduces the exact
     Gaussian training test.  The mean's law is N(theta, I/n) at every n, so
     the kernel path draws the estimator directly (k uniforms per trial).
@@ -308,6 +316,7 @@ class GaussianLocationModel(LanModel):
             raise DomainError(f"k must be a positive integer, got {k!r}")
         self.k = int(k)
         self.theta0 = np.zeros(self.k) if theta0 is None else self._check_theta(theta0)
+        self._set_root()
 
     def sample(self, theta, n, rng):
         th = self._check_theta(theta)
@@ -346,6 +355,7 @@ class DiscreteModel(LanModel):
         self.k = p.size - 1
         self.p_null = p / p.sum()
         self.theta0 = self.p_null[: self.k].copy()
+        self._set_root()
 
     def _full(self, theta):
         th = self._check_theta(theta)
@@ -411,6 +421,7 @@ class ArModel(LanModel):
         self.sigma = float(sigma)
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {sigma!r}")
+        self._set_root()
 
     def fisher_info(self, theta=None):
         th = self.theta0 if theta is None else self._check_theta(theta)
@@ -470,30 +481,31 @@ class LocalCoord:
     hardness: float
 
 
-def local_coord(theta, theta0, model: LanModel, n: int) -> LocalCoord:
-    """mu = J^{1/2} r_n (theta - theta0) and its norm.
+def _check_blocklength(n):
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"blocklength must be a positive integer, got {n!r}")
+    return n
 
-    The symmetric information root makes ||mu||^2 = (theta - theta0)'
-    (r_n' J r_n) (theta - theta0) hold to roundoff, which is what the
-    Pearson identity checks on the discrete family.
+
+def local_coord(theta, model: LanModel, n: int) -> LocalCoord:
+    """mu = sqrt(n) J^{1/2} (theta - theta0) and its norm.
+
+    The symmetric information root makes ||mu||^2 = n (theta - theta0)' J
+    (theta - theta0) hold to roundoff, which is what the Pearson identity
+    checks on the discrete family.
     """
-    th = np.asarray(theta, dtype=float)
-    th0 = np.asarray(theta0, dtype=float)
-    root = linalg.sym_sqrt(model.fisher_info(th0))
-    mu = root @ (model.norming(n) @ (th - th0))
+    mu = model.local(np.asarray(theta, dtype=float), _check_blocklength(n))
     return LocalCoord(mu=mu, hardness=float(np.linalg.norm(mu)))
 
 
-def local_alternative(mu, theta0, model: LanModel, n: int) -> np.ndarray:
+def local_alternative(mu, model: LanModel, n: int) -> np.ndarray:
     """Parameter whose local coordinate at blocklength n is ``mu``.
 
-    Inverse of ``local_coord``: theta = theta0 + r_n^{-1} J^{-1/2} mu.
+    Inverse of ``local_coord`` on the same root: theta = theta0 + J^{-1/2}
+    mu / sqrt(n).
     """
-    mu = np.asarray(mu, dtype=float)
-    th0 = np.asarray(theta0, dtype=float)
-    root = linalg.sym_sqrt(model.fisher_info(th0))
-    w = linalg.spd_solve(root, mu)
-    return th0 + np.linalg.solve(model.norming(n), w)
+    w = linalg.spd_solve(model.root, np.asarray(mu, dtype=float))
+    return model.theta0 + w / math.sqrt(_check_blocklength(n))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +515,8 @@ def local_alternative(mu, theta0, model: LanModel, n: int) -> np.ndarray:
 class TrainingSetup:
     """Blocklengths for one test: n observations, n_x training samples.
 
-    ``rho`` may be given explicitly; left as None it is resolved from the
-    model's norming ratio (n_x / n for sqrt(n)-norming families).
+    ``rho`` may be given explicitly; left as None it is n_x / n.  Without
+    training (n_x = 0) it can only be 0.
     """
 
     n: int
@@ -516,36 +528,26 @@ class TrainingSetup:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.n_x, (int, np.integer)) or self.n_x < 0:
             raise ConfigError(f"n_x must be a nonnegative integer, got {self.n_x!r}")
-        if self.rho is not None and not (
-            math.isfinite(self.rho) and self.rho >= 0.0
-        ):
+        if self.rho is not None and not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise ConfigError(f"rho must be a finite nonnegative real, got {self.rho!r}")
+        if self.n_x == 0 and self.rho:
+            raise ConfigError(f"rho = {self.rho!r} needs training samples (n_x > 0)")
 
 
-def training_rho(model: LanModel, setup: TrainingSetup) -> float:
-    """Training quality: the squared scalar of r_{n_x} r_n^{-1}.
-
-    The limit theory needs that ratio to be sqrt(rho) I; a model whose
-    normings do not commute to a scalar matrix has no single training
-    quality and is rejected.
-    """
+def training_rho(setup: TrainingSetup) -> float:
+    """Training quality: ``setup.rho`` if given, else n_x / n."""
     if setup.rho is not None:
         return float(setup.rho)
-    if setup.n_x == 0:
-        return 0.0
-    ratio = model.norming(setup.n_x) @ np.linalg.inv(model.norming(setup.n))
-    s = float(np.trace(ratio)) / model.k
-    if not np.allclose(ratio, s * np.eye(model.k), rtol=1e-9, atol=1e-12):
-        raise ConfigError(
-            "norming ratio r_nx r_n^{-1} is not a scalar matrix; "
-            "no training quality rho exists for this setup"
-        )
-    return s * s
+    return setup.n_x / setup.n
 
 
 @dataclass(eq=False)
 class LanProblem:
-    """A model with its alternative parameter and blocklengths, for simulation."""
+    """A model with its alternative parameter and blocklengths, for simulation.
+
+    In local coordinates it is the location problem of ``nlp_detect``: its
+    ``k``, ``rho`` and ``standardize`` are what ``UmmTrainDetector`` reads.
+    """
 
     model: LanModel
     theta1: np.ndarray
@@ -554,22 +556,26 @@ class LanProblem:
     def __post_init__(self):
         self.theta1 = self.model._check_theta(self.theta1)
 
-    def standardize(self, data):
-        """Local coordinate J^{1/2} r_n (theta_hat - theta0) of a data block.
+    @property
+    def k(self) -> int:
+        return self.model.k
 
-        Training and test blocks are both normed by the *test* rate r_n, so
-        in the plug-in rule the training block enters scaled by rho.
+    @property
+    def rho(self) -> float:
+        return training_rho(self.setup)
+
+    def standardize(self, data):
+        """Local coordinate sqrt(n) J^{1/2} (theta_hat - theta0) of a data block.
+
+        Training and test blocks are both mapped at the *test* blocklength
+        n, so in the plug-in rule the training block enters scaled by rho.
         """
-        model = self.model
-        return local_coord(model.estimate(data), model.theta0, model, self.setup.n).mu
+        return self.model.local(self.model.estimate(data), self.setup.n)
 
     @property
     def label(self) -> str:
-        # ||mu|| of local_coord as the quadratic form sqrt(v' J v), v = r_n
-        # (theta1 - theta0): the same hardness without a matrix root
         model = self.model
-        v = model.norming(self.setup.n) @ (self.theta1 - model.theta0)
-        d = math.sqrt(float(v @ model.fisher_info(model.theta0) @ v))
+        d = local_coord(self.theta1, model, self.setup.n).hardness
         return (
             f"{type(model).__name__} k={model.k} d={d:g} "
             f"n={self.setup.n} nx={self.setup.n_x}"
@@ -581,59 +587,44 @@ class _AummIndicatorKernel:
     hypothesis, apply the plug-in rule at every level through one
     conditional p-value per trial and hypothesis, count errors."""
 
-    def __init__(self, model, theta1, setup, levels, hypotheses):
-        self.model = model
-        self.theta1 = theta1
-        self.setup = setup
+    def __init__(self, problem: LanProblem, levels, hypotheses):
+        self.problem = problem
         self.levels = levels
         self.hypotheses = hypotheses
-        self.rho = training_rho(model, setup)
-        self.root = linalg.sym_sqrt(model.fisher_info())
+        model, setup = problem.model, problem.setup
         self.nu_x = model.uniforms_per_block(setup.n_x) if setup.n_x > 0 else 0
         self.nu = self.nu_x + model.uniforms_per_block(setup.n)
-        self.sqrt_n = math.sqrt(setup.n)
-
-    def _local(self, theta_hat):
-        return (theta_hat - self.model.theta0) @ (self.sqrt_n * self.root).T
 
     def values(self, u):
-        mux = np.zeros((u.shape[0], self.model.k))
+        p = self.problem
+        model, n = p.model, p.setup.n
+        mux = np.zeros((u.shape[0], model.k))
         if self.nu_x > 0:
-            thx = self.model.draw_estimates(self.theta1, self.setup.n_x, u[:, : self.nu_x])
-            mux = self.rho * self._local(thx)
+            thx = model.draw_estimates(p.theta1, p.setup.n_x, u[:, : self.nu_x])
+            mux = p.rho * model.local(thx, n)
         stats = []
         for h in self.hypotheses:
-            theta_test = self.theta1 if h else self.model.theta0
-            thy = self.model.draw_estimates(theta_test, self.setup.n, u[:, self.nu_x :])
-            stats.append(_rowsq(mux + self._local(thy)))
-        return _training_errors(self.model.k, _rowsq(mux), stats, self.levels, self.hypotheses)
+            theta_test = p.theta1 if h else model.theta0
+            thy = model.draw_estimates(theta_test, n, u[:, self.nu_x :])
+            stats.append(_rowsq(mux + model.local(thy, n)))
+        return _training_errors(model.k, _rowsq(mux), stats, self.levels, self.hypotheses)
 
 
-class AummDetector(_RegionDetector):
-    """Plug-in detector at level p_fa; simulates against a LanProblem.
+class AummDetector(UmmTrainDetector):
+    """Plug-in detector at level p_fa: the training test on a LanProblem.
 
     Its region is the training test's ball in local coordinates, so on
-    identical standardized inputs the two rules agree bit for bit.
+    identical standardized inputs the two rules agree bit for bit; with
+    rho = 0 it ignores the training block and is the energy test.  The
+    training block is always the one passed to ``region``/``decide``.
     """
 
-    def region(self, problem: LanProblem, x=None):
-        """The ball for training block x; with n_x = 0 (or rho = 0) the rule
-        ignores x and reduces to the energy test."""
-        k = problem.model.k
-        rho = training_rho(problem.model, problem.setup)
-        if rho == 0.0 or problem.setup.n_x == 0:
-            zx = np.zeros(k)
-        elif x is None:
-            raise ConfigError("plug-in region needs the training block x")
-        else:
-            zx = problem.standardize(x)
-        return _training_ball(zx, rho, k, self.p_fa)
+    def __init__(self, p_fa):
+        super().__init__(p_fa)
 
     @classmethod
     def mc_kernel(cls, detectors, problem: LanProblem, hypotheses):
-        return _AummIndicatorKernel(
-            problem.model, problem.theta1, problem.setup, [d.p_fa for d in detectors], hypotheses
-        )
+        return _AummIndicatorKernel(problem, [d.p_fa for d in detectors], hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +654,6 @@ class _DiscreteDiskKernel:
         self.rho = rho
         self.levels = levels
         self.nu = model.k
-        self.root = linalg.sym_sqrt(model.fisher_info())
-        self.sqrt_n = math.sqrt(self.n)
         # test-lattice geometry, shared by every trial
         p = model._full(self.theta1)
         lf = _log_factorials(self.n)
@@ -682,9 +671,11 @@ class _DiscreteDiskKernel:
         elif q > 0.0:
             rows = _binom_cdf_rows(self.n - self.c1, q, lf)
             self.cdfs[:, 1 : rows.shape[1] + 1] = rows
-        self.base = -self.sqrt_n * (self.root @ model.theta0)
-        self.s0 = self.root[:, 0] / self.sqrt_n
-        self.s1 = self.root[:, 1] / self.sqrt_n
+        # mu_hat_y = base + s0 c1 + s1 c2 on the test lattice
+        sqrt_n = math.sqrt(self.n)
+        self.base = -sqrt_n * (model.root @ model.theta0)
+        self.s0 = model.root[:, 0] / sqrt_n
+        self.s1 = model.root[:, 1] / sqrt_n
 
     def _miss_given(self, centers, thr):
         """P(||center + mu_hat_y||^2 < thr) exactly, per row."""
@@ -709,8 +700,7 @@ class _DiscreteDiskKernel:
 
     def values(self, u):
         counts = self.model.counts_from_uniforms(self.theta1, self.n_x, u)
-        thx = counts / float(self.n_x)
-        mux = self.rho * ((thx - self.model.theta0) @ (self.sqrt_n * self.root).T)
+        mux = self.rho * self.model.local(counts / float(self.n_x), self.n)
         shape = (len(self.levels), mux.shape[0])
         th0 = np.broadcast_to(_rowsq(mux), shape)
         thr = _chisq_tail_inv_vec(2, th0, np.asarray(self.levels, dtype=float)[:, None])
@@ -725,21 +715,20 @@ def discrete_aumm_curve(
     Conditional Monte Carlo: the test block's miss probability given each
     training draw is computed exactly on the count lattice, so the
     simulation only averages over training randomness, and one set of
-    training draws serves every level.  Without training (n_x = 0) nothing
+    training draws serves every level.  Without training (rho = 0) nothing
     is random and the exact values come back with zero-width intervals,
     mirroring umm_pmd's rho = 0 contract.
     """
     g = _check_grid(p_fa_grid)
     if not isinstance(model, DiscreteModel):
         raise ConfigError("discrete_aumm_curve needs a DiscreteModel")
-    rho = training_rho(model, setup)
+    rho = training_rho(setup)
     label = f"discrete plug-in m={model.m} n={setup.n} nx={setup.n_x}"
-    if setup.n_x == 0 or rho == 0.0:
-        kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, 0.0, g)
+    kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, rho, g)
+    if rho == 0.0:
         thr = np.array([specfun.chisq_tail_inv(model.k, 0.0, p) for p in g.tolist()])
         v = kern._miss_given(np.zeros((g.size, model.k)), thr)
         return TradeoffCurve(g, v, "simulated", label, ci_low=v, ci_high=v)
-    kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, rho, g)
     md, lo, hi = _estimates(kern, mc)
     return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
 

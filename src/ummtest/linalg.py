@@ -1,18 +1,19 @@
 """Small dense symmetric linear algebra.
 
-Covers exactly what the detectors need: an eigendecomposition for known
-covariance / Fisher information matrices, square-root factors, and sample
-standardization.  Sizes here are small (k up to a few dozen) and every call
-happens at set-up time, so LAPACK's symmetric eigensolver through
-``numpy.linalg.eigh`` serves.  Results may differ across platforms in the
-last bits; the only determinism promised is across worker counts.
+Covers exactly what the detectors need: the symmetric square root of a
+known covariance or Fisher information matrix, sample standardization and
+a positive definite solve, all from one eigendecomposition.  Sizes here
+are small (k up to a few dozen) and every call happens at set-up time, so
+LAPACK's symmetric eigensolver through ``numpy.linalg.eigh`` serves.
+Results may differ across platforms in the last bits; the only
+determinism promised is across worker counts.
 """
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
 
-__all__ = ["sym_eig", "sqrt_factor", "sym_sqrt", "standardize", "spd_solve"]
+__all__ = ["sym_sqrt", "standardize", "spd_solve"]
 
 
 def _as_sym(m):
@@ -25,32 +26,17 @@ def _as_sym(m):
     return 0.5 * (m + m.T)
 
 
-def sym_eig(m):
-    """Eigendecomposition m = A diag(w) A^t of a symmetric matrix.
-
-    Returns (w, A) with eigenvalues in descending order and orthonormal
-    columns, from ``numpy.linalg.eigh``.
-    """
-    w, v = np.linalg.eigh(_as_sym(m))
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def _spd_eig(m, who):
-    w, a = sym_eig(m)
+    """Eigendecomposition m = A diag(w) A^t of a symmetric positive definite
+    matrix: (w, A) with eigenvalues in descending order and orthonormal
+    columns, from ``numpy.linalg.eigh``.  Raises SingularityError naming
+    ``who`` unless every eigenvalue exceeds 1e-12 of the largest."""
+    w, a = np.linalg.eigh(_as_sym(m))
+    w, a = w[::-1].copy(), a[:, ::-1].copy()
     if w[0] <= 0.0 or w[-1] <= 1e-12 * w[0]:
         raise SingularityError(
             "%s: matrix not positive definite (smallest eigenvalue %.6g)" % (who, w[-1]))
     return w, a
-
-
-def sqrt_factor(m):
-    """Square-root factor S = A diag(sqrt(w)) with S S^t = m.
-
-    The factor is basis-dependent (generally non-symmetric); everything
-    downstream uses only S S^t, so any valid diagonalization is fine.
-    """
-    w, a = _spd_eig(m, "sqrt_factor")
-    return a * np.sqrt(w)
 
 
 def sym_sqrt(m):
@@ -60,7 +46,8 @@ def sym_sqrt(m):
 
 
 def standardize(samples, mean, cov):
-    """Map samples y to v solving sqrt_factor(cov) v = y - mean.
+    """Map samples y to v solving A diag(sqrt(w)) v = y - mean, where
+    cov = A diag(w) A^t.
 
     samples may be a single vector or an (n, k) array; the output matches.
     Standardized draws from N(mean, cov) have identity covariance.
@@ -77,7 +64,7 @@ def standardize(samples, mean, cov):
 
 
 def spd_solve(m, b):
-    """Solve m x = b for symmetric positive definite m (via sym_eig)."""
+    """Solve m x = b for symmetric positive definite m (via its eigendecomposition)."""
     w, a = _spd_eig(m, "spd_solve")
     b = np.asarray(b, dtype=float)
     return a @ ((a.T @ b).T / w).T

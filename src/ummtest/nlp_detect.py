@@ -11,6 +11,7 @@ coordinates z = Sigma^{-1/2}(y - mu0):
 * training test (``UmmTrainDetector``, ``umm_*``) -- a noisy labeled sample
   x of the alternative is available with precision rho; the ball
   ||z + rho x||^2 < Q_{(k), ||rho x||^2}^{-1}(p_fa) centered at -rho x.
+  On a ``lan_models.LanProblem`` it is the plug-in rule (``AummDetector``).
 
 The training rule holds its false-alarm level conditionally on every
 realization of x, and its tradeoff curve sits between the other two,
@@ -262,8 +263,6 @@ def _training_ball(zx, rho, k, p_fa) -> RegionBoundary:
     Centered at -rho zx, with squared radius the noncentral quantile at
     noncentrality ||rho zx||^2, which makes the conditional false-alarm
     probability exactly p_fa for every zx; zx = 0 gives the energy test.
-    Shared with the plug-in rule in lan_models, so the two agree bit for
-    bit on identical standardized inputs.
     """
     th0 = rho * rho * float(zx @ zx)
     q = specfun.chisq_tail_inv(k, th0, p_fa)
@@ -449,7 +448,8 @@ class UmmTrainDetector(_RegionDetector):
     With ``x`` given, simulation freezes the training sample and draws only
     test data (the conditional-significance check); otherwise each trial
     draws a fresh x ~ N(mu1, I/rho).  ``region`` and ``decide`` take the
-    training sample as argument, falling back on the frozen one.
+    training sample as argument, falling back on the frozen one; with
+    rho = 0 they ignore it.
     """
 
     def __init__(self, p_fa, x=None):
@@ -458,12 +458,12 @@ class UmmTrainDetector(_RegionDetector):
 
     def region(self, problem, x=None) -> RegionBoundary:
         x = self.x if x is None else x
-        if x is not None:
-            zx = problem.standardize(x)
-        elif problem.rho == 0.0:
+        if problem.rho == 0.0:
             zx = np.zeros(problem.k)  # no training: the energy test
-        else:
+        elif x is None:
             raise ConfigError("training-test region needs the training sample x")
+        else:
+            zx = problem.standardize(x)
         return _training_ball(zx, problem.rho, problem.k, self.p_fa)
 
     @classmethod

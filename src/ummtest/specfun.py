@@ -34,7 +34,6 @@ __all__ = [
     "normal_tail_inv",
     "chisq_tail",
     "chisq_tail_inv",
-    "chisq_tail_inv_approx",
     "log_bessel_i",
     "log_vmf_const",
     "vmf_const_inv",
@@ -305,19 +304,6 @@ def chisq_tail(k: int, lam: float, t: float) -> float:
     if not math.isfinite(t) or t < 0.0:
         raise DomainError("chisq_tail: t must be finite and >= 0")
     return _chisq_tail_pdf(k, lam, t)[0]
-
-
-def chisq_tail_inv_approx(k: int, lam: float, p: float) -> float:
-    """Normal approximation to the noncentral chi-square upper quantile.
-
-    Returns sqrt(2(k + 2 lam)) * normal_tail_inv(p) + k + lam; the
-    correction term is O(1/sqrt(max(k, lam))), so this degrades gracefully.
-    The exact inverse starts from Sankaran's approximation instead.
-    """
-    k, lam = _check_chisq_params(k, lam)
-    if not (0.0 < p < 1.0):
-        raise DomainError("chisq_tail_inv_approx: p must lie in (0,1)")
-    return math.sqrt(2.0 * (k + 2.0 * lam)) * normal_tail_inv(p) + k + lam
 
 
 def _sankaran(k, lam, z, maximum=max):

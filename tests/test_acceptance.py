@@ -182,7 +182,7 @@ def test_local_coordinate_norm_equals_pearson_statistic():
         model = DiscreteModel(p0)
         n = int(rng.integers(20, 400))
         ptype = rng.multinomial(n, rng.dirichlet(np.full(m, 3.0))) / n
-        lc = local_coord(ptype[: m - 1], model.theta0, model, n)
+        lc = local_coord(ptype[: m - 1], model, n)
         stat = lan_models.pearson_stat(ptype, model.p_null, n)
         assert abs(lc.hardness**2 - stat) <= 1e-10 * max(1.0, stat)
 
@@ -201,7 +201,7 @@ def test_discrete_model_error_converges_to_gaussian_limit():
     for n in blocklengths:
         eps = math.sqrt(4.0 / (6.0 * n))
         theta1 = model.theta0 + eps * np.array([1.0, -1.0])
-        lc = local_coord(theta1, model.theta0, model, n)
+        lc = local_coord(theta1, model, n)
         assert abs(lc.hardness - 2.0) < 1e-9
         est = lan_models.discrete_aumm_pmd(model, theta1,
                                            TrainingSetup(n=n, n_x=0), 0.1, mc)
@@ -213,7 +213,7 @@ def test_discrete_model_error_converges_to_gaussian_limit():
     # equal training and test blocks (rho = 1), alternative on the first axis
     devs = []
     for n in blocklengths:
-        theta1 = lan_models.local_alternative([2.0, 0.0], model.theta0, model, n)
+        theta1 = lan_models.local_alternative([2.0, 0.0], model, n)
         est = lan_models.discrete_aumm_pmd(model, theta1,
                                            TrainingSetup(n=n, n_x=n), 0.1, mc)
         ref = nlp_detect.umm_pmd(0.1, 2.0, 1.0, 2, mc)
@@ -301,13 +301,6 @@ def test_special_function_reference_suite():
     t = -2.0 * math.log(0.1)
     assert abs(specfun.chisq_tail(2, 4.0, t) - 0.54226740) < 4.726e-4
     assert abs(specfun.chisq_tail_inv(2, 4.0, 0.1) - 12.06151467) < 1.099e-2
-
-    # the fast normal-approximation quantile improves with dimension
-    errs = []
-    for k in (10, 100, 1000):
-        t = specfun.chisq_tail_inv_approx(k, 0.0, 0.1)
-        errs.append(abs(specfun.chisq_tail(k, 0.0, t) - 0.1))
-    assert errs[0] > errs[1] > errs[2]
 
 
 # ---------------------------------------------------------------------------

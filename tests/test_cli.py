@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ummtest import __version__, cli, lan_models, specfun
+from ummtest import __version__, cli, lan_models, linalg, specfun
 from ummtest.asymptotics import allocation_hardness, hardness_param
 from ummtest.cli import main
 from ummtest.nlp_detect import glrt_curve, lrt_curve
@@ -172,6 +172,27 @@ def test_simulate_lan_discrete_reports_limit_gap(tmp_path):
     assert header[-1] == "dev_from_limit"
     dev = float(rows[0]["dev_from_limit"])
     assert 0.0 <= dev < 0.05
+
+
+def test_simulate_lan_rho_without_training_exits_two(capsys):
+    # with --nx 0 no rule uses a training block, and a positive --rho would
+    # only move dev_from_limit to the wrong limit curve
+    base = ["simulate", "--model", "discrete", "--k", "2", "--n", "200", "--nx", "0",
+            "--delta", "2", "--p-fa", "0.1", "--trials", "1000"]
+    assert main(base + ["--rho", "3"]) == 2
+    assert "needs training samples" in capsys.readouterr().err
+    assert main(base + ["--rho", "0"]) == 0
+
+
+def test_simulate_lan_computes_one_matrix_root(tmp_path, monkeypatch):
+    # the model's J^{1/2} serves the alternative, both kernels and the label
+    calls = []
+    root = linalg.sym_sqrt
+    monkeypatch.setattr(linalg, "sym_sqrt", lambda m: calls.append(m) or root(m))
+    assert main(["simulate", "--model", "discrete", "--k", "2", "--n", "200", "--nx", "200",
+                 "--delta", "2", "--p-fa", "0.1", "--trials", "1000",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_lan_ar_k_guard(capsys):

@@ -18,7 +18,6 @@ from ummtest.lan_models import (
     AummDetector,
     DiscreteModel,
     GaussianLocationModel,
-    LanModel,
     LanProblem,
     TrainingSetup,
     _DiscreteDiskKernel,
@@ -60,7 +59,7 @@ def test_pearson_identity_with_local_coord():
         n = 500
         th = model.theta0 + rng.uniform(-1.0, 1.0, model.k) * np.min(p0) / 4.0
         full = np.concatenate([th, [1.0 - th.sum()]])
-        lc = local_coord(th, model.theta0, model, n)
+        lc = local_coord(th, model, n)
         assert abs(lc.hardness**2 - pearson_stat(full, model.p_null, n)) < 1e-8
     with pytest.raises(DomainError):
         pearson_stat([0.5, 0.5], [1.0, 0.0], 10)
@@ -124,33 +123,39 @@ def test_local_coord_roundtrip():
     ]
     for model, n in cases:
         mu = rng.standard_normal(model.k)
-        th = local_alternative(mu, model.theta0, model, n)
-        lc = local_coord(th, model.theta0, model, n)
+        th = local_alternative(mu, model, n)
+        lc = local_coord(th, model, n)
         assert np.max(np.abs(lc.mu - mu)) < 1e-9
         assert abs(lc.hardness - np.linalg.norm(mu)) < 1e-9
+    with pytest.raises(DomainError):
+        local_coord(th, model, 0)
+    with pytest.raises(DomainError):
+        local_alternative(mu, model, 2.5)
 
 
 def test_training_rho():
-    model = GaussianLocationModel(2)
-    assert training_rho(model, TrainingSetup(n=100, n_x=0)) == 0.0
-    assert abs(training_rho(model, TrainingSetup(n=100, n_x=25)) - 0.25) < 1e-12
-    assert training_rho(model, TrainingSetup(n=100, n_x=25, rho=3.0)) == 3.0
-
-    class Skewed(LanModel):
-        k = 2
-        theta0 = np.zeros(2)
-
-        def norming(self, n):
-            return np.diag([math.sqrt(n), float(n)])
-
-    with pytest.raises(ConfigError):
-        training_rho(Skewed(), TrainingSetup(n=100, n_x=25))
+    assert training_rho(TrainingSetup(n=100, n_x=0)) == 0.0
+    assert abs(training_rho(TrainingSetup(n=100, n_x=25)) - 0.25) < 1e-12
+    assert training_rho(TrainingSetup(n=100, n_x=25, rho=3.0)) == 3.0
+    assert training_rho(TrainingSetup(n=200, n_x=0, rho=0.0)) == 0.0
+    # n_x / n itself, with no matrix algebra to round it
+    assert training_rho(TrainingSetup(n=1000, n_x=1000)) == 1.0
+    assert training_rho(TrainingSetup(n=40, n_x=80)) == 2.0
+    prob = LanProblem(DiscreteModel([0.2, 0.3, 0.5]), np.array([0.25, 0.28]),
+                      TrainingSetup(n=40, n_x=80))
+    assert (prob.k, prob.rho) == (2, 2.0)
     with pytest.raises(ConfigError):
         TrainingSetup(n=0)
     with pytest.raises(ConfigError):
         TrainingSetup(n=10, n_x=-1)
     with pytest.raises(ConfigError):
         TrainingSetup(n=10, rho=-2.0)
+    # without training samples every rule is the energy test, so a positive
+    # rho there would only mislabel the run
+    with pytest.raises(ConfigError):
+        TrainingSetup(n=200, n_x=0, rho=3.0)
+    with pytest.raises(ConfigError):
+        TrainingSetup(n=200, rho=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ def test_gaussian_plug_in_matches_location_rule():
     k, n, n_x = 3, 50, 200
     model = GaussianLocationModel(k)
     rho = n_x / n
-    setup = TrainingSetup(n=n, n_x=n_x, rho=rho)
+    setup = TrainingSetup(n=n, n_x=n_x)
     x = model.sample(np.array([0.3, 0.0, -0.1]), n_x, rng)
     y = model.sample(np.zeros(k), n, rng)
     lprob = LanProblem(model=model, theta1=np.array([0.3, 0.0, -0.1]), setup=setup)
@@ -180,14 +185,40 @@ def test_gaussian_kernel_matches_location_kernel():
     k, n, n_x = 2, 100, 100
     model = GaussianLocationModel(k)
     mu = np.array([2.0, 0.0])
-    theta1 = local_alternative(mu, model.theta0, model, n)
+    theta1 = local_alternative(mu, model, n)
     lprob = LanProblem(model=model, theta1=theta1,
-                       setup=TrainingSetup(n=n, n_x=n_x, rho=1.0))
+                       setup=TrainingSetup(n=n, n_x=n_x))
     nprob = NlpProblem(k=k, mu1=mu, rho=1.0)
     cfg = McConfig(trials=20_000, seed=5)
     e_lan = estimate_error_probs(AummDetector(0.1), lprob, "H1", cfg)
     e_nlp = estimate_error_probs(UmmTrainDetector(0.1), nprob, "H1", cfg)
     assert abs(e_lan.p_hat - e_nlp.p_hat) * cfg.trials <= 2.0
+
+
+def test_plug_in_decisions_on_symbols_are_the_kernel_verdicts():
+    # the plug-in rule is the training test's region in local coordinates:
+    # its decisions on symbol blocks holding the kernel's own counts are the
+    # kernel's H0 verdicts, trial for trial
+    assert "region" not in AummDetector.__dict__
+    model = DiscreteModel(np.array([0.5, 0.3, 0.2]))
+    setup = TrainingSetup(n=60, n_x=120)
+    problem = LanProblem(model, local_alternative(np.array([2.0, -1.0]), model, setup.n), setup)
+    det = AummDetector(0.2)
+    kern = AummDetector.mc_kernel([det], problem, (False,))
+    u = block_uniforms(6, 0, 400, kern.nu)
+    false_alarms = kern.values(u)[0]
+    cx = model.counts_from_uniforms(problem.theta1, setup.n_x, u[:, : kern.nu_x])
+    cy = model.counts_from_uniforms(model.theta0, setup.n, u[:, kern.nu_x :])
+
+    def symbols(counts, n):
+        return np.repeat(np.arange(model.m), np.append(counts, n - counts.sum()))
+
+    rejected = np.array([
+        not det.decide(symbols(y, setup.n), problem, x=symbols(x, setup.n_x)).accepted
+        for x, y in zip(cx, cy)
+    ])
+    assert np.array_equal(rejected, false_alarms == 1.0)
+    assert 0 < np.count_nonzero(rejected) < rejected.size
 
 
 def test_gaussian_estimator_law():
@@ -273,7 +304,7 @@ def test_disk_kernel_rows_are_the_full_rows(monkeypatch):
     row = lan_models._binom_cdf_row
     built = []
     monkeypatch.setattr(lan_models, "_binom_cdf_row", lambda *a: built.append(a) or row(*a))
-    alternatives = (local_alternative(np.array([2.0, -1.0]), model.theta0, model, n),
+    alternatives = (local_alternative(np.array([2.0, -1.0]), model, n),
                     np.array([0.5, 0.5]), np.array([0.5, 0.0]))
     for theta1 in alternatives:
         kern = _DiscreteDiskKernel(model, theta1, n, 100, 0.5, [0.1])
@@ -298,7 +329,7 @@ def test_binomial_cut_holds_all_but_the_stated_mass():
 def test_lan_problem_label_needs_no_matrix_root(monkeypatch):
     model = DiscreteModel([0.2, 0.3, 0.5])
     prob = LanProblem(model, np.array([0.25, 0.28]), TrainingSetup(n=500, n_x=100))
-    d = local_coord(prob.theta1, model.theta0, model, 500).hardness
+    d = local_coord(prob.theta1, model, 500).hardness
 
     def no_root(*args):
         raise AssertionError("label computed a matrix root")
@@ -311,7 +342,7 @@ def test_discrete_no_training_value_is_exact():
     # full lattice enumeration (scipy multinomial) against the library value
     model = DiscreteModel(np.full(3, 1.0 / 3.0))
     n = 40
-    theta1 = local_alternative(np.array([2.0, 0.0]), model.theta0, model, n)
+    theta1 = local_alternative(np.array([2.0, 0.0]), model, n)
     p = np.concatenate([theta1, [1.0 - theta1.sum()]])
     thr = specfun.chisq_tail_inv(2, 0.0, 0.1)
     root = linalg.sym_sqrt(model.fisher_info())
@@ -348,7 +379,7 @@ def test_discrete_aumm_curve_is_one_solve_of_its_points():
     # estimate, up to 1e-12 relative
     model = DiscreteModel(np.array([0.5, 0.3, 0.2]))
     setup = TrainingSetup(n=60, n_x=120)
-    theta1 = local_alternative(np.array([2.0, -1.0]), model.theta0, model, setup.n)
+    theta1 = local_alternative(np.array([2.0, -1.0]), model, setup.n)
     grid = np.array([0.02, 0.1, 0.4])
     mc = McConfig(trials=1500, seed=4)
     c = discrete_aumm_curve(model, theta1, setup, grid, mc)

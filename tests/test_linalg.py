@@ -1,4 +1,4 @@
-"""Symmetric eigensolver (numpy eigh) / square roots / standardization, cross-checked vs numpy."""
+"""Symmetric eigendecomposition (numpy eigh) / square root / standardization, cross-checked vs numpy."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,11 @@ def _random_spd(rng, k, cond=1e3):
     return (q * w) @ q.T
 
 
-def test_sym_eig_matches_numpy():
+def test_spd_eig_matches_numpy():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3, 5, 11, 24, 64):
         m = _random_spd(rng, k)
-        w, a = linalg.sym_eig(m)
+        w, a = linalg._spd_eig(m, "test")
         assert np.all(np.diff(w) <= 0.0)
         # reconstruction and orthonormality
         assert np.max(np.abs((a * w) @ a.T - m)) < 1e-12
@@ -26,20 +26,10 @@ def test_sym_eig_matches_numpy():
         assert np.max(np.abs(w - ref)) < 1e-11
 
 
-def test_sym_eig_indefinite_ok():
-    # eigensolver itself accepts indefinite input; only the SPD entry points gate
-    m = np.array([[1.0, 2.0], [2.0, -3.0]])
-    w, a = linalg.sym_eig(m)
-    assert np.max(np.abs((a * w) @ a.T - m)) < 1e-13
-    assert w[0] > 0.0 > w[1]
-
-
 def test_square_roots():
     rng = np.random.default_rng(11)
     for k in (2, 5, 17, 64):
         m = _random_spd(rng, k)
-        s = linalg.sqrt_factor(m)
-        assert np.max(np.abs(s @ s.T - m)) < 1e-10
         r = linalg.sym_sqrt(m)
         assert np.max(np.abs(r - r.T)) < 1e-12
         assert np.max(np.abs(r @ r - m)) < 1e-10
@@ -51,17 +41,19 @@ def test_standardize_roundtrip_and_whitening():
     k = 6
     cov = _random_spd(rng, k, cond=50.0)
     mean = rng.standard_normal(k)
-    s = linalg.sqrt_factor(cov)
-    y = rng.standard_normal((500, k)) @ s.T + mean
+    r = linalg.sym_sqrt(cov)
+    y = rng.standard_normal((500, k)) @ r.T + mean
     v = linalg.standardize(y, mean, cov)
-    back = v @ s.T + mean
-    assert np.max(np.abs(back - y)) < 1e-9
+    # v inverts a square-root factor of cov, so inner products of standardized
+    # rows are the Mahalanobis inner products of the raw ones
+    d = y[:50] - mean
+    assert np.max(np.abs(v[:50] @ v[:50].T - d @ linalg.spd_solve(cov, d.T))) < 1e-9
     # single-vector call matches the batched one
     v0 = linalg.standardize(y[0], mean, cov)
     assert v0.shape == (k,)
     assert np.max(np.abs(v0 - v[0])) < 1e-12
     # whitened population covariance is the identity
-    z = rng.standard_normal((200_000, k)) @ s.T + mean
+    z = rng.standard_normal((200_000, k)) @ r.T + mean
     emp = np.cov(linalg.standardize(z, mean, cov), rowvar=False)
     assert np.max(np.abs(emp - np.eye(k))) < 0.02
 
@@ -79,11 +71,11 @@ def test_spd_solve():
 
 def test_domain_and_singularity_errors():
     with pytest.raises(DomainError):
-        linalg.sym_eig(np.ones((2, 3)))
+        linalg.sym_sqrt(np.ones((2, 3)))
     with pytest.raises(DomainError):
-        linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.sym_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(SingularityError):
-        linalg.sqrt_factor(np.diag([1.0, 0.0]))
+        linalg.sym_sqrt(np.diag([1.0, 0.0]))
     with pytest.raises(SingularityError):
         linalg.sym_sqrt(np.diag([1.0, -2.0]))
     with pytest.raises(SingularityError):

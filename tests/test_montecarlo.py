@@ -232,7 +232,7 @@ def _sweep_case(rule):
         model = (lan_models.GaussianLocationModel(2) if rule == "plug-in-gaussian"
                  else lan_models.DiscreteModel(np.full(3, 1.0 / 3.0)))
         setup = lan_models.TrainingSetup(n=40, n_x=80)
-        theta1 = lan_models.local_alternative(np.array([2.0, 0.0]), model.theta0, model, 40)
+        theta1 = lan_models.local_alternative(np.array([2.0, 0.0]), model, 40)
         return lan_models.AummDetector, lan_models.LanProblem(model, theta1, setup), (2, 2.0, 2.0)
     prob = nlp_detect.NlpProblem(k=2, mu1=np.array([2.0, 0.0]), rho=3.0)
     fam = {

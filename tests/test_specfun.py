@@ -159,15 +159,6 @@ def test_chisq_inverse_roundtrip(k, lam, p):
     assert abs(specfun.chisq_tail(k, lam, t) - p) < 1e-9
 
 
-def test_chisq_normal_approx_error_shrinks_with_k():
-    # probability-scale error of the approximate quantile, central case
-    errs = []
-    for k in (10, 100, 1000):
-        t = specfun.chisq_tail_inv_approx(k, 0.0, 0.1)
-        errs.append(abs(specfun.chisq_tail(k, 0.0, t) - 0.1))
-    assert errs[0] > errs[1] > errs[2]
-
-
 def test_chisq_domain_errors():
     with pytest.raises(DomainError):
         specfun.chisq_tail(0, 1.0, 1.0)
