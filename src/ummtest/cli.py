@@ -61,7 +61,7 @@ def _as_float(val, name: str) -> float:
     try:
         return float(val)
     except (TypeError, ValueError):
-        raise ConfigError(f"--{name} must be a number, got {val!r}")
+        raise ConfigError(f"{name} must be a number, got {val!r}")
 
 
 def _parse_rho_list(spec: str):
@@ -219,7 +219,7 @@ def cmd_curve(args) -> int:
     elif detector == "glrt":
         curve = nlp_detect.glrt_curve(_require(args, "k"), _require(args, "delta"), grid)
     elif detector == "umm-train":
-        rho = _as_float(_require(args, "rho"), "rho")
+        rho = _as_float(_require(args, "rho"), "--rho")
         curve = nlp_detect.umm_curve(
             _require(args, "delta"), rho, _require(args, "k"), grid, _mc_config(args)
         )
@@ -228,8 +228,10 @@ def cmd_curve(args) -> int:
         # --delta is taken as the effective hardness itself
         delta = _require(args, "delta")
         if args.k is not None:
-            rho = _as_float(args.rho, "rho") if args.rho is not None else 0.0
+            rho = _as_float(args.rho, "--rho") if args.rho is not None else 0.0
             hardness = asymptotics.hardness_param(delta, rho, args.k)
+        elif args.rho is not None:
+            raise ConfigError("--rho needs --k: without it --delta is the hardness itself")
         else:
             hardness = delta
         curve = asymptotics.asymptotic_curve(hardness, grid)
@@ -260,7 +262,7 @@ def _simulate_nlp(args, grid, mc):
     problem = nlp_detect.NlpProblem(
         k=_require(args, "k"),
         delta=_require(args, "delta"),
-        rho=_as_float(args.rho, "rho") if args.rho is not None else 0.0,
+        rho=_as_float(args.rho, "--rho") if args.rho is not None else 0.0,
     )
     curve = montecarlo.roc_sweep(_nlp_family(_require(args, "detector")), problem, grid, mc)
     return _CURVE_COLUMNS, _sim_rows(curve.fa_hat, curve)
@@ -293,12 +295,14 @@ def _build_lan_model(args):
 
 
 def _simulate_lan(args, grid, mc):
+    if args.detector is not None:  # every model but nlp runs the plug-in rule
+        raise ConfigError(f"--detector applies to --model nlp only, not to {args.model}")
     model = _build_lan_model(args)
     d = _require(args, "delta")
     n = _require(args, "n")
     nx = args.nx if args.nx is not None else 0
     setup = lan_models.TrainingSetup(
-        n=n, n_x=nx, rho=_as_float(args.rho, "rho") if args.rho is not None else None
+        n=n, n_x=nx, rho=_as_float(args.rho, "--rho") if args.rho is not None else None
     )
     mu = np.zeros(model.k)
     mu[0] = float(d)
@@ -337,7 +341,7 @@ def _check_against(path: str, rows) -> int:
         )
     misses = []
     for i, (ref, row) in enumerate(zip(ref_rows, rows)):
-        target = float(ref["p_md"])
+        target = _as_float(ref.get("p_md"), f"{path!r} row {i}: p_md")
         lo, hi = row["ci_low"], row["ci_high"]
         if not (lo <= target <= hi):
             misses.append(f"row {i}: reference p_md={target!r} outside [{lo!r}, {hi!r}]")

@@ -12,15 +12,16 @@ makes the training test of ``nlp_detect`` the plug-in rule
 whose error probabilities converge to the Gaussian ones as the blocklength
 grows.  This module provides the model interface, three concrete families
 (i.i.d. Gaussian location, i.i.d. finite alphabet, stable AR(K)), Fisher
-information builders, the local reparametrization, the decision rule, and
-simulation kernels for finite-blocklength studies.
+information builders, the local reparametrization, the problem type with
+its plug-in detector, and the exact lattice sections of the three-symbol
+miss probability.
 
 Every family here has the rate sqrt(n), so the training quality is
 rho = n_x / n.  The map is the model's ``local(theta_hat, n)``, on the root
 J^{1/2} that each model computes once, at construction; ``local_coord``,
-``local_alternative``, ``LanProblem.standardize`` and both simulation
-kernels go through it, and ``AummDetector`` is ``UmmTrainDetector`` run on
-a ``LanProblem``.
+``local_alternative`` and ``LanProblem`` go through it.  ``AummDetector``
+is ``UmmTrainDetector`` run on a ``LanProblem``, which only draws: the
+training test's own kernels in ``nlp_detect`` judge its draws.
 """
 
 import math
@@ -31,9 +32,8 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, StabilityError
-from .montecarlo import McConfig, McEstimate, _check_grid, _estimates, _point
-from .nlp_detect import TradeoffCurve, UmmTrainDetector, _check_pfa, _rowsq, _training_errors
-from .specfun import _chisq_tail_inv_vec
+from .montecarlo import McConfig, _check_grid, _estimates
+from .nlp_detect import TradeoffCurve, UmmTrainDetector, _rowsq, _UmmPmdKernel, _UmmTrainKernel
 
 __all__ = [
     "LanModel",
@@ -47,7 +47,6 @@ __all__ = [
     "local_coord",
     "local_alternative",
     "training_rho",
-    "discrete_aumm_pmd",
     "discrete_aumm_curve",
     "pearson_stat",
     "discrete_fisher",
@@ -255,7 +254,7 @@ class LanModel:
                                 with ``_set_root()``
         sample(theta, n, rng)   one data block from an explicit generator
         estimate(data)          efficient estimator theta_hat
-        fisher_info(theta=None) information matrix (default: at theta0)
+        fisher_info()           information matrix at theta0
         uniforms_per_block(n)   uniform variates one kernel trial consumes
         draw_estimates(theta, n, u)
                                 batched theta_hat draws from kernel uniforms
@@ -286,7 +285,7 @@ class LanModel:
     def estimate(self, data):
         raise NotImplementedError
 
-    def fisher_info(self, theta=None):
+    def fisher_info(self):
         raise NotImplementedError
 
     def uniforms_per_block(self, n):
@@ -305,17 +304,17 @@ class LanModel:
 class GaussianLocationModel(LanModel):
     """I.i.d. N(theta, I_k) observations; the sample mean is efficient.
 
-    J = I, so the local coordinate of the sample mean
-    is sqrt(n) (ybar - theta0) and the plug-in rule reproduces the exact
+    theta0 = 0 and J = I, so the local coordinate of the sample mean
+    is sqrt(n) ybar and the plug-in rule reproduces the exact
     Gaussian training test.  The mean's law is N(theta, I/n) at every n, so
     the kernel path draws the estimator directly (k uniforms per trial).
     """
 
-    def __init__(self, k, theta0=None):
+    def __init__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise DomainError(f"k must be a positive integer, got {k!r}")
         self.k = int(k)
-        self.theta0 = np.zeros(self.k) if theta0 is None else self._check_theta(theta0)
+        self.theta0 = np.zeros(self.k)
         self._set_root()
 
     def sample(self, theta, n, rng):
@@ -328,7 +327,7 @@ class GaussianLocationModel(LanModel):
             raise ConfigError(f"data must be (n, {self.k}), got {data.shape}")
         return data.mean(axis=0)
 
-    def fisher_info(self, theta=None):
+    def fisher_info(self):
         return np.eye(self.k)
 
     def uniforms_per_block(self, n):
@@ -376,10 +375,8 @@ class DiscreteModel(LanModel):
         counts = np.bincount(data, minlength=self.m)
         return counts[: self.k] / counts.sum()
 
-    def fisher_info(self, theta=None):
-        if theta is None:
-            return discrete_fisher(self.p_null)
-        return discrete_fisher(self._full(theta))
+    def fisher_info(self):
+        return discrete_fisher(self.p_null)
 
     def uniforms_per_block(self, n):
         return self.k
@@ -423,9 +420,8 @@ class ArModel(LanModel):
             raise DomainError(f"sigma must be positive, got {sigma!r}")
         self._set_root()
 
-    def fisher_info(self, theta=None):
-        th = self.theta0 if theta is None else self._check_theta(theta)
-        return ar_fisher(th, self.sigma)
+    def fisher_info(self):
+        return ar_fisher(self.theta0, self.sigma)
 
     def uniforms_per_block(self, n):
         return int(n)
@@ -572,6 +568,26 @@ class LanProblem:
         """
         return self.model.local(self.model.estimate(data), self.setup.n)
 
+    def _uniforms(self, hypotheses) -> int:
+        """Uniforms per trial of ``_draw``: the training block's, if any, then
+        the test block's."""
+        setup, per_block = self.setup, self.model.uniforms_per_block
+        nu_x = per_block(setup.n_x) if setup.n_x > 0 else 0
+        return nu_x + (per_block(setup.n) if hypotheses else 0)
+
+    def _draw(self, u, hypotheses):
+        """rho x, x drawn at theta1 under both hypotheses, and the test point,
+        drawn at theta0 under H0 and theta1 under H1, in local coordinates."""
+        model, n = self.model, self.setup.n
+        nu_x = self._uniforms(())
+        rx = np.zeros((u.shape[0], model.k))
+        if nu_x > 0:
+            thx = model.draw_estimates(self.theta1, self.setup.n_x, u[:, :nu_x])
+            rx = self.rho * model.local(thx, n)
+        thy = [model.draw_estimates(self.theta1 if h else model.theta0, n, u[:, nu_x:])
+               for h in hypotheses]
+        return rx, [model.local(th, n) for th in thy]
+
     @property
     def label(self) -> str:
         model = self.model
@@ -580,34 +596,6 @@ class LanProblem:
             f"{type(model).__name__} k={model.k} d={d:g} "
             f"n={self.setup.n} nx={self.setup.n_x}"
         )
-
-
-class _AummIndicatorKernel:
-    """Draw training estimates once and test estimates under each
-    hypothesis, apply the plug-in rule at every level through one
-    conditional p-value per trial and hypothesis, count errors."""
-
-    def __init__(self, problem: LanProblem, levels, hypotheses):
-        self.problem = problem
-        self.levels = levels
-        self.hypotheses = hypotheses
-        model, setup = problem.model, problem.setup
-        self.nu_x = model.uniforms_per_block(setup.n_x) if setup.n_x > 0 else 0
-        self.nu = self.nu_x + model.uniforms_per_block(setup.n)
-
-    def values(self, u):
-        p = self.problem
-        model, n = p.model, p.setup.n
-        mux = np.zeros((u.shape[0], model.k))
-        if self.nu_x > 0:
-            thx = model.draw_estimates(p.theta1, p.setup.n_x, u[:, : self.nu_x])
-            mux = p.rho * model.local(thx, n)
-        stats = []
-        for h in self.hypotheses:
-            theta_test = p.theta1 if h else model.theta0
-            thy = model.draw_estimates(theta_test, n, u[:, self.nu_x :])
-            stats.append(_rowsq(mux + model.local(thy, n)))
-        return _training_errors(model.k, _rowsq(mux), stats, self.levels, self.hypotheses)
 
 
 class AummDetector(UmmTrainDetector):
@@ -624,55 +612,47 @@ class AummDetector(UmmTrainDetector):
 
     @classmethod
     def mc_kernel(cls, detectors, problem: LanProblem, hypotheses):
-        return _AummIndicatorKernel(problem, [d.p_fa for d in detectors], hypotheses)
+        return _UmmTrainKernel(problem, [d.p_fa for d in detectors], hypotheses)
 
 
 # ---------------------------------------------------------------------------
-# conditional Monte Carlo for the three-symbol miss probability
+# exact lattice sections for the three-symbol miss probability
 
 class _DiscreteDiskKernel:
-    """Exact test-block miss probability given each training draw.
+    """Exact test-block miss probability of a three-symbol LanProblem: level
+    by level, the ``miss_given`` of the training test's ``_UmmPmdKernel``.
 
     For m = 3 the count lattice is two-dimensional: enumerating the first
     test count c1 cuts the acceptance disk in an interval of c2 values,
-    whose probability is a difference of binomial CDFs.  Averaging those
-    exact sections over training draws is the same conditional pattern the
-    Gaussian umm_pmd estimator uses, with matching uniform consumption
-    (k = 2 per trial), so estimates pair trial-for-trial with it.  One row
-    of values per level, from one set of training draws.
+    whose probability is a difference of binomial CDFs.
     """
 
-    def __init__(self, model, theta1, n, n_x, rho, levels):
+    def __init__(self, problem: LanProblem):
+        model = problem.model
         if model.k != 2:
             raise ConfigError(
                 "exact disk sections are implemented for three-symbol alphabets"
             )
-        self.model = model
-        self.theta1 = model._check_theta(theta1)
-        self.n = int(n)
-        self.n_x = int(n_x)
-        self.rho = rho
-        self.levels = levels
-        self.nu = model.k
+        self.n = n = problem.setup.n
         # test-lattice geometry, shared by every trial
-        p = model._full(self.theta1)
-        lf = _log_factorials(self.n)
-        w1 = np.exp(_binom_log_pmf(self.n, p[0], lf))
+        p = model._full(problem.theta1)
+        lf = _log_factorials(n)
+        w1 = np.exp(_binom_log_pmf(n, p[0], lf))
         keep = w1 > 1e-18
-        self.c1 = np.arange(self.n + 1)[keep]
+        self.c1 = np.arange(n + 1)[keep]
         self.w1 = w1[keep]
         # CDF of c2 ~ Bin(n - c1, q) for each kept c1 on columns 0..n, led
         # by a zero; a section reads its row up to column n - c1 only
         q = p[1] / (p[1] + p[2])
-        self.cdfs = np.ones((self.c1.size, self.n + 2))
+        self.cdfs = np.ones((self.c1.size, n + 2))
         self.cdfs[:, 0] = 0.0
         if q >= 1.0:  # all mass at c2 = n - c1 (q <= 0 puts it at 0: all ones)
-            self.cdfs[:, 1:] = np.arange(self.n + 1) >= (self.n - self.c1)[:, None]
+            self.cdfs[:, 1:] = np.arange(n + 1) >= (n - self.c1)[:, None]
         elif q > 0.0:
-            rows = _binom_cdf_rows(self.n - self.c1, q, lf)
+            rows = _binom_cdf_rows(n - self.c1, q, lf)
             self.cdfs[:, 1 : rows.shape[1] + 1] = rows
         # mu_hat_y = base + s0 c1 + s1 c2 on the test lattice
-        sqrt_n = math.sqrt(self.n)
+        sqrt_n = math.sqrt(n)
         self.base = -sqrt_n * (model.root @ model.theta0)
         self.s0 = model.root[:, 0] / sqrt_n
         self.s1 = model.root[:, 1] / sqrt_n
@@ -698,14 +678,6 @@ class _DiscreteDiskKernel:
             out += w1 * val
         return out
 
-    def values(self, u):
-        counts = self.model.counts_from_uniforms(self.theta1, self.n_x, u)
-        mux = self.rho * self.model.local(counts / float(self.n_x), self.n)
-        shape = (len(self.levels), mux.shape[0])
-        th0 = np.broadcast_to(_rowsq(mux), shape)
-        thr = _chisq_tail_inv_vec(2, th0, np.asarray(self.levels, dtype=float)[:, None])
-        return np.stack([self._miss_given(mux, row) for row in thr])
-
 
 def discrete_aumm_curve(
     model: DiscreteModel, theta1, setup: TrainingSetup, p_fa_grid, mc: McConfig
@@ -716,27 +688,20 @@ def discrete_aumm_curve(
     training draw is computed exactly on the count lattice, so the
     simulation only averages over training randomness, and one set of
     training draws serves every level.  Without training (rho = 0) nothing
-    is random and the exact values come back with zero-width intervals,
-    mirroring umm_pmd's rho = 0 contract.
+    is random and the exact values come back with zero-width intervals.
     """
     g = _check_grid(p_fa_grid)
     if not isinstance(model, DiscreteModel):
         raise ConfigError("discrete_aumm_curve needs a DiscreteModel")
-    rho = training_rho(setup)
+    problem = LanProblem(model, theta1, setup)
     label = f"discrete plug-in m={model.m} n={setup.n} nx={setup.n_x}"
-    kern = _DiscreteDiskKernel(model, theta1, setup.n, setup.n_x, rho, g)
-    if rho == 0.0:
+    disk = _DiscreteDiskKernel(problem)
+    if problem.rho == 0.0:
         thr = np.array([specfun.chisq_tail_inv(model.k, 0.0, p) for p in g.tolist()])
-        v = kern._miss_given(np.zeros((g.size, model.k)), thr)
+        v = disk._miss_given(np.zeros((g.size, model.k)), thr)
         return TradeoffCurve(g, v, "simulated", label, ci_low=v, ci_high=v)
+    # level by level: rows of one shape cost less than a broadcast (levels, rows) block
+    kern = _UmmPmdKernel(
+        problem, g, lambda rx, thr: np.stack([disk._miss_given(rx, t) for t in thr]))
     md, lo, hi = _estimates(kern, mc)
     return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
-
-
-def discrete_aumm_pmd(
-    model: DiscreteModel, theta1, setup: TrainingSetup, p_fa, mc: McConfig
-) -> McEstimate:
-    """The one-level case of ``discrete_aumm_curve``, as an estimate."""
-    _check_pfa(p_fa)
-    c = discrete_aumm_curve(model, theta1, setup, [p_fa], mc)
-    return _point((c.p_md, c.ci_low, c.ci_high), mc)

@@ -182,12 +182,6 @@ def _estimates(kernel, config: McConfig):
     return p, lo, hi
 
 
-def _point(estimates, config: McConfig) -> McEstimate:
-    """The first level of ``_estimates``-shaped arrays, as an McEstimate."""
-    p, lo, hi = (float(a[0]) for a in estimates)
-    return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
-
-
 def _kernel(detectors, problem, hypotheses):
     make = getattr(detectors[0], "mc_kernel", None)
     if make is None:
@@ -207,7 +201,9 @@ def estimate_error_probs(detector, problem, hypothesis, config: McConfig) -> McE
     """
     if hypothesis not in ("H0", "H1"):
         raise ConfigError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    return _point(_estimates(_kernel([detector], problem, (hypothesis == "H1",)), config), config)
+    est = _estimates(_kernel([detector], problem, (hypothesis == "H1",)), config)
+    p, lo, hi = (float(a[0]) for a in est)
+    return McEstimate(p_hat=p, trials=config.trials, ci_low=lo, ci_high=hi, seed=config.seed)
 
 
 def roc_sweep(detector_family, problem, p_fa_grid, config: McConfig):

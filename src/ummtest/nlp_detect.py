@@ -8,7 +8,7 @@ coordinates z = Sigma^{-1/2}(y - mu0):
   exactly; the half-space mu1' z < T;
 * energy test (``GlrtDetector``, ``glrt_curve``) -- direction unknown; the
   ball ||z||^2 < q at the origin, q a central chi-square quantile;
-* training test (``UmmTrainDetector``, ``umm_*``) -- a noisy labeled sample
+* training test (``UmmTrainDetector``, ``umm_curve``) -- a noisy labeled sample
   x of the alternative is available with precision rho; the ball
   ||z + rho x||^2 < Q_{(k), ||rho x||^2}^{-1}(p_fa) centered at -rho x.
   On a ``lan_models.LanProblem`` it is the plug-in rule (``AummDetector``).
@@ -26,6 +26,10 @@ threshold.  A region that moves from trial to trial (the training test with
 a fresh x) gives one conditional p-value per trial, and the trial is
 rejected at every level that p-value does not exceed.  Analytic curves are
 pure functions.
+
+The training test's two kernels serve ``NlpProblem`` and
+``lan_models.LanProblem`` alike: a problem only draws (its ``_draw`` maps
+uniforms to rho x and the test points), and the kernels judge.
 """
 
 import math
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, RangeError
-from .montecarlo import McConfig, McEstimate, _check_grid, _estimates, _point
+from .montecarlo import McConfig, _check_grid, _estimates
 from .specfun import _chisq_tail_inv_vec, _chisq_tail_vec
 
 __all__ = [
@@ -49,7 +53,6 @@ __all__ = [
     "UmmTrainDetector",
     "lrt_curve",
     "glrt_curve",
-    "umm_pmd",
     "umm_curve",
     "bayes_lrt_radius",
 ]
@@ -99,19 +102,6 @@ def _region_errors(stats, thresholds, hypotheses):
     entry of ``hypotheses``, and a trial is accepted below a threshold."""
     thr = np.asarray(thresholds, dtype=float)[:, None]
     return np.concatenate([_errors(s < thr, h) for s, h in zip(stats, hypotheses)])
-
-
-def _training_errors(k, center_sq, stats, levels, hypotheses):
-    """Errors of per-trial training balls at every level, stacked hypothesis
-    after hypothesis: a trial's ball rejects at level p exactly when its
-    conditional p-value Q_{(k), ||center||^2}(||z - center||^2) is at most p.
-    ``stats`` holds one row of squared distances per hypothesis, and every
-    p-value comes from one tail call; each element's value does not depend
-    on the others, so stacking moves no bit."""
-    stats = np.stack(stats)
-    pval = _chisq_tail_vec(k, np.broadcast_to(center_sq, stats.shape), stats)
-    lv = np.asarray(levels)[:, None]
-    return np.concatenate([_errors(p > lv, h) for p, h in zip(pval, hypotheses)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +179,19 @@ class NlpProblem:
     @property
     def label(self) -> str:
         return f"nlp k={self.k} delta={self.separation():g} rho={self.rho:g}"
+
+    def _uniforms(self, hypotheses) -> int:
+        """Uniforms per trial of ``_draw``: k for x, k more for the test point."""
+        return 2 * self.k if hypotheses else self.k
+
+    def _draw(self, u, hypotheses):
+        """rho x, x ~ N(mu1, I/rho) under both hypotheses, and the test point,
+        N(0, I) under H0 and N(mu1, I) under H1, from one transform of u."""
+        g = montecarlo.gaussians(u)
+        mu1 = self.standardized_mu1()
+        rx = self.rho * mu1 + math.sqrt(self.rho) * g[:, : self.k]
+        z = g[:, self.k :]
+        return rx, [z + mu1 if h else z for h in hypotheses]
 
 
 @dataclass(frozen=True)
@@ -329,47 +332,48 @@ class _QuadKernel:
 
 
 class _UmmTrainKernel:
-    """Joint draw of training and test data; one conditional p-value per
-    trial and hypothesis."""
+    """The training test with a fresh training sample per trial.
 
-    def __init__(self, k, mu1, rho, levels, hypotheses):
-        self.nu = 2 * k
-        self.k = k
-        self.mu1 = mu1
-        self.rho = rho
-        self.levels = levels
+    A trial's ball rejects at level p exactly when its conditional p-value
+    Q_{(k), ||rho x||^2}(||z + rho x||^2) is at most p.  One tail call gives
+    every hypothesis' p-values; each element's value does not depend on the
+    others, so stacking moves no bit.
+    """
+
+    def __init__(self, problem, levels, hypotheses):
+        self.nu = problem._uniforms(hypotheses)
+        self.problem = problem
+        self.levels = np.asarray(levels)[:, None]
         self.hypotheses = hypotheses
 
     def values(self, u):
-        g = montecarlo.gaussians(u)
-        # training is labeled with the alternative under both hypotheses
-        rx = self.rho * self.mu1 + math.sqrt(self.rho) * g[:, : self.k]
-        z = g[:, self.k :]
-        stats = [_rowsq(rx + (z + self.mu1 if h else z)) for h in self.hypotheses]
-        return _training_errors(self.k, _rowsq(rx), stats, self.levels, self.hypotheses)
+        rx, tests = self.problem._draw(u, self.hypotheses)
+        stats = np.stack([_rowsq(rx + t) for t in tests])
+        pval = _chisq_tail_vec(self.problem.k, np.broadcast_to(_rowsq(rx), stats.shape), stats)
+        return np.concatenate([_errors(p > self.levels, h) for p, h in zip(pval, self.hypotheses)])
 
 
 class _UmmPmdKernel:
-    """Rao-Blackwellized miss probability: exact test-side tail given training."""
+    """Rao-Blackwellized miss probability: the exact miss probability of the
+    test point given each training draw, ``miss_given(rx, thr)`` for squared
+    radii ``thr`` of shape (levels, rows); by default the Gaussian test
+    point's 1 - Q_{(k), ||rx + mu1||^2}(thr)."""
 
-    def __init__(self, k, delta, rho, levels):
-        self.nu = k
-        self.k = k
-        self.rho = rho
-        self.levels = levels
-        self.mu1 = np.zeros(k)
-        self.mu1[0] = delta
+    def __init__(self, problem, levels, miss_given=None):
+        self.nu = problem._uniforms(())
+        self.problem = problem
+        self.levels = np.asarray(levels, dtype=float)[:, None]
+        self.miss_given = miss_given or self._gaussian_miss
+
+    def _gaussian_miss(self, rx, thr):
+        th1 = np.broadcast_to(_rowsq(rx + self.problem.standardized_mu1()), thr.shape)
+        return 1.0 - _chisq_tail_vec(self.problem.k, th1, thr)
 
     def values(self, u):
-        g = montecarlo.gaussians(u)
-        rx = self.rho * self.mu1 + math.sqrt(self.rho) * g  # rho X, X ~ N(mu1, I/rho)
-        # every level in one solve: noncentralities along rows, levels down
-        # the column
-        shape = (len(self.levels), g.shape[0])
-        th0 = np.broadcast_to(_rowsq(rx), shape)
-        th1 = np.broadcast_to(_rowsq(rx + self.mu1), shape)
-        thr = _chisq_tail_inv_vec(self.k, th0, np.asarray(self.levels, dtype=float)[:, None])
-        return 1.0 - _chisq_tail_vec(self.k, th1, thr)
+        rx, _ = self.problem._draw(u, ())
+        # every level in one solve: trials along rows, levels down the column
+        th0 = np.broadcast_to(_rowsq(rx), (self.levels.size, rx.shape[0]))
+        return self.miss_given(rx, _chisq_tail_inv_vec(self.problem.k, th0, self.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -469,38 +473,21 @@ class UmmTrainDetector(_RegionDetector):
     @classmethod
     def mc_kernel(cls, detectors, problem, hypotheses):
         if problem.rho != 0.0 and all(d.x is None for d in detectors):
-            levels, mu1 = [d.p_fa for d in detectors], problem.standardized_mu1()
-            return _UmmTrainKernel(problem.k, mu1, problem.rho, levels, hypotheses)
+            return _UmmTrainKernel(problem, [d.p_fa for d in detectors], hypotheses)
         return super().mc_kernel(detectors, problem, hypotheses)
 
 
 # ---------------------------------------------------------------------------
 # training-test performance
 
-def umm_pmd(p_fa, delta, rho, k, mc: McConfig) -> McEstimate:
-    """Missed-detection probability of the training test.
-
-    Averages the exact conditional miss probability
-    1 - Q_{(k), th1}(Q_{(k), th0}^{-1}(p_fa)) over training draws, where
-    th0 = ||rho X||^2 and th1 = ||rho X + mu1||^2 share the same X.  The
-    result depends on mu1 only through delta, so the integration runs along
-    a fixed axis.  rho = 0 needs no training average and returns the exact
-    energy-test value with a zero-width interval.  The one-level case of
-    ``umm_curve``.
-    """
-    _check_pfa(p_fa)
-    delta = _check_delta(delta)
-    rho = _check_rho(rho)
-    k = _check_k(k)
-    if rho == 0.0:
-        v = float(glrt_curve(k, delta, [p_fa]).p_md[0])
-        return McEstimate(p_hat=v, trials=mc.trials, ci_low=v, ci_high=v, seed=mc.seed)
-    return _point(_estimates(_UmmPmdKernel(k, delta, rho, [p_fa]), mc), mc)
-
-
 def umm_curve(delta, rho, k, p_fa_grid, mc: McConfig) -> TradeoffCurve:
-    """Training-test tradeoff along a grid: umm_pmd at every level, from
-    one set of training draws."""
+    """Missed-detection probability of the training test along a grid.
+
+    Averages 1 - Q_{(k), th1}(Q_{(k), th0}^{-1}(p_fa)), th0 = ||rho X||^2 and
+    th1 = ||rho X + mu1||^2, over one set of training draws X for every
+    level, along a fixed axis (only delta matters).  rho = 0 needs no
+    average: the exact energy-test curve comes back, relabeled.
+    """
     g = _check_grid(p_fa_grid)
     delta = _check_delta(delta)
     rho = _check_rho(rho)
@@ -509,7 +496,7 @@ def umm_curve(delta, rho, k, p_fa_grid, mc: McConfig) -> TradeoffCurve:
         curve = glrt_curve(k, delta, g)
         curve.problem = label
         return curve
-    md, lo, hi = _estimates(_UmmPmdKernel(_check_k(k), delta, rho, g), mc)
+    md, lo, hi = _estimates(_UmmPmdKernel(NlpProblem(k, delta=delta, rho=rho), g), mc)
     return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
 
 

@@ -21,7 +21,7 @@ thr = ncx2.isf(p_fa, k, theta0)
 stat = ((rho * x + y) ** 2).sum(axis=1)
 miss = np.mean(stat < thr)
 se = np.sqrt(miss * (1 - miss) / N)
-print(f"umm_pmd(0.1, 2, 5, 2) full-sim = {miss:.6f}  3*se = {3*se:.2e}")
+print(f"training-test p_md full-sim = {miss:.6f}  3*se = {3*se:.2e}")
 
 z01 = norm.isf(0.1)
 p_lrt = norm.sf(delta - z01)

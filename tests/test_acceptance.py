@@ -203,10 +203,10 @@ def test_discrete_model_error_converges_to_gaussian_limit():
         theta1 = model.theta0 + eps * np.array([1.0, -1.0])
         lc = local_coord(theta1, model, n)
         assert abs(lc.hardness - 2.0) < 1e-9
-        est = lan_models.discrete_aumm_pmd(model, theta1,
-                                           TrainingSetup(n=n, n_x=0), 0.1, mc)
-        ref = nlp_detect.umm_pmd(0.1, 2.0, 0.0, 2, mc)
-        devs.append(abs(est.p_hat - ref.p_hat))
+        est = lan_models.discrete_aumm_curve(model, theta1,
+                                             TrainingSetup(n=n, n_x=0), [0.1], mc)
+        ref = nlp_detect.umm_curve(2.0, 0.0, 2, [0.1], mc)
+        devs.append(abs(est.p_md[0] - ref.p_md[0]))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 5e-3
 
@@ -214,10 +214,10 @@ def test_discrete_model_error_converges_to_gaussian_limit():
     devs = []
     for n in blocklengths:
         theta1 = lan_models.local_alternative([2.0, 0.0], model, n)
-        est = lan_models.discrete_aumm_pmd(model, theta1,
-                                           TrainingSetup(n=n, n_x=n), 0.1, mc)
-        ref = nlp_detect.umm_pmd(0.1, 2.0, 1.0, 2, mc)
-        devs.append(abs(est.p_hat - ref.p_hat))
+        est = lan_models.discrete_aumm_curve(model, theta1,
+                                             TrainingSetup(n=n, n_x=n), [0.1], mc)
+        ref = nlp_detect.umm_curve(2.0, 1.0, 2, [0.1], mc)
+        devs.append(abs(est.p_md[0] - ref.p_md[0]))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 5e-3
 

@@ -71,6 +71,15 @@ def test_curve_asymptotic_modes(tmp_path):
     assert [float(r["p_md"]) for r in rows2] == list(ref2.p_md)
 
 
+def test_curve_asymptotic_rejects_rho_without_k(tmp_path, capsys):
+    # without --k, --delta is the hardness itself and rho has no role
+    out = tmp_path / "a.csv"
+    assert main(["curve", "--detector", "asymptotic", "--delta", "2", "--rho", "3",
+                 "--out", str(out)]) == 2
+    assert "--rho needs --k" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curve_missing_option_exits_two(capsys):
     assert main(["curve", "--detector", "glrt", "--delta", "2"]) == 2
     assert "missing required option --k" in capsys.readouterr().err
@@ -145,6 +154,22 @@ def test_simulate_against_reference(tmp_path, capsys):
     assert "row count mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table, shown", [
+    ("p_fa,p_md\n0.1,abc\n", "'abc'"),  # p_md is not a number
+    ("p_fa,p_md\n0.1\n", "None"),  # the row is shorter than the header
+], ids=["not-a-number", "short-row"])
+def test_simulate_against_malformed_reference_exits_two(tmp_path, capsys, table, shown):
+    # a bad reference is a configuration error, not a failed comparison
+    ref = tmp_path / "ref.csv"
+    ref.write_text(table)
+    rc = main(["simulate", "--detector", "glrt", "--k", "2", "--delta", "2",
+               "--p-fa", "0.1", "--trials", "1000", "--out", str(tmp_path / "sim.csv"),
+               "--against", str(ref)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{str(ref)!r} row 0: p_md must be a number, got {shown}" in err
+
+
 def test_simulate_rejects_both_point_and_grid(capsys):
     assert main(["simulate", "--detector", "glrt", "--k", "2", "--delta", "2",
                  "--p-fa", "0.1", "--grid", "0.1:0.3:3"]) == 2
@@ -182,6 +207,17 @@ def test_simulate_lan_rho_without_training_exits_two(capsys):
     assert main(base + ["--rho", "3"]) == 2
     assert "needs training samples" in capsys.readouterr().err
     assert main(base + ["--rho", "0"]) == 0
+
+
+def test_simulate_lan_rejects_a_detector(tmp_path, capsys):
+    # every model but nlp runs the plug-in rule, so --detector would only
+    # mislabel the table's config header
+    out = tmp_path / "d.csv"
+    assert main(["simulate", "--model", "discrete", "--detector", "lrt", "--k", "2",
+                 "--n", "200", "--nx", "200", "--delta", "2", "--p-fa", "0.1",
+                 "--trials", "1000", "--out", str(out)]) == 2
+    assert "--detector applies to --model nlp only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_lan_computes_one_matrix_root(tmp_path, monkeypatch):
@@ -340,7 +376,8 @@ def test_back_to_back_calls_share_no_options(capsys):
 def test_discrete_disk_false_alarms_draw_under_h0_only(tmp_path, monkeypatch):
     # the false-alarm column of the three-symbol path draws its test
     # estimates from the null alone; the miss column is the exact section
-    # average and draws training estimates only
+    # average and draws training estimates only, through the same
+    # draw_estimates
     draws = []
     draw = lan_models.DiscreteModel.draw_estimates
 
@@ -356,4 +393,6 @@ def test_discrete_disk_false_alarms_draw_under_h0_only(tmp_path, monkeypatch):
     tests = [theta for theta, size in draws if size == n]
     assert len(tests) == 2  # one per block
     assert all(np.array_equal(theta, np.full(2, 1.0 / 3.0)) for theta in tests)
-    assert len(draws) == 2 * len(tests)  # and one training draw per block
+    trains = [theta for theta, size in draws if size == nx]
+    assert len(trains) == 2 * len(tests)  # one training draw per block in each column
+    assert len(draws) == len(tests) + len(trains)

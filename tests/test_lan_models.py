@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ummtest import lan_models, linalg, specfun
+from ummtest import lan_models, linalg, nlp_detect, specfun
 from ummtest.errors import ConfigError, DomainError, StabilityError
 from ummtest.lan_models import (
     ArModel,
@@ -24,7 +24,6 @@ from ummtest.lan_models import (
     ar_autocov,
     ar_fisher,
     discrete_aumm_curve,
-    discrete_aumm_pmd,
     discrete_fisher,
     expfam_fisher,
     local_alternative,
@@ -207,8 +206,9 @@ def test_plug_in_decisions_on_symbols_are_the_kernel_verdicts():
     kern = AummDetector.mc_kernel([det], problem, (False,))
     u = block_uniforms(6, 0, 400, kern.nu)
     false_alarms = kern.values(u)[0]
-    cx = model.counts_from_uniforms(problem.theta1, setup.n_x, u[:, : kern.nu_x])
-    cy = model.counts_from_uniforms(model.theta0, setup.n, u[:, kern.nu_x :])
+    nu_x = model.uniforms_per_block(setup.n_x)
+    cx = model.counts_from_uniforms(problem.theta1, setup.n_x, u[:, :nu_x])
+    cy = model.counts_from_uniforms(model.theta0, setup.n, u[:, nu_x:])
 
     def symbols(counts, n):
         return np.repeat(np.arange(model.m), np.append(counts, n - counts.sum()))
@@ -219,6 +219,33 @@ def test_plug_in_decisions_on_symbols_are_the_kernel_verdicts():
     ])
     assert np.array_equal(rejected, false_alarms == 1.0)
     assert 0 < np.count_nonzero(rejected) < rejected.size
+
+
+def test_plug_in_rule_runs_on_the_training_test_kernels(monkeypatch):
+    # each estimator has one kernel: a fresh-x sweep of the plug-in rule and
+    # of the training test get the same kernel class, the three-symbol
+    # curve averages through the Gaussian curve's kernel, and no class here
+    # defines values() of its own
+    lprob = LanProblem(GaussianLocationModel(2), np.array([0.2, 0.0]),
+                       TrainingSetup(n=50, n_x=100))
+    nprob = NlpProblem(k=2, delta=2.0, rho=2.0)
+    lan = AummDetector.mc_kernel([AummDetector(0.1)], lprob, (False, True))
+    nlp = UmmTrainDetector.mc_kernel([UmmTrainDetector(0.1)], nprob, (False, True))
+    assert type(lan) is type(nlp)
+
+    kernels = []
+    estimates = lan_models._estimates
+    monkeypatch.setattr(lan_models, "_estimates",
+                        lambda kern, mc: kernels.append(kern) or estimates(kern, mc))
+    model = DiscreteModel(np.full(3, 1.0 / 3.0))
+    theta1 = local_alternative(np.array([2.0, 0.0]), model, 40)
+    discrete_aumm_curve(model, theta1, TrainingSetup(n=40, n_x=80), [0.1], McConfig(trials=100))
+    assert [type(k) for k in kernels] == [nlp_detect._UmmPmdKernel]
+
+    own = [name for name, cls in vars(lan_models).items()
+           if isinstance(cls, type) and cls.__module__ == lan_models.__name__
+           and "values" in vars(cls)]
+    assert own == []
 
 
 def test_gaussian_estimator_law():
@@ -307,7 +334,7 @@ def test_disk_kernel_rows_are_the_full_rows(monkeypatch):
     alternatives = (local_alternative(np.array([2.0, -1.0]), model, n),
                     np.array([0.5, 0.5]), np.array([0.5, 0.0]))
     for theta1 in alternatives:
-        kern = _DiscreteDiskKernel(model, theta1, n, 100, 0.5, [0.1])
+        kern = _DiscreteDiskKernel(LanProblem(model, theta1, TrainingSetup(n=n, n_x=100)))
         assert built == []
         p = model._full(theta1)
         q = p[1] / (p[1] + p[2])
@@ -353,10 +380,10 @@ def test_discrete_no_training_value_is_exact():
             mu = root @ (math.sqrt(n) * (np.array([c1, c2]) / n - model.theta0))
             if float(mu @ mu) < thr:
                 total += w
-    est = discrete_aumm_pmd(model, theta1, TrainingSetup(n=n, n_x=0), 0.1,
+    c = discrete_aumm_curve(model, theta1, TrainingSetup(n=n, n_x=0), [0.1],
                             McConfig(trials=1000))
-    assert est.ci_low == est.p_hat == est.ci_high
-    assert abs(est.p_hat - total) < 1e-12
+    assert c.ci_low[0] == c.p_md[0] == c.ci_high[0]
+    assert abs(c.p_md[0] - total) < 1e-12
 
 
 def test_discrete_null_level_approaches_nominal():
@@ -365,7 +392,7 @@ def test_discrete_null_level_approaches_nominal():
     thr = specfun.chisq_tail_inv(2, 0.0, 0.1)
 
     def exact_fa(n):
-        kern = _DiscreteDiskKernel(model, model.theta0, n, 0, 0.0, 0.1)
+        kern = _DiscreteDiskKernel(LanProblem(model, model.theta0, TrainingSetup(n=n)))
         acc = float(kern._miss_given(np.zeros((1, 2)), np.array([thr]))[0])
         return 1.0 - acc
 
@@ -376,7 +403,7 @@ def test_discrete_null_level_approaches_nominal():
 
 def test_discrete_aumm_curve_is_one_solve_of_its_points():
     # one batched inversion for the grid; each level matches the one-level
-    # estimate, up to 1e-12 relative
+    # curve, up to 1e-12 relative
     model = DiscreteModel(np.array([0.5, 0.3, 0.2]))
     setup = TrainingSetup(n=60, n_x=120)
     theta1 = local_alternative(np.array([2.0, -1.0]), model, setup.n)
@@ -384,19 +411,20 @@ def test_discrete_aumm_curve_is_one_solve_of_its_points():
     mc = McConfig(trials=1500, seed=4)
     c = discrete_aumm_curve(model, theta1, setup, grid, mc)
     for i, p in enumerate(grid):
-        e = discrete_aumm_pmd(model, theta1, setup, float(p), mc)
-        for got, ref in ((c.p_md[i], e.p_hat), (c.ci_low[i], e.ci_low), (c.ci_high[i], e.ci_high)):
+        e = discrete_aumm_curve(model, theta1, setup, [float(p)], mc)
+        for got, ref in ((c.p_md[i], e.p_md[0]), (c.ci_low[i], e.ci_low[0]),
+                         (c.ci_high[i], e.ci_high[0])):
             assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
 def test_discrete_aumm_pmd_guards():
     model = DiscreteModel([0.25, 0.25, 0.25, 0.25])  # four symbols -> k = 3
     with pytest.raises(ConfigError):
-        discrete_aumm_pmd(model, model.theta0 + 0.01, TrainingSetup(n=50, n_x=50),
-                          0.1, McConfig(trials=1000))
+        discrete_aumm_curve(model, model.theta0 + 0.01, TrainingSetup(n=50, n_x=50),
+                            [0.1], McConfig(trials=1000))
     with pytest.raises(ConfigError):
-        discrete_aumm_pmd(GaussianLocationModel(2), np.zeros(2),
-                          TrainingSetup(n=50), 0.1, McConfig(trials=1000))
+        discrete_aumm_curve(GaussianLocationModel(2), np.zeros(2),
+                            TrainingSetup(n=50), [0.1], McConfig(trials=1000))
 
 
 # ---------------------------------------------------------------------------

@@ -273,15 +273,14 @@ def test_sweep_equals_its_points(rule, monkeypatch):
     del calls[:]
     if rule == "plug-in-discrete":
         model, theta1, setup = problem.model, problem.theta1, problem.setup
-        rb = lan_models.discrete_aumm_curve(model, theta1, setup, grid, cfg)
-        point = lambda p: lan_models.discrete_aumm_pmd(model, theta1, setup, p, cfg)
+        curve = lambda g: lan_models.discrete_aumm_curve(model, theta1, setup, g, cfg)
     else:
-        rb = nlp_detect.umm_curve(delta, rho, k, grid, cfg)
-        point = lambda p: nlp_detect.umm_pmd(p, delta, rho, k, cfg)
+        curve = lambda g: nlp_detect.umm_curve(delta, rho, k, g, cfg)
+    rb = curve(grid)
     assert len(calls) == nblocks
     for i, p in enumerate(grid):
-        e = point(float(p))
-        assert (rb.p_md[i], rb.ci_low[i], rb.ci_high[i]) == (e.p_hat, e.ci_low, e.ci_high)
+        e = curve([float(p)])
+        assert (rb.p_md[i], rb.ci_low[i], rb.ci_high[i]) == (e.p_md[0], e.ci_low[0], e.ci_high[0])
 
 
 def test_sweep_builds_its_regions_once(monkeypatch):

@@ -26,7 +26,6 @@ from ummtest.nlp_detect import (
     glrt_curve,
     lrt_curve,
     umm_curve,
-    umm_pmd,
 )
 
 # full simulation of the training rule, rho=5 p_fa=0.1 k=2 delta=2 (1e6 trials)
@@ -165,40 +164,41 @@ def test_glrt_dominates_lrt():
 # training-test performance
 
 def test_umm_pmd_rho0_exact():
-    est = umm_pmd(0.1, 2.0, 0.0, 2, McConfig(trials=1000, seed=0))
-    ref = glrt_curve(2, 2.0, [0.1]).p_md[0]
-    assert est.p_hat == ref and est.ci_low == est.ci_high == ref
+    c = umm_curve(2.0, 0.0, 2, [0.1], McConfig(trials=1000, seed=0))
+    assert c.p_md[0] == glrt_curve(2, 2.0, [0.1]).p_md[0]
+    assert c.provenance == "analytic"
 
 
 def test_umm_pmd_dual_route_pin():
-    est = umm_pmd(0.1, 2.0, 5.0, 2, McConfig(trials=20_000, seed=0))
-    assert abs(est.p_hat - UMM_PMD_FULLSIM) < UMM_PMD_FULLSIM_3SIG + (
-        est.ci_high - est.ci_low)
-    assert est.ci_low <= est.p_hat <= est.ci_high
+    c = umm_curve(2.0, 5.0, 2, [0.1], McConfig(trials=20_000, seed=0))
+    p_hat, lo, hi = c.p_md[0], c.ci_low[0], c.ci_high[0]
+    assert abs(p_hat - UMM_PMD_FULLSIM) < UMM_PMD_FULLSIM_3SIG + (hi - lo)
+    assert lo <= p_hat <= hi
 
 
 def test_umm_pmd_validation():
     mc = McConfig(trials=1000)
     with pytest.raises(DomainError):
-        umm_pmd(0.0, 2.0, 1.0, 2, mc)
+        umm_curve(2.0, 1.0, 2, [0.0], mc)
     with pytest.raises(DomainError):
-        umm_pmd(0.1, -2.0, 1.0, 2, mc)
+        umm_curve(-2.0, 1.0, 2, [0.1], mc)
     with pytest.raises(DomainError):
-        umm_pmd(0.1, 2.0, -1.0, 2, mc)
+        umm_curve(2.0, -1.0, 2, [0.1], mc)
     with pytest.raises(DomainError):
-        umm_pmd(0.1, 2.0, 1.0, 0, mc)
+        umm_curve(2.0, 1.0, 0, [0.1], mc)
 
 
 @pytest.mark.parametrize("k, delta, rho", [(2, 2.0, 20.0), (5, 3.0, 2.0)])
 def test_umm_curve_is_one_solve_of_its_points(k, delta, rho):
     # the curve inverts every level in one batched solve; each level matches
-    # the one-level estimate, up to 1e-12 relative
+    # the one-level curve, up to 1e-12 relative
     grid = np.array([0.02, 0.1, 0.4])
     mc = McConfig(trials=1500, seed=3)
     c = umm_curve(delta, rho, k, grid, mc)
     for i, p in enumerate(grid):
-        e = umm_pmd(float(p), delta, rho, k, mc)
-        for got, ref in ((c.p_md[i], e.p_hat), (c.ci_low[i], e.ci_low), (c.ci_high[i], e.ci_high)):
+        e = umm_curve(delta, rho, k, [float(p)], mc)
+        for got, ref in ((c.p_md[i], e.p_md[0]), (c.ci_low[i], e.ci_low[0]),
+                         (c.ci_high[i], e.ci_high[0])):
             assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
