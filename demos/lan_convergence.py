@@ -33,7 +33,7 @@ def main():
             est = lan_models.discrete_aumm_curve(
                 model, theta1, TrainingSetup(n=n, n_x=n_x(n)), [P_FA], mc)
             p_md = est.p_md[0]
-            tag = "exact" if est.ci_low[0] == est.ci_high[0] else "simulated"
+            tag = "exact" if est.provenance == "analytic" else "simulated"
             print(f"  n = {n:5d}:  p_md = {p_md:.4f}   "
                   f"|gap| = {abs(p_md - ref):.4f}  ({tag})")
         print()

@@ -9,7 +9,13 @@ problem), and `allocate` (train/test budget splits).
 Every run is deterministic given its configuration: output files carry no
 timestamps, the RNG is seeded explicitly, and worker count never changes
 the bytes produced.  Options may come from a key=value config file
-(`--config run.cfg`), with command-line flags taking precedence.
+(`--config run.cfg`, each key once), with command-line flags taking precedence.
+
+A run is a command plus the options that pick its code path; `_RUNS` lists
+the options each run reads, each required or with its default.  An option
+the run does not read exits 2, set by flag or by config key.  The `# config:`
+header lists exactly the options that were set, never a default, plus the
+model of a `simulate` run, and leaves out those in `_UNPRINTED`.
 
 Exit codes: 0 success; 1 a `--against` comparison failed; 2 bad usage or
 configuration.
@@ -36,6 +42,36 @@ _CONVERT = {
 }
 
 _CURVE_COLUMNS = ["p_fa", "p_md", "ci_low", "ci_high", "provenance"]
+
+_REQUIRED = object()  # marks an option that has no default
+
+# options that direct the output or never change its numbers; no header lists them
+_UNPRINTED = frozenset(["config", "format", "out", "against", "workers"])
+
+_OUT = {"config": None, "format": "csv", "out": None}
+_MC = {"trials": 10_000, "seed": 0, "workers": 1}
+_CURVE = {**_OUT, "detector": _REQUIRED, "delta": _REQUIRED, "grid": "0.05:0.95:19"}
+_SIM = {**_OUT, **_MC, "model": "nlp", "delta": _REQUIRED, "p_fa": None, "grid": "0.1:0.1:1",
+        "against": None}
+_NLP = {**_SIM, "detector": _REQUIRED, "k": _REQUIRED}
+_LAN = {**_SIM, "n": _REQUIRED, "nx": 0, "rho": None}
+
+# each run, and the options it reads with their defaults
+_RUNS = {
+    "curve --detector lrt": _CURVE,
+    "curve --detector glrt": {**_CURVE, "k": _REQUIRED},
+    "curve --detector umm-train": {**_CURVE, **_MC, "k": _REQUIRED, "rho": _REQUIRED},
+    "curve --detector asymptotic --k": {**_CURVE, "k": _REQUIRED, "rho": 0.0},
+    "curve --detector asymptotic without --k": _CURVE,
+    "simulate --model nlp --detector lrt": _NLP,
+    "simulate --model nlp --detector glrt": _NLP,
+    "simulate --model nlp --detector umm-train": {**_NLP, "rho": 0.0},
+    "simulate --model gaussian": {**_LAN, "k": _REQUIRED},
+    "simulate --model discrete": {**_LAN, "k": 2},
+    "simulate --model ar": _LAN,  # first-order: no --k
+    "regions": {**_OUT, "k": 2, "delta": _REQUIRED, "p_fa": 0.1, "rho": "0,1,5,20"},
+    "allocate": {**_OUT, "k": _REQUIRED, "n": _REQUIRED, "delta": _REQUIRED, "rho": None},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +110,6 @@ def _parse_rho_list(spec: str):
     return vals
 
 
-def _require(args, flag: str):
-    val = getattr(args, flag.replace("-", "_"))
-    if val is None:
-        raise ConfigError(f"missing required option --{flag}")
-    return val
-
-
 def _load_config_file(path: str, args) -> None:
     """Fill options the command line left unset; unknown keys are fatal."""
     try:
@@ -88,6 +117,7 @@ def _load_config_file(path: str, args) -> None:
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path!r}: {e}")
+    seen = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -98,23 +128,59 @@ def _load_config_file(path: str, args) -> None:
         dest = key.replace("-", "_")
         if dest not in _CONVERT:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if not hasattr(args, dest):
-            raise ConfigError(
-                f"{path}:{lineno}: key {key!r} does not apply to this subcommand"
-            )
-        if getattr(args, dest) is None:  # flags win over the file
+        if dest in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[dest]}")
+        seen[dest] = lineno
+        if getattr(args, dest, None) is None:  # flags win over the file
             try:
                 setattr(args, dest, _CONVERT[dest](val))
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
 
 
-def _mc_config(args) -> McConfig:
-    return McConfig(
-        trials=args.trials if args.trials is not None else 10_000,
-        seed=args.seed if args.seed is not None else 0,
-        workers=args.workers if args.workers is not None else 1,
-    )
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _run_of(args) -> str:
+    """The key of the run in ``_RUNS`` that args select."""
+    run = args.command
+    if run == "simulate":
+        if args.model is None:
+            args.model = "nlp"  # set, so the header names the model
+        run += f" --model {args.model}"
+    if run in ("curve", "simulate --model nlp"):
+        if args.detector is None:
+            raise ConfigError("missing required option --detector")
+        run += f" --detector {args.detector}"
+    if run == "curve --detector asymptotic":
+        run += " without --k" if args.k is None else " --k"
+    if run not in _RUNS:
+        runs = ", ".join(r for r in _RUNS if r.startswith(args.command + " "))
+        raise ConfigError(f"no run {run!r}; the {args.command} runs are: {runs}")
+    return run
+
+
+def _resolve(args) -> None:
+    """Check the options set in args against their run's row of ``_RUNS``,
+    keep the header of those set, then fill in the row's defaults."""
+    run = _run_of(args)
+    row = _RUNS[run]
+    given = {dest: val for dest, val in vars(args).items()
+             if val is not None and dest not in ("command", "func")}
+    ignored = sorted(dest for dest in given if dest not in row)
+    if ignored:
+        raise ConfigError(f"{run} does not read {', '.join(map(_flag, ignored))}")
+    if "p_fa" in given and "grid" in given:
+        raise ConfigError("give either --p-fa or --grid, not both")
+    args.header = _config_pairs(given)
+    for dest, default in row.items():
+        if dest not in given:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required option {_flag(dest)}")
+            setattr(args, dest, default)
+    if "delta" in row:
+        nlp_detect._check_delta(args.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -130,39 +196,27 @@ def _fmt(v) -> str:
     return repr(float(v) + 0.0)  # + 0.0 normalizes -0.0
 
 
-def _config_pairs(args, skip=("out", "format", "config", "against", "workers", "func")):
-    """Resolved options for the header line, in sorted order.
-
-    Worker count is excluded on purpose: it must never change output bytes.
-    """
-    pairs = []
-    for dest in sorted(vars(args)):
-        if dest in skip or dest == "command":
-            continue
-        val = getattr(args, dest)
-        if val is None or callable(val):
-            continue
-        pairs.append((dest.replace("_", "-"), _fmt(val)))
-    return pairs
+def _config_pairs(given: dict):
+    """The header line's options: those set, less ``_UNPRINTED``, sorted."""
+    return [(dest.replace("_", "-"), _fmt(val)) for dest, val in sorted(given.items())
+            if dest not in _UNPRINTED]
 
 
 def _write_table(args, columns, rows, seed=None) -> None:
-    fmt = args.format if args.format is not None else "csv"
-    cfg = _config_pairs(args)
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [f"# ummtest {__version__}"]
-        lines.append("# config: " + " ".join(f"{k}={v}" for k, v in cfg))
+        lines.append("# config: " + " ".join(f"{k}={v}" for k, v in args.header))
         if seed is not None:
             lines.append(f"# seed: {seed}")
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+    elif args.format == "json":
         doc = {
             "tool": "ummtest",
             "version": __version__,
-            "config": dict(cfg),
+            "config": dict(args.header),
             "columns": columns,
             "rows": [{c: row.get(c) for c in columns if row.get(c) is not None}
                      for row in rows],
@@ -171,7 +225,7 @@ def _write_table(args, columns, rows, seed=None) -> None:
             doc["seed"] = seed
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+        raise ConfigError(f"format must be csv or json, got {args.format!r}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -212,33 +266,20 @@ def _curve_rows(curve) -> list:
 
 
 def cmd_curve(args) -> int:
-    detector = _require(args, "detector")
-    grid = _parse_grid(args.grid if args.grid is not None else "0.05:0.95:19")
-    if detector == "lrt":
-        curve = nlp_detect.lrt_curve(_require(args, "delta"), grid)
-    elif detector == "glrt":
-        curve = nlp_detect.glrt_curve(_require(args, "k"), _require(args, "delta"), grid)
-    elif detector == "umm-train":
-        rho = _as_float(_require(args, "rho"), "--rho")
-        curve = nlp_detect.umm_curve(
-            _require(args, "delta"), rho, _require(args, "k"), grid, _mc_config(args)
-        )
-    elif detector == "asymptotic":
-        # with --k the hardness is computed from (delta, rho, k); without it
-        # --delta is taken as the effective hardness itself
-        delta = _require(args, "delta")
-        if args.k is not None:
-            rho = _as_float(args.rho, "--rho") if args.rho is not None else 0.0
-            hardness = asymptotics.hardness_param(delta, rho, args.k)
-        elif args.rho is not None:
-            raise ConfigError("--rho needs --k: without it --delta is the hardness itself")
-        else:
-            hardness = delta
-        curve = asymptotics.asymptotic_curve(hardness, grid)
-    else:
-        raise ConfigError(
-            f"detector must be lrt, glrt, umm-train, or asymptotic, got {detector!r}"
-        )
+    grid = _parse_grid(args.grid)
+    if args.detector == "lrt":
+        curve = nlp_detect.lrt_curve(args.delta, grid)
+    elif args.detector == "glrt":
+        curve = nlp_detect.glrt_curve(args.k, args.delta, grid)
+    elif args.detector == "umm-train":
+        mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
+        curve = nlp_detect.umm_curve(args.delta, _as_float(args.rho, "--rho"), args.k, grid, mc)
+    elif args.k is None:  # asymptotic: --delta is the hardness itself
+        curve = asymptotics.asymptotic_curve(args.delta, grid)
+    else:  # asymptotic: the hardness of (delta, rho, k)
+        rho = _as_float(args.rho, "--rho")
+        curve = asymptotics.asymptotic_curve(
+            asymptotics.hardness_param(args.delta, rho, args.k), grid)
     _write_table(args, _CURVE_COLUMNS, _curve_rows(curve))
     return 0
 
@@ -246,67 +287,46 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _nlp_family(detector: str):
-    if detector == "lrt":
-        return lambda p: nlp_detect.LrtDetector(p_fa=p)
-    if detector == "glrt":
-        return lambda p: nlp_detect.GlrtDetector(p)
-    if detector == "umm-train":
-        return lambda p: nlp_detect.UmmTrainDetector(p)
-    raise ConfigError(
-        f"detector must be lrt, glrt, or umm-train for simulation, got {detector!r}"
-    )
+_NLP_FAMILIES = {"lrt": lambda p: nlp_detect.LrtDetector(p_fa=p),
+                 "glrt": nlp_detect.GlrtDetector, "umm-train": nlp_detect.UmmTrainDetector}
 
 
 def _simulate_nlp(args, grid, mc):
-    problem = nlp_detect.NlpProblem(
-        k=_require(args, "k"),
-        delta=_require(args, "delta"),
-        rho=_as_float(args.rho, "--rho") if args.rho is not None else 0.0,
-    )
-    curve = montecarlo.roc_sweep(_nlp_family(_require(args, "detector")), problem, grid, mc)
+    # the training test alone reads --rho; the other rules see no training
+    rho = _as_float(args.rho, "--rho") if args.detector == "umm-train" else 0.0
+    problem = nlp_detect.NlpProblem(k=args.k, delta=args.delta, rho=rho)
+    curve = montecarlo.roc_sweep(_NLP_FAMILIES[args.detector], problem, grid, mc)
     return _CURVE_COLUMNS, _sim_rows(curve.fa_hat, curve)
 
 
 def _sim_rows(fa_hat, md):
-    """Rows of a simulated curve md, with the measured (not nominal) p_fa."""
+    """Rows of a simulated curve md, with the measured (not nominal) p_fa;
+    an exact (analytic) md is its own zero-width interval."""
+    lo, hi = (md.p_md, md.p_md) if md.ci_low is None else (md.ci_low, md.ci_high)
     return [{
         "p_fa": float(fa_hat[i]),
         "p_md": float(md.p_md[i]),
-        "ci_low": float(md.ci_low[i]),
-        "ci_high": float(md.ci_high[i]),
+        "ci_low": float(lo[i]),
+        "ci_high": float(hi[i]),
         "provenance": "simulated",
     } for i in range(md.p_md.size)]
 
 
 def _build_lan_model(args):
-    kind = args.model
-    if kind == "gaussian":
-        return lan_models.GaussianLocationModel(_require(args, "k"))
-    if kind == "discrete":
-        k = args.k if args.k is not None else 2
-        m = k + 1
-        return lan_models.DiscreteModel(np.full(m, 1.0 / m))
-    if kind == "ar":
-        if args.k is not None and args.k != 1:
-            raise ConfigError("the ar model is first-order; --k must be 1 or omitted")
-        return lan_models.ArModel(np.array([0.5]))
-    raise ConfigError(f"model must be nlp, gaussian, discrete, or ar, got {kind!r}")
+    if args.model == "gaussian":
+        return lan_models.GaussianLocationModel(args.k)
+    if args.model == "discrete":
+        return lan_models.DiscreteModel(np.full(args.k + 1, 1.0 / (args.k + 1)))
+    return lan_models.ArModel(np.array([0.5]))
 
 
 def _simulate_lan(args, grid, mc):
-    if args.detector is not None:  # every model but nlp runs the plug-in rule
-        raise ConfigError(f"--detector applies to --model nlp only, not to {args.model}")
     model = _build_lan_model(args)
-    d = _require(args, "delta")
-    n = _require(args, "n")
-    nx = args.nx if args.nx is not None else 0
-    setup = lan_models.TrainingSetup(
-        n=n, n_x=nx, rho=_as_float(args.rho, "--rho") if args.rho is not None else None
-    )
+    rho = None if args.rho is None else _as_float(args.rho, "--rho")  # None: nx / n
+    setup = lan_models.TrainingSetup(n=args.n, n_x=args.nx, rho=rho)
     mu = np.zeros(model.k)
-    mu[0] = float(d)
-    theta1 = lan_models.local_alternative(mu, model, n)
+    mu[0] = float(args.delta)
+    theta1 = lan_models.local_alternative(mu, model, args.n)
     problem = lan_models.LanProblem(model, theta1, setup)
 
     # three-symbol models get the conditional estimator (exact test-block
@@ -324,7 +344,7 @@ def _simulate_lan(args, grid, mc):
         fa = md.fa_hat
     rows = _sim_rows(fa, md)
     if with_dev:
-        ref = nlp_detect.umm_curve(float(d), problem.rho, model.k, grid, mc)
+        ref = nlp_detect.umm_curve(float(args.delta), problem.rho, model.k, grid, mc)
         for row, r in zip(rows, ref.p_md.tolist()):
             row["dev_from_limit"] = abs(row["p_md"] - r)
     return columns, rows
@@ -353,16 +373,9 @@ def _check_against(path: str, rows) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.p_fa is not None and args.grid is not None:
-        raise ConfigError("give either --p-fa or --grid, not both")
-    if args.p_fa is not None:
-        grid = np.array([float(args.p_fa)])
-    else:
-        grid = _parse_grid(args.grid if args.grid is not None else "0.1:0.1:1")
-    mc = _mc_config(args)
-    model_kind = args.model if args.model is not None else "nlp"
-    args.model = model_kind
-    if model_kind == "nlp":
+    grid = _parse_grid(args.grid) if args.p_fa is None else np.array([float(args.p_fa)])
+    mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
+    if args.model == "nlp":
         columns, rows = _simulate_nlp(args, grid, mc)
     else:
         columns, rows = _simulate_lan(args, grid, mc)
@@ -376,10 +389,8 @@ def cmd_simulate(args) -> int:
 # regions
 
 def cmd_regions(args) -> int:
-    k = args.k if args.k is not None else 2
-    delta = _require(args, "delta")
-    p_fa = float(args.p_fa) if args.p_fa is not None else 0.1
-    rhos = sorted(_parse_rho_list(args.rho if args.rho is not None else "0,1,5,20"))
+    k, delta, p_fa = args.k, args.delta, float(args.p_fa)
+    rhos = sorted(_parse_rho_list(args.rho))
 
     mu1 = np.zeros(k)
     mu1[0] = float(delta)
@@ -433,15 +444,11 @@ def cmd_regions(args) -> int:
 # allocate
 
 def cmd_allocate(args) -> int:
-    k = _require(args, "k")
-    n = _require(args, "n")
-    delta = _require(args, "delta")
+    k, n, delta = args.k, args.n, args.delta
     if n < 1:
         raise ConfigError(f"total blocklength n must be positive, got {n}")
     a = float(n) * float(delta) ** 2  # information budget
-    grid = None
-    if args.rho is not None:
-        grid = np.array(_parse_rho_list(args.rho))
+    grid = None if args.rho is None else np.array(_parse_rho_list(args.rho))
     alloc = asymptotics.allocate(a, k, rho_grid=grid)
     columns = ["kind", "rho", "hardness"]
     rows = [
@@ -462,16 +469,14 @@ def cmd_allocate(args) -> int:
 
 def _add_common(sp):
     sp.add_argument("--config", help="key=value file; flags override it")
-    sp.add_argument("--format", choices=["csv", "json"], default=None,
-                    help="output format (default csv)")
+    sp.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
     sp.add_argument("--out", help="output path (default stdout)")
 
 
 def _add_mc(sp):
-    sp.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (default 10000)")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="threads; never changes output bytes (default 1)")
+    sp.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
+    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    sp.add_argument("--workers", type=int, help="threads; never changes output bytes (default 1)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,50 +493,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curve", help="analytic or training-averaged tradeoff curve")
     sp.add_argument("--detector", choices=["lrt", "glrt", "umm-train", "asymptotic"])
-    sp.add_argument("--k", type=int, default=None, help="dimension")
-    sp.add_argument("--delta", type=float, default=None,
+    sp.add_argument("--k", type=int, help="dimension")
+    sp.add_argument("--delta", type=float,
                     help="separation; for --detector asymptotic without --k, "
                          "the effective hardness itself")
-    sp.add_argument("--rho", default=None, help="training ratio")
-    sp.add_argument("--grid", default=None,
-                    help="false-alarm grid start:stop:count (default 0.05:0.95:19)")
+    sp.add_argument("--rho", help="training ratio")
+    sp.add_argument("--grid", help="false-alarm grid start:stop:count (default 0.05:0.95:19)")
     _add_mc(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("simulate", help="Monte Carlo run against a detector or model")
-    sp.add_argument("--detector", default=None, help="lrt | glrt | umm-train (nlp model)")
-    sp.add_argument("--model", default=None,
-                    help="nlp (default) | gaussian | discrete | ar")
-    sp.add_argument("--k", type=int, default=None, help="dimension / free cells")
-    sp.add_argument("--delta", type=float, default=None, help="separation (local, for models)")
-    sp.add_argument("--rho", default=None, help="training ratio override")
-    sp.add_argument("--n", type=int, default=None, help="test blocklength (models)")
-    sp.add_argument("--nx", type=int, default=None, help="training blocklength (models)")
-    sp.add_argument("--p-fa", type=float, default=None, dest="p_fa",
+    sp.add_argument("--detector", help="lrt | glrt | umm-train (nlp model)")
+    sp.add_argument("--model", help="nlp (default) | gaussian | discrete | ar")
+    sp.add_argument("--k", type=int, help="dimension / free cells")
+    sp.add_argument("--delta", type=float, help="separation (local, for models)")
+    sp.add_argument("--rho", help="training ratio override")
+    sp.add_argument("--n", type=int, help="test blocklength (models)")
+    sp.add_argument("--nx", type=int, help="training blocklength (models)")
+    sp.add_argument("--p-fa", type=float, dest="p_fa",
                     help="single false-alarm level (default 0.1)")
-    sp.add_argument("--grid", default=None, help="false-alarm grid start:stop:count")
-    sp.add_argument("--against", default=None,
+    sp.add_argument("--grid", help="false-alarm grid start:stop:count")
+    sp.add_argument("--against",
                     help="reference CSV; exit 1 unless every interval covers its p_md")
     _add_mc(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("regions", help="acceptance-region geometry (standardized plane)")
-    sp.add_argument("--k", type=int, default=None, help="dimension (default 2)")
-    sp.add_argument("--delta", type=float, default=None, help="separation")
-    sp.add_argument("--rho", default=None,
-                    help="comma-separated training ratios (default 0,1,5,20)")
-    sp.add_argument("--p-fa", type=float, default=None, dest="p_fa",
-                    help="false-alarm level (default 0.1)")
+    sp.add_argument("--k", type=int, help="dimension (default 2)")
+    sp.add_argument("--delta", type=float, help="separation")
+    sp.add_argument("--rho", help="comma-separated training ratios (default 0,1,5,20)")
+    sp.add_argument("--p-fa", type=float, dest="p_fa", help="false-alarm level (default 0.1)")
     _add_common(sp)
     sp.set_defaults(func=cmd_regions)
 
     sp = sub.add_parser("allocate", help="train/test split study at fixed budget")
-    sp.add_argument("--k", type=int, default=None, help="dimension")
-    sp.add_argument("--n", type=int, default=None, help="total blocklength")
-    sp.add_argument("--delta", type=float, default=None, help="per-observation separation")
-    sp.add_argument("--rho", default=None, help="comma-separated ratio grid (default built-in)")
+    sp.add_argument("--k", type=int, help="dimension")
+    sp.add_argument("--n", type=int, help="total blocklength")
+    sp.add_argument("--delta", type=float, help="per-observation separation")
+    sp.add_argument("--rho", help="comma-separated ratio grid (default built-in)")
     _add_common(sp)
     sp.set_defaults(func=cmd_allocate)
     return parser
@@ -543,6 +544,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             _load_config_file(args.config, args)
+        _resolve(args)
         return args.func(args)
     except UmmtestError as e:
         print(f"ummtest: error: {e}", file=sys.stderr)

@@ -688,7 +688,8 @@ def discrete_aumm_curve(
     training draw is computed exactly on the count lattice, so the
     simulation only averages over training randomness, and one set of
     training draws serves every level.  Without training (rho = 0) nothing
-    is random and the exact values come back with zero-width intervals.
+    is random: the exact values come back as an "analytic" curve, without
+    intervals.
     """
     g = _check_grid(p_fa_grid)
     if not isinstance(model, DiscreteModel):
@@ -699,7 +700,7 @@ def discrete_aumm_curve(
     if problem.rho == 0.0:
         thr = np.array([specfun.chisq_tail_inv(model.k, 0.0, p) for p in g.tolist()])
         v = disk._miss_given(np.zeros((g.size, model.k)), thr)
-        return TradeoffCurve(g, v, "simulated", label, ci_low=v, ci_high=v)
+        return TradeoffCurve(g, v, "analytic", label)
     # level by level: rows of one shape cost less than a broadcast (levels, rows) block
     kern = _UmmPmdKernel(
         problem, g, lambda rx, thr: np.stack([disk._miss_given(rx, t) for t in thr]))

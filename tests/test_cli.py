@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ummtest import __version__, cli, lan_models, linalg, specfun
+from ummtest import __version__, cli, lan_models, linalg, montecarlo, specfun
 from ummtest.asymptotics import allocation_hardness, hardness_param
 from ummtest.cli import main
 from ummtest.nlp_detect import glrt_curve, lrt_curve
@@ -76,7 +76,7 @@ def test_curve_asymptotic_rejects_rho_without_k(tmp_path, capsys):
     out = tmp_path / "a.csv"
     assert main(["curve", "--detector", "asymptotic", "--delta", "2", "--rho", "3",
                  "--out", str(out)]) == 2
-    assert "--rho needs --k" in capsys.readouterr().err
+    assert "curve --detector asymptotic without --k does not read --rho" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,14 +199,18 @@ def test_simulate_lan_discrete_reports_limit_gap(tmp_path):
     assert 0.0 <= dev < 0.05
 
 
-def test_simulate_lan_rho_without_training_exits_two(capsys):
+def test_simulate_lan_rho_without_training_exits_two(tmp_path, capsys):
     # with --nx 0 no rule uses a training block, and a positive --rho would
     # only move dev_from_limit to the wrong limit curve
     base = ["simulate", "--model", "discrete", "--k", "2", "--n", "200", "--nx", "0",
             "--delta", "2", "--p-fa", "0.1", "--trials", "1000"]
     assert main(base + ["--rho", "3"]) == 2
     assert "needs training samples" in capsys.readouterr().err
-    assert main(base + ["--rho", "0"]) == 0
+    out = tmp_path / "d.csv"
+    assert main(base + ["--rho", "0", "--out", str(out)]) == 0
+    # the exact lattice value is its own zero-width interval
+    _, _, rows = _read(out)
+    assert rows[0]["ci_low"] == rows[0]["p_md"] == rows[0]["ci_high"]
 
 
 def test_simulate_lan_rejects_a_detector(tmp_path, capsys):
@@ -216,7 +220,7 @@ def test_simulate_lan_rejects_a_detector(tmp_path, capsys):
     assert main(["simulate", "--model", "discrete", "--detector", "lrt", "--k", "2",
                  "--n", "200", "--nx", "200", "--delta", "2", "--p-fa", "0.1",
                  "--trials", "1000", "--out", str(out)]) == 2
-    assert "--detector applies to --model nlp only" in capsys.readouterr().err
+    assert "simulate --model discrete does not read --detector" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -234,7 +238,7 @@ def test_simulate_lan_computes_one_matrix_root(tmp_path, monkeypatch):
 def test_simulate_lan_ar_k_guard(capsys):
     assert main(["simulate", "--model", "ar", "--k", "2", "--delta", "1",
                  "--n", "300", "--p-fa", "0.1", "--trials", "200"]) == 2
-    assert "first-order" in capsys.readouterr().err
+    assert "simulate --model ar does not read --k" in capsys.readouterr().err
 
 
 def test_regions_geometry(tmp_path):
@@ -320,6 +324,15 @@ def test_config_file_merge_and_errors(tmp_path, capsys):
     assert main(["curve", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert "cannot read config file" in capsys.readouterr().err
 
+    # a repeated key is an error, not first-wins, whichever spelling it takes
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("detector = lrt\ndelta = 1\ngrid = 0.1:0.9:5\ndelta = 2\n")
+    assert main(["curve", "--config", str(twice)]) == 2
+    assert f"{twice}:4: key 'delta' repeats line 2" in capsys.readouterr().err
+    twice.write_text("p-fa = 0.1\np_fa = 0.2\n")
+    assert main(["regions", "--delta", "2", "--config", str(twice)]) == 2
+    assert f"{twice}:2: key 'p_fa' repeats line 1" in capsys.readouterr().err
+
 
 def test_json_output(tmp_path):
     out = tmp_path / "c.json"
@@ -396,3 +409,139 @@ def test_discrete_disk_false_alarms_draw_under_h0_only(tmp_path, monkeypatch):
     trains = [theta for theta, size in draws if size == nx]
     assert len(trains) == 2 * len(tests)  # one training draw per block in each column
     assert len(draws) == len(tests) + len(trains)
+
+
+# ---------------------------------------------------------------------------
+# the run table: each run reads the options of its row of cli._RUNS
+
+# a command line of each run, with its required options
+_BASE = {
+    "curve --detector lrt": ["curve", "--detector", "lrt", "--delta", "2"],
+    "curve --detector glrt": ["curve", "--detector", "glrt", "--k", "2", "--delta", "2"],
+    "curve --detector umm-train": ["curve", "--detector", "umm-train", "--k", "2",
+                                   "--delta", "2", "--rho", "1"],
+    "curve --detector asymptotic --k": ["curve", "--detector", "asymptotic", "--k", "64",
+                                        "--delta", "2"],
+    "curve --detector asymptotic without --k": ["curve", "--detector", "asymptotic",
+                                                "--delta", "2"],
+    "simulate --model nlp --detector lrt": ["simulate", "--detector", "lrt", "--k", "2",
+                                            "--delta", "2"],
+    "simulate --model nlp --detector glrt": ["simulate", "--detector", "glrt", "--k", "2",
+                                             "--delta", "2"],
+    "simulate --model nlp --detector umm-train": ["simulate", "--detector", "umm-train",
+                                                  "--k", "2", "--delta", "2"],
+    "simulate --model gaussian": ["simulate", "--model", "gaussian", "--k", "2",
+                                  "--delta", "2", "--n", "40"],
+    "simulate --model discrete": ["simulate", "--model", "discrete", "--delta", "2",
+                                  "--n", "40"],
+    "simulate --model ar": ["simulate", "--model", "ar", "--delta", "1", "--n", "40"],
+    "regions": ["regions", "--delta", "2"],
+    "allocate": ["allocate", "--k", "10", "--n", "20", "--delta", "1"],
+}
+
+# a value of every option, valid wherever the option is read
+_SAMPLE = {
+    "detector": "lrt", "model": "nlp", "k": "3", "delta": "2.5", "rho": "1",
+    "grid": "0.1:0.2:2", "p_fa": "0.1", "n": "40", "nx": "40", "trials": "200",
+    "seed": "5", "workers": "2", "format": "csv", "out": "t.csv", "against": "ref.csv",
+}
+
+
+def _options(command):
+    """Every dest that the subcommand's parser accepts."""
+    return set(vars(cli._build_parser().parse_args([command]))) - {"command", "func"}
+
+
+def test_run_table_matches_the_parser():
+    assert set(_BASE) == set(cli._RUNS)
+    for run, row in cli._RUNS.items():
+        assert set(row) <= _options(run.split()[0]), run
+    assert set(_SAMPLE) == set(cli._CONVERT)
+
+
+def _outside(keys_of):
+    # --k picks the other asymptotic run, so it is never outside that pair
+    pairs = [(run, dest) for run, row in cli._RUNS.items()
+             for dest in sorted(keys_of(run.split()[0]) - set(row))
+             if not (dest == "k" and run.startswith("curve --detector asymptotic"))]
+    return pytest.mark.parametrize("run, dest", pairs, ids=[f"{r}|{d}" for r, d in pairs])
+
+
+@_outside(_options)
+def test_option_outside_the_run_exits_two_by_flag(tmp_path, capsys, run, dest):
+    out = tmp_path / "t.csv"
+    assert main(_BASE[run] + [cli._flag(dest), _SAMPLE[dest], "--out", str(out)]) == 2
+    assert f"{run} does not read {cli._flag(dest)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@_outside(lambda command: set(cli._CONVERT))
+def test_option_outside_the_run_exits_two_by_config_key(tmp_path, capsys, run, dest):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    cfg.write_text(f"{dest} = {_SAMPLE[dest]}\n")
+    assert main(_BASE[run] + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{run} does not read {cli._flag(dest)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", list(cli._RUNS))
+def test_header_lists_exactly_the_options_set(tmp_path, run):
+    # every option of the row set at once; --p-fa and --grid take turns
+    row = cli._RUNS[run]
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("# no keys\n")
+    base = _BASE[run] + ["--config", str(cfg)]
+    extra = [d for d in row if cli._flag(d) not in base and d not in ("config", "out", "against")]
+    for drop in ("grid", "p_fa"):
+        argv = list(base)
+        for dest in extra:
+            if not (dest == drop and {"grid", "p_fa"} <= set(row)):
+                argv += [cli._flag(dest), _SAMPLE[dest]]
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        comments, _, _ = _read(out)
+        header = dict(kv.split("=", 1) for kv in comments[1][len("# config: "):].split())
+        shown = {a[2:] for a in argv if a.startswith("--")} - {
+            "config", "format", "out", "against", "workers"}
+        if run.startswith("simulate"):  # the resolved model, set or not
+            shown.add("model")
+            assert f"--model {header['model']}" in run
+        assert set(header) == shown, (argv, header)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "--detector", "lrt", "--k", "5", "--delta", "2", "--grid", "0.1:0.1:1"],
+     "curve --detector lrt does not read --k"),
+    (["simulate", "--detector", "glrt", "--k", "2", "--delta", "2", "--n", "100",
+      "--nx", "7", "--trials", "200"],
+     "simulate --model nlp --detector glrt does not read --n, --nx"),
+    # an analytic curve runs no Monte Carlo
+    (["curve", "--detector", "glrt", "--k", "2", "--delta", "2", "--trials", "500",
+      "--seed", "9"],
+     "curve --detector glrt does not read --seed, --trials"),
+    (["simulate", "--model", "ar", "--k", "1", "--delta", "1", "--n", "300",
+      "--p-fa", "0.1", "--trials", "200"],
+     "simulate --model ar does not read --k"),
+], ids=["lrt-k", "glrt-n-nx", "glrt-trials", "ar-k1"])
+def test_ignored_options_exit_two(tmp_path, capsys, argv, message):
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--k", "10", "--n", "20", "--delta", "-1"],
+    ["regions", "--delta", "-2"],
+    ["simulate", "--model", "gaussian", "--k", "2", "--n", "40", "--delta", "-2"],
+    ["simulate", "--model", "discrete", "--n", "40", "--delta", "-2", "--trials", "500"],
+], ids=["allocate", "regions", "gaussian", "discrete"])
+def test_nonpositive_delta_exits_two_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*a, **kw):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(montecarlo, "run_kernel", no_work)
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "delta must be a positive real" in capsys.readouterr().err
+    assert not out.exists()
