@@ -17,6 +17,9 @@ the run does not read exits 2, set by flag or by config key.  The `# config:`
 header lists exactly the options that were set, never a default, plus the
 model of a `simulate` run, and leaves out those in `_UNPRINTED`.
 
+Every option is checked before any work, the `--against` reference and the
+`--grid` points included, so a bad one exits 2 with no table written.
+
 Exit codes: 0 success; 1 a `--against` comparison failed; 2 bad usage or
 configuration.
 """
@@ -78,7 +81,7 @@ _RUNS = {
 # option plumbing
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """start:stop:count, endpoints clipped into the open unit interval."""
+    """start:stop:count, sorted, every point inside the open unit interval."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:count, got {spec!r}")
@@ -89,8 +92,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if count < 1:
         raise ConfigError(f"grid count must be at least 1, got {count}")
     g = np.linspace(start, stop, count) if count > 1 else np.array([start])
-    g = np.unique(np.clip(g, 1e-6, 1.0 - 1e-6))
-    return g
+    return montecarlo._check_grid(np.unique(g))
 
 
 def _as_float(val, name: str) -> float:
@@ -181,6 +183,8 @@ def _resolve(args) -> None:
             setattr(args, dest, default)
     if "delta" in row:
         nlp_detect._check_delta(args.delta)
+    if args.format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {args.format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,7 @@ def _write_table(args, columns, rows, seed=None) -> None:
         for row in rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
-    elif args.format == "json":
+    else:
         doc = {
             "tool": "ummtest",
             "version": __version__,
@@ -224,8 +228,6 @@ def _write_table(args, columns, rows, seed=None) -> None:
         if seed is not None:
             doc["seed"] = seed
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        raise ConfigError(f"format must be csv or json, got {args.format!r}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -350,18 +352,23 @@ def _simulate_lan(args, grid, mc):
     return columns, rows
 
 
-def _check_against(path: str, rows) -> int:
-    """Exit 1 unless every simulated interval covers the reference p_md."""
+def _read_reference(path: str, count: int) -> list:
+    """The p_md column of an --against reference, one value per grid point;
+    read before the run, so a bad reference costs no work and writes no table."""
     columns, ref_rows = _read_csv_table(path)
     if "p_md" not in columns:
         raise ConfigError(f"{path!r} has no p_md column")
-    if len(ref_rows) != len(rows):
+    if len(ref_rows) != count:
         raise ConfigError(
-            f"row count mismatch: {path!r} has {len(ref_rows)}, this run produced {len(rows)}"
+            f"row count mismatch: {path!r} has {len(ref_rows)}, this run produces {count}"
         )
+    return [_as_float(ref.get("p_md"), f"{path!r} row {i}: p_md") for i, ref in enumerate(ref_rows)]
+
+
+def _check_against(targets, rows) -> int:
+    """Exit 1 unless every simulated interval covers the reference p_md."""
     misses = []
-    for i, (ref, row) in enumerate(zip(ref_rows, rows)):
-        target = _as_float(ref.get("p_md"), f"{path!r} row {i}: p_md")
+    for i, (target, row) in enumerate(zip(targets, rows)):
         lo, hi = row["ci_low"], row["ci_high"]
         if not (lo <= target <= hi):
             misses.append(f"row {i}: reference p_md={target!r} outside [{lo!r}, {hi!r}]")
@@ -374,14 +381,15 @@ def _check_against(path: str, rows) -> int:
 
 def cmd_simulate(args) -> int:
     grid = _parse_grid(args.grid) if args.p_fa is None else np.array([float(args.p_fa)])
+    targets = None if args.against is None else _read_reference(args.against, grid.size)
     mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
     if args.model == "nlp":
         columns, rows = _simulate_nlp(args, grid, mc)
     else:
         columns, rows = _simulate_lan(args, grid, mc)
     _write_table(args, columns, rows, seed=mc.seed)
-    if args.against is not None:
-        return _check_against(args.against, rows)
+    if targets is not None:
+        return _check_against(targets, rows)
     return 0
 
 

@@ -545,3 +545,59 @@ def test_nonpositive_delta_exits_two_before_any_work(tmp_path, capsys, monkeypat
     assert main(argv + ["--out", str(out)]) == 2
     assert "delta must be a positive real" in capsys.readouterr().err
     assert not out.exists()
+
+
+_GLRT_SIM = ["simulate", "--detector", "glrt", "--k", "2", "--delta", "2", "--trials", "2000"]
+
+
+@pytest.mark.parametrize("case", ["format-yaml", "against-missing", "against-no-p-md",
+                                  "against-rows", "against-value", "grid-zero", "grid-one"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_bad_run_options_exit_two_before_any_work(tmp_path, capsys, monkeypatch, case, to_file):
+    # a bad format, --against reference or --grid endpoint exits 2 before the
+    # simulation runs: no table on stdout and no output file
+    def no_work(*a, **kw):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(montecarlo, "run_kernel", no_work)
+    ref = tmp_path / "ref.csv"
+    argv, message = list(_GLRT_SIM), None
+    if case == "format-yaml":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = yaml\n")
+        argv += ["--config", str(cfg)]
+        message = "format must be csv or json, got 'yaml'"
+    elif case == "against-missing":
+        argv += ["--against", str(tmp_path / "nope.csv")]
+        message = "cannot read"
+    elif case.startswith("against-"):
+        ref.write_text({"against-no-p-md": "p_fa,ci_low\n0.1,0.2\n",
+                        "against-rows": "p_fa,p_md\n0.1,0.4\n0.2,0.3\n0.3,0.2\n",
+                        "against-value": "p_fa,p_md\n0.1,0.4\n0.2,abc\n"}[case])
+        argv += ["--grid", "0.1:0.2:2", "--against", str(ref)]
+        message = {"against-no-p-md": "has no p_md column",
+                   "against-rows": "row count mismatch",
+                   "against-value": "row 1: p_md must be a number, got 'abc'"}[case]
+    else:
+        argv += ["--grid", "0:0:1" if case == "grid-zero" else "0.5:1:3"]
+        message = "p_fa grid must be strictly increasing inside (0, 1)"
+    out = tmp_path / "o2.csv"
+    if to_file:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:3", "0.5:1:2", "-0.1:0.5:2", "1:1:1"])
+def test_curve_grid_endpoints_outside_the_unit_interval_exit_two(capsys, grid):
+    # the grid's endpoints are checked as --p-fa is, not clipped into (0, 1)
+    assert main(["curve", "--detector", "lrt", "--delta", "2", "--grid=" + grid]) == 2
+    captured = capsys.readouterr()
+    assert "p_fa grid must be strictly increasing inside (0, 1)" in captured.err
+    assert captured.out == ""
+    assert main(["simulate", "--detector", "glrt", "--k", "2", "--delta", "2",
+                 "--p-fa", "0"]) == 2
+    assert "p_fa grid must be strictly increasing inside (0, 1)" in capsys.readouterr().err

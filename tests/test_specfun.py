@@ -47,6 +47,81 @@ NCX2_FAR_TAIL = [
 NCX2_ISF_2_0_1EM300 = 1381.5510557964274104
 NCX2_ISF_2_1E4_1EM12 = 11457.415118976163669
 
+# ---- frozen oracle values (tests/oracles/oracle_gamma_anchor.py, mpmath) ----
+GAMMA_ANCHOR = [  # (b, x, e, Q(b, x))
+    (0.5, 0.1464466094067262, 1.2734574800232941644, 0.58837242523730292243),
+    (0.5, 0.5, 0.4839414490382866996, 0.31731050786291410283),
+    (0.5, 0.8535533905932737, 0.26008552971815701705, 0.19136118154086167241),
+    (0.5, 1.2071067811865475, 0.15357212887941658586, 0.12023834065689729871),
+    (0.5, 2.621320343559643, 0.02533611689760286648, 0.022039795281218246343),
+    (0.5, 6.156854249492381, 0.00048179002140125656314, 0.00044964371777044164393),
+    (1.0, 0.5, 0.6065306597126334236, 0.6065306597126334236),
+    (1.0, 1.0, 0.3678794411714423216, 0.3678794411714423216),
+    (1.0, 1.5, 0.22313016014842982893, 0.22313016014842982893),
+    (1.0, 2.0, 0.13533528323661269189, 0.13533528323661269189),
+    (1.0, 4.0, 0.018315638888734180294, 0.018315638888734180294),
+    (1.0, 9.0, 0.0001234098040866795495, 0.0001234098040866795495),
+    (1.5, 0.27525512860841106, 0.44955308845280264418, 0.90766236670594774297),
+    (1.5, 0.8876275643042055, 0.43760139351244405476, 0.62033444390383278631),
+    (1.5, 1.5, 0.30836065960753855362, 0.39162517627108895548),
+    (1.5, 2.1123724356957947, 0.19835749389173188014, 0.23819610198092722068),
+    (1.5, 2.724744871391589, 0.1221170540903779229, 0.14169109708764892317),
+    (1.5, 5.174234614174766, 0.014529028536998654348, 0.015824849523584429259),
+    (1.5, 11.297958971132712, 0.000047023377334909824127, 0.000049022466370627228537),
+    (10.0, 0.5131670194948619, 4.0709896321281641263e-9, 0.99999999978091042289),
+    (10.0, 6.83772233983162, 0.096572847837316120596, 0.84656303936139354044),
+    (10.0, 8.418861169915811, 0.12919691639259662578, 0.66348449671064871867),
+    (10.0, 10.0, 0.12511003572113329898, 0.45792971447185220831),
+    (10.0, 11.581138830084189, 0.096465870836634237279, 0.28089679732525406336),
+    (10.0, 13.16227766016838, 0.062793088228025193504, 0.15535840360363731239),
+    (10.0, 19.486832980505138, 0.0038448933680925764602, 0.0067178334408033027917),
+    (10.0, 35.29822128134704, 1.0969570802653777854e-7, 1.4550856003025431713e-7),
+    (10.5, 0.7788889523882094, 3.7706297196473274849e-8, 0.99999999700098399555),
+    (10.5, 7.25962965079607, 0.093655593390136616237, 0.84627926205787007508),
+    (10.5, 8.879814825398036, 0.12561628712563332121, 0.66416060771504507332),
+    (10.5, 10.5, 0.12214330696528824504, 0.45894420889282182429),
+    (10.5, 12.120185174601964, 0.094465184163687635676, 0.28155825074952808473),
+    (10.5, 13.74037034920393, 0.061557579899760535401, 0.15550157296072287077),
+    (10.5, 20.221111047611792, 0.0037059032911311672838, 0.0065675674473096781417),
+    (10.5, 36.42296279363144, 9.1292837126614059595e-8, 1.2204456208574236336e-7),
+    (77.0, 6.800284900863019, 1.1048636537380096111e-51, 1.0),
+    (77.0, 50.675106837823634, 0.00019100756183781224639, 0.99965419182777725805),
+    (77.0, 68.22503561260788, 0.029822550889661121805, 0.84191486329810769209),
+    (77.0, 72.61251780630394, 0.04228950268938040028, 0.68140932675289734501),
+    (77.0, 77.0, 0.045414516010310133862, 0.48484437427428395841),
+    (77.0, 81.38748219369606, 0.038090693928683777322, 0.29853155549260464469),
+    (77.0, 85.77496438739212, 0.02560840279979784199, 0.15817064939206699182),
+    (77.0, 103.32489316217637, 0.00085255238174889907099, 0.0029759349212936551207),
+    (77.0, 147.199715099137, 3.6097768516769611975e-11, 7.3583714364561871878e-11),
+    (900.0, 660.0, 1.8214041493869678209e-19, 0.9999999999999999995),
+    (900.0, 810.0, 0.00011865005828576447303, 0.99901615243388881081),
+    (900.0, 870.0, 0.0082485037073316597018, 0.84139064456851880394),
+    (900.0, 885.0, 0.011916540644148726986, 0.68852656776642337756),
+    (900.0, 900.0, 0.013296844767100207793, 0.49556728070111798038),
+    (900.0, 915.0, 0.01155790046026547686, 0.30560571658107804559),
+    (900.0, 930.0, 0.0078898528886726462584, 0.1586114810594311389),
+    (900.0, 990.0, 0.00017752895006902723972, 0.0017700390637122101638),
+    (900.0, 1140.0, 1.5364495600155378198e-14, 7.1610165451565032974e-14),
+    (900.5, 660.4333425900215, 1.8252668067298582862e-19, 0.9999999999999999995),
+    (900.5, 810.4750034712581, 0.00011862502303623918983, 0.99901605874869680383),
+    (900.5, 870.4916678237527, 0.0082461616465722204746, 0.84139061877360265279),
+    (900.5, 885.4958339118764, 0.011913181131398125168, 0.68852738350577010025),
+    (900.5, 900.5, 0.013293153420808267972, 0.49556851151433880502),
+    (900.5, 915.5041660881236, 0.011554740112033496163, 0.30560653006173894941),
+    (900.5, 930.5083321762473, 0.0078877100652890887938, 0.15861150508348127022),
+    (900.5, 990.5249965287419, 0.00017747134043617109867, 0.0017699153876081310864),
+    (900.5, 1140.5666574099785, 1.5344187356530647134e-14, 7.1531271967739599066e-14),
+    (10000.0, 9200.0, 8.9325940497136364638e-18, 0.99999999999999989869),
+    (10000.0, 9700.0, 0.000041669850838462758773, 0.998765824415531508),
+    (10000.0, 9900.0, 0.0024359334431713200591, 0.84134880780643534304),
+    (10000.0, 9950.0, 0.0035368359669874166082, 0.69058211513881740579),
+    (10000.0, 10000.0, 0.0039893895589628256487, 0.49867019166004479962),
+    (10000.0, 10050.0, 0.0035045628656077901861, 0.30765755929743444214),
+    (10000.0, 10100.0, 0.0024036692578620490526, 0.1586512495528203776),
+    (10000.0, 10300.0, 0.000046986349278486107651, 0.0014704948963856812759),
+    (10000.0, 10800.0, 2.3412728992919789284e-16, 3.1098199621688447545e-15),
+]
+
 # ---- frozen oracle values (tests/oracles/oracle_bessel_vmf.py, mpmath) ----
 LOG_I_HALF_1 = -0.064351991073531798753
 LOG_I_1_2 = 0.46413447354615974426
@@ -371,6 +446,61 @@ def test_scalar_path_agrees_with_vector_engine(k):
     inv = specfun._chisq_tail_inv_vec(k, lam, p)
     one = np.array([specfun.chisq_tail_inv(k, lv, pv) for lv, pv in zip(lam.tolist(), p.tolist())])
     assert np.max(_rel_err(one, inv)) <= 1e-13
+
+
+def test_incomplete_gamma_anchor_against_mpmath():
+    # Q(b, x) from the density term e by positive sums, downward from e where
+    # x >= b and upward for P where x < b (at half-integer b past exponent
+    # 1/2 through the continued fraction), in both paths
+    b, x, e, q = np.array(GAMMA_ANCHOR).T
+    assert np.max(_rel_err(specfun._gamma_q_anchor_vec(b, x, e), q)) <= 1e-13
+    one = np.array([specfun._gamma_q_anchor(*row[:3]) for row in GAMMA_ANCHOR])
+    assert np.max(_rel_err(one, q)) <= 1e-13
+
+
+@pytest.mark.parametrize("k, lam, t", [(2, 100.0, 2e4), (2, 1e4, 5e4), (1, 1e6, 1.1e6),
+                                       (8, 0.3, 1.6e11)])
+def test_far_above_the_bulk_tail_and_pdf_underflow_to_zero(k, lam, t):
+    # the sums overflow on their way from the Poisson mode to their largest
+    # terms here; a Chernoff bound below the least subnormal returns zeros
+    assert stats.ncx2.sf(t, k, lam) == 0.0 and stats.ncx2.pdf(t, k, lam) == 0.0
+    assert specfun._chisq_tail_pdf(k, lam, t) == (0.0, 0.0)
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, np.array([lam]), np.array([t]))
+    assert tail[0] == 0.0 and pdf[0] == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5, 7.0])
+def test_inverse_near_one_reads_zero_far_out(lam):
+    # the first step lands near t = 1.6e11, where the tail used to read 1.0
+    p = 1.0 - 1e-9
+    one = specfun.chisq_tail_inv(8, lam, p)
+    vec = specfun._chisq_tail_inv_vec(8, np.array([lam]), p)[0]
+    for t in (one, vec):
+        assert abs(specfun.chisq_tail(8, lam, t) - p) <= 1e-12 * p
+
+
+@pytest.mark.parametrize("rho, bound", [(20.0, 2.0), (5.0, 2.5)])
+def test_training_inversions_take_few_passes(monkeypatch, rho, bound):
+    # element evaluations of the vector engine per inversion, over 3,000
+    # training draws at k = 2, delta = 2 and two levels: the Newton step in
+    # Sankaran's coordinate ends every element by its second pass at rho = 20
+    # (2.47 passes on the log tail) and averages at most 2.5 at rho = 5 (3.00)
+    sizes = []
+    engine = specfun._chisq_tail_pdf_vec
+
+    def counted(k, lam, t):
+        sizes.append(np.size(t))
+        return engine(k, lam, t)
+
+    monkeypatch.setattr(specfun, "_chisq_tail_pdf_vec", counted)
+    g = np.random.default_rng(12).standard_normal((3000, 2))
+    rx = math.sqrt(rho) * g
+    rx[:, 0] += rho * 2.0
+    th0 = np.broadcast_to(np.sum(rx * rx, axis=1), (2, 3000))
+    specfun._chisq_tail_inv_vec(2, th0, np.array([[0.1], [0.3]]))
+    assert sum(sizes) / th0.size <= bound
+    if rho == 20.0:  # one engine call per pass of the batched solve
+        assert len(sizes) <= 2
 
 
 # ---------------------------------------------------------------------------
