@@ -43,6 +43,14 @@ NCX2_FAR_TAIL = [
     (1, 10000.0, 16448.29, 6.9403872715383045617e-176),
     (1000, 10000.0, 20000.0, 6.5496773846236869758e-304),
 ]
+# (k, lam, t, P(X > t)) between the Chernoff cut-off and the least normal,
+# where scipy's ncx2.sf reads 0: two normal tails and two subnormal ones
+NCX2_FAR_BAND = [
+    (1, 1e5, 119012.7368688536, 3.983017311500277177e-182),
+    (1, 1e5, 124082.5, 1.6568482549526509374e-284),
+    (2, 1e5, 125300.35, 3.9599612971553314023e-312),
+    (2, 1e6, 1078002.04, 1.0328932600335522666e-320),
+]
 # quantiles the absolute stopping test used to miss (76.09 and 11450.11)
 NCX2_ISF_2_0_1EM300 = 1381.5510557964274104
 NCX2_ISF_2_1E4_1EM12 = 11457.415118976163669
@@ -469,6 +477,37 @@ def test_far_above_the_bulk_tail_and_pdf_underflow_to_zero(k, lam, t):
     assert tail[0] == 0.0 and pdf[0] == 0.0
 
 
+@pytest.mark.parametrize("k, lam, t, ref", NCX2_FAR_BAND)
+def test_far_band_tail_against_mpmath(k, lam, t, ref):
+    # from the Poisson mode the terms overflowed on their way up to the
+    # largest one, or the sweep ran into its cap; anchored below the largest
+    # term both paths read the tail, to the spacing of the subnormals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = specfun._chisq_tail_pdf(k, lam, t)
+        tail, pdf = specfun._chisq_tail_pdf_vec(k, np.array([lam]), np.array([t]))
+    for got in (one[0], tail[0]):
+        assert abs(got - ref) <= 1e-12 * ref + 2.0 ** -1074
+    assert one[1] == pytest.approx(pdf[0], rel=1e-13, abs=2.0 ** -1074)
+    # scipy reads 0 here; the engine agrees to below the least normal
+    assert abs(tail[0] - stats.ncx2.sf(t, k, lam)) < 2.3e-308 or ref > 1e-300
+    assert abs(pdf[0] - stats.ncx2.pdf(t, k, lam)) < 2.3e-308 or ref > 1e-300
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e6])
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_far_band_scan_is_finite_and_non_increasing(k, lam):
+    # from the mean to past the Chernoff cut-off, through the far band
+    t = k + lam + np.linspace(0.0, 60.0, 241) * math.sqrt(2.0 * (k + 2.0 * lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail, pdf = specfun._chisq_tail_pdf_vec(k, np.full(t.size, lam), t)
+        one = np.array([specfun._chisq_tail_pdf(k, lam, tv) for tv in t[::6].tolist()])
+    assert np.all(np.isfinite(tail)) and np.all(np.isfinite(pdf))
+    assert np.all(np.diff(tail) <= 0.0) and tail[-1] == 0.0 and tail[-2] < 1e-300 < tail[0]
+    assert np.all(np.abs(one[:, 0] - tail[::6]) <= 1e-13 * tail[::6] + 2.0 ** -1074)
+
+
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5, 7.0])
 def test_inverse_near_one_reads_zero_far_out(lam):
     # the first step lands near t = 1.6e11, where the tail used to read 1.0
@@ -501,6 +540,67 @@ def test_training_inversions_take_few_passes(monkeypatch, rho, bound):
     assert sum(sizes) / th0.size <= bound
     if rho == 20.0:  # one engine call per pass of the batched solve
         assert len(sizes) <= 2
+
+
+def _training_draws(k, delta, rho, n=3000):
+    # ||rho x||^2 of n training draws, x ~ N(delta e_1, I / rho) in R^k
+    rx = math.sqrt(rho) * np.random.default_rng(12).standard_normal((n, k))
+    rx[:, 0] += rho * delta
+    return np.sum(rx * rx, axis=1)
+
+
+@pytest.mark.parametrize("k, delta, rho", [(2, 2.0, 1.0), (2, 2.0, 5.0), (2, 2.0, 20.0),
+                                           (1, 2.0, 5.0), (8, 3.0, 5.0), (32, 4.0, 2.0)])
+def test_interpolated_starts_take_one_pass(monkeypatch, k, delta, rho):
+    # a level shared by 3,000 draws starts from a Chebyshev interpolant over
+    # 32 solved nodes, which the stopping test accepts on the first pass:
+    # engine evaluations per element, nodes included (2.0 to 3.0 from
+    # Sankaran's start)
+    sizes = []
+    engine = specfun._chisq_tail_pdf_vec
+
+    def counted(k, lam, t):
+        sizes.append(np.size(t))
+        return engine(k, lam, t)
+
+    monkeypatch.setattr(specfun, "_chisq_tail_pdf_vec", counted)
+    th0 = np.broadcast_to(_training_draws(k, delta, rho), (2, 3000))
+    levels = np.array([[0.1], [0.3]])
+    t = specfun._chisq_tail_inv_vec(k, th0, levels)
+    assert sum(sizes) / th0.size <= 1.05
+    monkeypatch.undo()
+    assert np.max(np.abs(specfun._chisq_tail_vec(k, th0, t) - levels) / levels) <= 1e-12
+
+
+def test_interpolated_start_of_a_level_does_not_depend_on_the_sweep():
+    # nodes and interpolant follow from k, the level and the noncentralities
+    # that share it, so a level solved inside a sweep gives the same bits
+    th0 = _training_draws(2, 2.0, 5.0)
+    levels = np.array([0.05, 0.1, 0.3])
+    t = specfun._chisq_tail_inv_vec(2, np.broadcast_to(th0, (3, th0.size)), levels[:, None])
+    for row, p in zip(t, levels):
+        assert np.array_equal(row, specfun._chisq_tail_inv_vec(2, th0, p))
+
+
+@pytest.mark.parametrize("k", (1, 8))
+def test_interpolated_starts_on_wide_and_degenerate_ranges(k):
+    # where the interpolant does not resolve the range, Sankaran's start is
+    # kept wherever the two differ by less than its error estimate
+    rng = np.random.default_rng(3)
+    cases = (10.0 ** rng.uniform(-3.0, 6.0, 3000),  # log-uniform over nine decades
+             np.concatenate([rng.normal(1600.0, 40.0, 2998), [0.0, 1e6]]),  # two outliers
+             np.full(3000, 37.5))  # all equal: the nodes coincide
+    for lam in cases:
+        for p in (1e-12, 0.1, 0.9):
+            t = specfun._chisq_tail_inv_vec(k, lam, p)
+            assert np.max(_rel_err(t, stats.ncx2.isf(p, k, lam))) <= VEC_REL_TOL
+
+
+def test_interpolated_starts_raise_at_the_pass_cap(monkeypatch):
+    # the node solve keeps the cap and the message of the main loop
+    monkeypatch.setattr(specfun, "_MAX_PASSES", 1)
+    with pytest.raises(RangeError, match="not converged"):
+        specfun._chisq_tail_inv_vec(2, _training_draws(2, 2.0, 1.0), 0.1)
 
 
 # ---------------------------------------------------------------------------
