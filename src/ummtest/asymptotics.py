@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import ConfigError, DomainError
-from .montecarlo import _check_grid
-from .nlp_detect import TradeoffCurve, _check_delta, _check_rho
+from .nlp_detect import TradeoffCurve, _check_delta, _check_rho, lrt_curve
 
 __all__ = [
     "hardness_param",
@@ -72,9 +70,9 @@ def asymptotic_curve(hardness, p_fa_grid) -> TradeoffCurve:
     h = float(hardness)
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"hardness must be positive and finite, got {hardness!r}")
-    g = _check_grid(p_fa_grid)
-    md = np.array([specfun.normal_tail(h - specfun.normal_tail_inv(p)) for p in g])
-    return TradeoffCurve(g, md, "analytic", f"limit hardness={h:g}")
+    curve = lrt_curve(h, p_fa_grid)
+    curve.problem = f"limit hardness={h:g}"
+    return curve
 
 
 def hardness_high_rho(delta, rho) -> float:

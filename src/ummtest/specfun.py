@@ -6,16 +6,18 @@ of the first kind, and the von Mises-Fisher normalizing constant c_k with
 its inverse.  All Bessel/c_k arithmetic happens in log scale; c_k underflows
 rapidly in both k and tau otherwise.
 
-The normal quantile is one algorithm (AS241) on one set of tables for float
-and ndarray input alike.  The chi-square engine is one algorithm too, run
-twice: in pure Python on floats for the public functions, and on ndarrays
-by the ``*_vec`` kernels of the Monte Carlo hot paths (a 0-d call to numpy
-costs several times the scalar one).  Both share their constants, their
-log-density split and Sankaran's starting point.  Each sum is anchored at
-its own Poisson mode (one ``exp`` per term kind, at the anchor; in the far
-upper tail just below its largest term instead, and scaled by powers of
-two), takes the incomplete gamma there from positive sums that start at the
-density term already in hand, sums outward with recurrences, and stops at
+The normal tail is one ``math.erfc`` call, and the normal quantile one
+algorithm (AS241) on one set of tables for float and ndarray input alike.
+The chi-square engine is one algorithm too, run twice: in pure Python on
+floats for the public functions, and on ndarrays by the ``*_vec`` kernels of
+the Monte Carlo hot paths (a 0-d call to numpy costs several times the
+scalar one).  Both share their constants, their log-density split and
+Sankaran's starting point.  Each sum is anchored at its own Poisson mode
+(one ``exp`` per term kind, at the anchor; in the far upper tail just below
+its largest term instead, and scaled by powers of two), takes the incomplete
+gamma there from positive sums that start at the density term already in
+hand (at half-integer orders they end in Q(1/2, x) = erfc(sqrt x); no other
+incomplete gamma is computed), sums outward with recurrences, and stops at
 its own certified relative truncation bound, so an element's tail and
 density from the vector engine are the same bit for bit whatever array they
 are computed in.  Far above the bulk, where a Chernoff bound puts the tail
@@ -25,12 +27,12 @@ coordinate, in which that deviate is nearly linear (on the log tail where
 the deviate passes 8 or the step fails), and stops once the tail is within
 1e-12 of p in relative terms (or t is pinned to a few ulps); the vector one
 solves a whole (levels, trials) array in one batched solve.  Its start
-depends only on k, the element's p and the noncentralities that share that
-p in the call: a level shared by many of them starts from an interpolant
-over solved nodes, so an element's quantile is the same bit for bit
-whatever other levels share the array, but not whatever noncentralities
-share its level.  The term caps grow with the spread of each sum, and every
-capped loop raises RangeError instead of returning its last iterate.
+depends only on k, the element's p and the noncentralities that share that p
+in the call: a level shared by many of them starts from an interpolant over
+solved nodes, so an element's quantile is the same bit for bit whatever
+other levels share the array, but not whatever noncentralities share its
+level.  The term caps grow with the spread of each sum, and every capped
+loop raises RangeError instead of returning its last iterate.
 """
 
 import math
@@ -91,91 +93,20 @@ def _term_cap(scale):
 
 
 # ---------------------------------------------------------------------------
-# regularized incomplete gamma (scalar)
-
-def _reg_gamma_q(a, x, pre):
-    """Q(a, x) for a > 0, x >= 0: ``_reg_gamma_q_vec`` on one element.
-
-    ``pre`` is x^a e^-x / Gamma(a), computed by the caller.  The series for
-    P serves x < a + 1, the Lentz continued fraction for Q the rest (where a
-    prefactor scaled by 2^-n gives Q scaled alike).  Raises RangeError past
-    ``_term_cap(a)`` terms.
-    """
-    cap = _term_cap(a)
-    if x < a + 1.0:
-        term = acc = 1.0 / a
-        for n in range(1, cap + 1):
-            term *= x / (a + n)
-            acc += term
-            if term < acc * 1e-17:
-                return 1.0 - acc * pre
-    else:
-        tiny = 1e-300
-        b = x + 1.0 - a
-        c = 1.0 / tiny
-        d = acc = 1.0 / b
-        for n in range(1, cap + 1):
-            an = -n * (n - a)
-            b += 2.0
-            d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            acc *= delta
-            if abs(delta - 1.0) < 1e-16:
-                return acc * pre
-    raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
-
-
-def _gamma_q_anchor(b, x, e):
-    """Q(b, x) for b > 0, x > 0: ``_gamma_q_anchor_vec`` on one element."""
-    up = x < b
-    c, y, term = (b, x, x * e / b) if up else (b - 1.0, 1.0 / x, e)
-    acc = 0.0
-    cap = _term_cap(b)
-    step = 0
-    while True:
-        if step >= cap:
-            raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
-        if up:
-            for _ in range(_CHECK):
-                acc += term
-                c += 1.0
-                term *= y / c
-        else:
-            for _ in range(_CHECK):
-                acc += term
-                term *= c * y
-                c -= 1.0
-        step += _CHECK
-        if up:
-            if term * (c + 1.0) <= _Q_TOL * acc * (c + 1.0 - y):
-                return 1.0 - acc
-        elif c < 0.0 and math.floor(c) != c and term != 0.0:
-            return _reg_gamma_q(b, x, x * e)
-        elif term <= _Q_TOL * acc * (1.0 - c * y):
-            return acc
-
-
-# ---------------------------------------------------------------------------
 # normal tail
 
 def normal_tail(z: float) -> float:
-    """P(Z > z) for standard normal Z.
+    """P(Z > z) for standard normal Z, for every finite z.
 
-    Computed through the regularized incomplete gamma at a = 1/2, which
-    keeps relative error ~1e-14 deep into the tail (|z| <= 8 audited).
+    erfc(sign(z) sqrt(z^2 / 2)) / 2, which measured closer than erfc(z /
+    sqrt 2) / 2: relative error below 1e-14 for |z| <= 8 and below 2e-13 out
+    to z = 37 (tail 6e-300), against mpmath.  Past |z| ~ 1e154 z^2 overflows
+    and the tail is 0 or 1, as it is in double precision.
     """
     z = float(z)
     if not math.isfinite(z):
         raise DomainError("normal_tail: z must be finite")
-    x = 0.5 * z * z
-    q = 0.5 * _reg_gamma_q(0.5, x, math.sqrt(x / math.pi) * math.exp(-x))
-    return q if z >= 0.0 else 1.0 - q
+    return 0.5 * math.erfc(math.copysign(math.sqrt(0.5 * z * z), z))
 
 
 # Wichura's AS241 (PPND16; Applied Statistics 37, 1988): one rational
@@ -284,6 +215,37 @@ def _log_tail_bound(k, lam, t, maximum=max, log=math.log):
     return s * (lam * u - t) + 0.5 * k * log(u)
 
 
+def _gamma_q_anchor(b, x, e, ne=0):
+    """Q(b, x) for b > 0, x > 0: ``_gamma_q_anchor_vec`` on one element."""
+    up = x < b
+    # at b = 1/2 the downward sum has no terms
+    c, y, term = (b, x, x * e / b) if up else (b - 1.0, 1.0 / x, e if b >= 1.0 else 0.0)
+    acc = 0.0
+    cap = _term_cap(b)
+    step = 0
+    while True:
+        if step >= cap:
+            raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
+        if up:
+            for _ in range(_CHECK):
+                acc += term
+                c += 1.0
+                term *= y / c
+        else:
+            for _ in range(_CHECK):
+                acc += term
+                term *= c * y if c >= 1.0 else 0.0
+                c -= 1.0
+        step += _CHECK
+        if up:
+            if term * (c + 1.0) <= _Q_TOL * acc * (c + 1.0 - y):
+                return 1.0 - acc
+        elif c < 0.0 and math.floor(c) != c:
+            return acc + math.ldexp(math.erfc(math.sqrt(x)), -ne)
+        elif term <= _Q_TOL * acc * (1.0 - c * y):
+            return acc
+
+
 def _chisq_tail_pdf(k, lam, t):
     """(tail, pdf) of the noncentral chi-square at one point, t >= 0.
 
@@ -323,7 +285,7 @@ def _chisq_tail_pdf(k, lam, t):
     n = nw + ne
     w = math.exp(lw - nw * _LN2)
     e = math.exp(le - ne * _LN2)
-    uu = ud = tl = w * _gamma_q_anchor(j0 + a, x, e)
+    uu = ud = tl = w * _gamma_q_anchor(j0 + a, x, e, ne)
     vu = vd = pf = w * e
     ju = jd = j0
     cap = _term_cap(h)
@@ -634,83 +596,28 @@ def _log_g_vec(nu, x):
     return np.where(nu >= 1.0, -bd0 - c, nu * np.log(x) - x - lg)
 
 
-def _reg_gamma_q_vec(a, x, pre):
-    """Q(a, x) elementwise for ndarrays a > 0 and x > 0.
-
-    ``pre`` is x^a e^-x / Gamma(a), computed by the caller.  The series for
-    P serves x < a + 1, the Lentz continued fraction for Q the rest (where a
-    prefactor scaled by 2^-n gives Q scaled alike); each element stops at
-    its own convergence, so its value does not depend on the other
-    elements.  Raises RangeError past ``_term_cap`` of the largest a terms.
-    """
-    cap = _term_cap(np.max(a, initial=0.0))
-    out = np.empty_like(x)
-    ser = x < a + 1.0
-    for series, sel in ((True, np.flatnonzero(ser)), (False, np.flatnonzero(~ser))):
-        aa, xx = a[sel], x[sel]
-        if series:
-            term = 1.0 / aa
-            acc = term.copy()
-        else:
-            tiny = 1e-300
-            b = xx + 1.0 - aa
-            c = np.full_like(xx, 1.0 / tiny)
-            d = 1.0 / b
-            acc = d.copy()
-        for n in range(1, cap + 1):
-            if sel.size == 0:
-                break
-            if series:
-                term *= xx / (aa + n)
-                acc += term
-                done = term < acc * 1e-17
-            else:
-                an = -n * (n - aa)
-                b += 2.0
-                d = an * d + b
-                np.copyto(d, tiny, where=np.abs(d) < tiny)
-                c = b + an / c
-                np.copyto(c, tiny, where=np.abs(c) < tiny)
-                d = 1.0 / d
-                delta = d * c
-                acc *= delta
-                done = np.abs(delta - 1.0) < 1e-16
-            if done.any():
-                out[sel[done]] = acc[done]
-                keep = ~done
-                sel, aa, xx, acc = sel[keep], aa[keep], xx[keep], acc[keep]
-                if series:
-                    term = term[keep]
-                else:
-                    b, c, d = b[keep], c[keep], d[keep]
-        if sel.size:
-            raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
-    out *= pre
-    return np.where(ser, 1.0 - out, out)
-
-
-def _gamma_q_anchor_vec(b, x, e):
+def _gamma_q_anchor_vec(b, x, e, ne=0):
     """Q(b, x) elementwise for ndarrays b > 0 and x > 0, from positive sums.
 
-    ``e`` is the density term x^(b-1) e^-x / Gamma(b) (scaled by 2^-n gives
-    Q scaled alike), which the engine already holds at its anchor.  Each
-    term is the last one times a ratio, one multiply and one add (Ding's
-    AS 275, 1992, sums the noncentral chi-square so):
+    ``e`` is the density term x^(b-1) e^-x / Gamma(b) in units of 2^``ne``,
+    which the engine already holds at its anchor; Q comes back in the same
+    units.  Each term is the last one times a ratio, one multiply and one
+    add (Ding's AS 275, 1992, sums the noncentral chi-square so):
     - where x >= b, Q = sum_i x^(b-1-i) e^-x / Gamma(b-i), downward from e
-      with ratio (b-1-i)/x; for integer b the terms end at exponent 0;
+      with ratio (b-1-i)/x; the terms end at exponent 0 for integer b, and
+      at exponent 1/2 for half-integer b, which leaves Q(1/2, x) =
+      erfc(sqrt x) (A&S 6.5.17), from ``math.erfc`` as in the scalar path;
     - where x < b, P = sum_i x^(b+i) e^-x / Gamma(b+i+1), upward from
       x e / b with ratio x/(b+i+1), and Q = 1 - P.
     The ratios only fall, so every ``_CHECK`` terms each element checks the
-    geometric bound next term / (1 - next ratio) on the rest against
-    ``_Q_TOL`` of its sum; a finished element adds exact zeros, and the
-    state is compacted once a quarter of it has finished, as in the Poisson
-    sweep.  For half-integer b the downward terms end at exponent 1/2 and
-    leave Q(1/2, x); an element that gets there is handed to
-    ``_reg_gamma_q_vec``.  Raises RangeError past ``_term_cap`` of the
-    largest b terms.
+    geometric bound next term / (1 - next ratio) on the rest (which covers
+    Q(1/2, x) too) against ``_Q_TOL`` of its sum; a finished element adds
+    exact zeros, and the state is compacted once a quarter of it has
+    finished, as in the Poisson sweep.  Raises RangeError past
+    ``_term_cap`` of the largest b terms.
     """
     out = np.empty_like(x)
-    hand = np.zeros(x.shape, dtype=bool)
+    ne = np.broadcast_to(ne, x.shape)
     cap = _term_cap(np.max(b, initial=0.0))
     up = x < b
     for upward in (True, False):
@@ -723,12 +630,17 @@ def _gamma_q_anchor_vec(b, x, e):
             s = np.stack([b[sel], xs, xs * e[sel] / b[sel], np.zeros_like(xs), sel])
         else:
             s = np.stack([b[sel] - 1.0, 1.0 / xs, e[sel], np.zeros_like(xs), sel])
+        half = not upward and bool(np.any(np.floor(b[sel]) != b[sel]))
+        if half:  # at b = 1/2 the downward sum has no terms
+            np.copyto(s[2], 0.0, where=s[0] < 0.0)
         step = 0
         while s.shape[1]:
             if step >= cap:
                 raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
             c, y, term, acc, pos = s
             f = np.empty_like(c)
+            # near the end of a half-integer sum, no ratio leads past exponent 1/2
+            clamp = half and c.min() < _CHECK + 1
             for _ in range(_CHECK):
                 acc += term
                 if upward:
@@ -736,25 +648,26 @@ def _gamma_q_anchor_vec(b, x, e):
                     np.divide(y, c, out=f)
                 else:
                     np.multiply(c, y, out=f)
+                    if clamp:
+                        np.copyto(f, 0.0, where=c < 1.0)
                     c -= 1.0
                 term *= f
             step += _CHECK
             if upward:
                 done = term * (c + 1.0) <= _Q_TOL * acc * (c + 1.0 - y)
             else:
-                neg = c < 0.0
-                if neg.any():  # past exponent 1/2 (not 0) a live term hands over
-                    low = neg & (np.floor(c) != c) & (term != 0.0)
-                    hand[pos[low].astype(np.int64)] = True
-                    for row in (term, acc):
-                        np.copyto(row, 0.0, where=low)
+                if clamp:  # an ended sum adds Q(1/2, x); y = 0 marks one stopped earlier
+                    end = (c < 0.0) & (y != 0.0) & (np.floor(c) != c)
+                    at = pos[end].astype(np.int64)
+                    q = [math.erfc(math.sqrt(v)) for v in x[at].tolist()]
+                    acc[end] += np.ldexp(q, -ne[at])
                 done = term <= _Q_TOL * acc * (1.0 - c * y)
+                if half:
+                    np.copyto(y, 0.0, where=done)
             np.copyto(term, 0.0, where=done)
             if 4 * np.count_nonzero(done) >= done.size:
                 out[pos[done].astype(np.int64)] = 1.0 - acc[done] if upward else acc[done]
                 s = s[:, np.flatnonzero(~done)]
-    if hand.any():
-        out[hand] = _reg_gamma_q_vec(b[hand], x[hand], x[hand] * e[hand])
     return out
 
 
@@ -844,7 +757,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
         low[live] = np.where(far, np.exp(lt - (nw[live] + ne[live]) * _LN2), 0.0)
     w = np.exp(lw - nw[live] * _LN2)
     e = np.exp(le - ne[live] * _LN2)
-    u = w * _gamma_q_anchor_vec(j0 + a, x, e)
+    u = w * _gamma_q_anchor_vec(j0 + a, x, e, ne[live])
     v = w * e
     # sweep state, one row each: h, x, hx, 1/h, 1/x, top and bottom index,
     # top weight, top and bottom terms u and v, tail, pdf, position

@@ -35,7 +35,7 @@ def ncx2_sf(k, lam, t):
 
 
 def gamma_q_cf(b, x):
-    # Q(b, x) for x > b - 1 by the Lentz continued fraction
+    # Q(b, x) for x > b - 1 by its continued fraction, evaluated front to back
     tiny = mp.mpf(10) ** -300
     bb = x + 1 - b
     c, d = 1 / tiny, 1 / bb

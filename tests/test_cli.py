@@ -53,6 +53,14 @@ def test_curve_lrt_csv(tmp_path):
         assert row["provenance"] == "analytic"
 
 
+def test_curve_lrt_at_a_huge_separation(tmp_path):
+    # the square of delta - z_p overflows; the normal tail is still 0 there
+    out = tmp_path / "lrt.csv"
+    assert main(["curve", "--detector", "lrt", "--delta", "1e160", "--out", str(out)]) == 0
+    _, _, rows = _read(out)
+    assert rows and all(float(row["p_md"]) == 0.0 for row in rows)
+
+
 def test_curve_asymptotic_modes(tmp_path):
     out1 = tmp_path / "a1.csv"
     assert main(["curve", "--detector", "asymptotic", "--delta", "0.5",

@@ -28,6 +28,56 @@ QINV_0025 = 1.9599639845400545
 Q_025 = 4.0129367431707630e-01
 Q_8 = 6.2209605742717908e-16
 
+# ---- frozen oracle values (tests/oracles/oracle_half_integer_tails.py, mpmath) ----
+NORMAL_FAR = [  # (z, Q(z))
+    (9.25, 1.122463359132798266e-20),
+    (10.5, 4.3190063178092303465e-26),
+    (11.75, 3.5309423958859932586e-32),
+    (13.0, 6.1171643995498796823e-39),
+    (14.25, 2.2414062326936399914e-46),
+    (15.5, 1.7344607917938700513e-54),
+    (16.75, 2.8313142815440512382e-63),
+    (18.0, 9.7409489189371504826e-73),
+    (19.25, 7.0581465785834792445e-83),
+    (20.5, 1.0764673258790960335e-93),
+    (21.75, 3.4539884803573677034e-105),
+    (23.0, 2.3306370062206487986e-117),
+    (24.25, 3.3060813584979604522e-130),
+    (25.5, 9.8562365189639287943e-144),
+    (26.75, 6.1738895337253882693e-158),
+    (28.0, 8.1238694696594265936e-173),
+    (29.25, 2.2451311768291083467e-188),
+    (30.5, 1.3029379131780763509e-204),
+    (31.75, 1.5876179359245268191e-221),
+    (33.0, 4.0611856209158550885e-239),
+    (34.25, 2.1806939268660965784e-257),
+    (35.5, 2.4576915406619369142e-276),
+    (36.75, 5.8131448155330618027e-296),
+    (37.0, 5.7255712225245768227e-300),
+]
+CHI2_ODD_CENTRAL = [  # (k, t, P(X > t))
+    (1, 6.6348966, 0.01000000000573271869),
+    (1, 19.511421, 9.9999998149833809063e-6),
+    (1, 41.821456, 1.0000001865543665168e-10),
+    (1, 87.161733, 1.0000002158506708046e-20),
+    (1, 224.38475, 9.9999915568502494766e-51),
+    (1, 453.94308, 1.0000011218553098127e-100),
+    (1, 683.79338, 9.9999757699099436652e-151),
+    (1, 913.7627, 1.0000003933694067737e-200),
+    (1, 1143.7971, 1.0000051196352486245e-250),
+    (1, 1373.8726, 1.0000156226655739477e-300),
+    (3, 11.344867, 0.0099999987528039975823),
+    (3, 25.90175, 9.9999987739949421052e-6),
+    (3, 49.542156, 9.9999996446541530423e-11),
+    (3, 96.239124, 9.9999996936204683248e-21),
+    (3, 235.27613, 1.000001773358148117e-50),
+    (3, 466.21436, 9.9999878824001888602e-101),
+    (3, 696.87341, 1.0000013877977753754e-150),
+    (3, 927.41701, 1.0000004278823328503e-200),
+    (3, 1157.897, 1.0000247686909985939e-250),
+    (3, 1388.3368, 9.9998693683071177115e-301),
+]
+
 # ---- frozen oracle values (tests/oracles/oracle_ncx2_mc.py, 1e7 trials) ----
 NCX2_TAIL_MC = 0.54226740        # P(X > -2 ln 0.1), X ~ ncx2(k=2, lam=4)
 NCX2_TAIL_MC_3SIG = 4.726e-4
@@ -156,6 +206,22 @@ def test_normal_tail_pinned_values():
     assert abs(specfun.normal_tail_inv(0.1) - QINV_01) < 1e-12
     assert abs(specfun.normal_tail_inv(0.025) - QINV_0025) < 1e-12
     assert abs(specfun.normal_tail(2.0 - QINV_01) - Q_2_MINUS_QINV_01) < 1e-12
+
+
+def test_normal_tail_relative_accuracy():
+    zs = np.linspace(-8.0, 8.0, 16001)
+    got = np.array([specfun.normal_tail(z) for z in zs.tolist()])
+    assert np.max(_rel_err(got, stats.norm.sf(zs))) <= 1e-13
+    # beyond z = 8 scipy itself drifts toward 2e-13; the pins are mpmath's
+    z, ref = np.array(NORMAL_FAR).T
+    got = np.array([specfun.normal_tail(v) for v in z.tolist()])
+    assert np.max(_rel_err(got, ref)) <= 3e-13
+
+
+def test_normal_tail_of_huge_finite_z():
+    # z^2 overflows past |z| ~ 1e154; the tail is still 0 or 1
+    assert specfun.normal_tail(1e200) == 0.0
+    assert specfun.normal_tail(-1e200) == 1.0
 
 
 def test_normal_tail_symmetry_and_monotone():
@@ -441,7 +507,7 @@ def test_vector_engine_caps_raise(monkeypatch):
         specfun._chisq_tail_inv_vec(2, lam, 0.1)
 
 
-@pytest.mark.parametrize("k", VEC_DOFS)
+@pytest.mark.parametrize("k", VEC_DOFS + (3,))
 def test_scalar_path_agrees_with_vector_engine(k):
     # one algorithm on floats and on arrays: the same element agrees to
     # rounding, tail, pdf and inverse alike
@@ -458,12 +524,22 @@ def test_scalar_path_agrees_with_vector_engine(k):
 
 def test_incomplete_gamma_anchor_against_mpmath():
     # Q(b, x) from the density term e by positive sums, downward from e where
-    # x >= b and upward for P where x < b (at half-integer b past exponent
-    # 1/2 through the continued fraction), in both paths
+    # x >= b and upward for P where x < b (at half-integer b ending in
+    # erfc(sqrt x) past exponent 1/2), in both paths
     b, x, e, q = np.array(GAMMA_ANCHOR).T
     assert np.max(_rel_err(specfun._gamma_q_anchor_vec(b, x, e), q)) <= 1e-13
     one = np.array([specfun._gamma_q_anchor(*row[:3]) for row in GAMMA_ANCHOR])
     assert np.max(_rel_err(one, q)) <= 1e-13
+
+
+@pytest.mark.parametrize("k, t, ref", CHI2_ODD_CENTRAL)
+def test_odd_central_tail_against_mpmath(k, t, ref):
+    # at lam = 0 and odd k the anchor's sum ends in the scaled erfc(sqrt x),
+    # which at k = 1 is the whole tail, in both paths
+    one = specfun.chisq_tail(k, 0.0, t)
+    vec = specfun._chisq_tail_vec(k, np.array([0.0]), np.array([t]))[0]
+    for got in (one, vec):
+        assert abs(got - ref) <= 2e-13 * ref
 
 
 @pytest.mark.parametrize("k, lam, t", [(2, 100.0, 2e4), (2, 1e4, 5e4), (1, 1e6, 1.1e6),
