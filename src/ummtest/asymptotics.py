@@ -37,9 +37,6 @@ __all__ = [
     "blocklength_for_dimension",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _check_dim(k) -> int:
     if not float(k).is_integer() or int(k) < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
@@ -122,72 +119,49 @@ def allocation_hardness(a, k, rho):
 
 @dataclass(eq=False)
 class Allocation:
-    """Budget-split search result: the chosen rho plus the curve it came from."""
+    """Budget-split result: the chosen rho plus the curve it came from."""
 
     rho_star: float
     rho: np.ndarray        # grid, ascending
     hardness: np.ndarray   # allocation_hardness on the grid
-    peak: float            # best value seen (grid + refinement)
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 90):
-    # unimodal maximizer on [lo, hi]; 90 contractions is overkill but cheap
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    peak: float            # max over the grid and the closed-form maximizer
 
 
 def allocate(a, k, rho_grid=None, tie_tol: float = 1e-2) -> Allocation:
     """Pick the training fraction rho maximizing `allocation_hardness`.
 
-    Grid scan plus golden-section refinement around the grid peak.  The
+    With u = 1 + rho and c = 4 (k + a), the log-derivative of the hardness
+    vanishes where 2 c u^2 - 3 c u + 4 k = 0.  It is positive at rho = 0,
+    so the hardness rises to one maximum, at
+
+        rho* = 2 a / ((k + a) (1 + sqrt((k + 9 a) / (k + a)))),
+
+    which lies in (0, 1/2): training never takes more than a third of the
+    budget.  The best point of the grid's span is rho* clipped to it.  The
     surface is extremely flat near its maximum for large k, so exact
     argmax would report a tiny interior bump that buys nothing; instead
-    the smallest rho whose hardness is within `tie_tol` (relative) of the
-    peak is returned.  Pass tie_tol=0 for the raw maximizer.
+    the smallest rho of the grid and that point whose hardness is within
+    `tie_tol` (relative) of the peak is returned.  Pass tie_tol=0 for the
+    raw maximizer.
     """
     if rho_grid is None:
         rho_grid = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 121)])
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError("rho_grid must be a nonempty 1-d array")
-    if float(tie_tol) < 0.0:
+    if not float(tie_tol) >= 0.0:
         raise ConfigError(f"tie_tol must be nonnegative, got {tie_tol!r}")
     grid = np.unique(grid)  # sorts ascending
-    vals = allocation_hardness(a, k, grid)
-    vals = np.atleast_1d(vals)
+    vals = np.atleast_1d(allocation_hardness(a, k, grid))
 
-    i = int(np.argmax(vals))
-    cand_rho = [float(grid[i])]
-    cand_val = [float(vals[i])]
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    if hi > lo:
-        x, fx = _golden_max(lambda r: float(allocation_hardness(a, k, r)), lo, hi)
-        cand_rho.append(x)
-        cand_val.append(fx)
-
-    peak = max(cand_val)
-    floor = peak * (1.0 - float(tie_tol))
-    # smallest rho (grid first, then the refined point) not meaningfully
-    # below the peak; grid is ascending so the first hit is the smallest
-    best_rho = None
-    for r, v in sorted(zip(np.concatenate([grid, [cand_rho[-1]]]),
-                           np.concatenate([vals, [cand_val[-1]]]))):
-        if v >= floor:
-            best_rho = float(r)
-            break
+    a, k = float(a), int(k)
+    rho = 2.0 * a / ((k + a) * (1.0 + math.sqrt((k + 9.0 * a) / (k + a))))
+    rho = min(max(rho, float(grid[0])), float(grid[-1]))
+    rhos = np.append(grid, rho)
+    hs = np.append(vals, allocation_hardness(a, k, rho))
+    peak = float(hs.max())
+    # smallest rho not meaningfully below the peak
+    best_rho = float(rhos[hs >= peak * (1.0 - float(tie_tol))].min())
     return Allocation(best_rho, grid, vals, peak)
 
 
@@ -195,8 +169,16 @@ def blocklength_for_dimension(k, rho, delta, target_hardness) -> int:
     """Smallest block length n with hardness_param(sqrt(n)*delta, rho, k) >= target.
 
     The block folds n observations into one separation sqrt(n)*delta, so
-    hardness grows without bound in n and the answer always exists; it
-    scales like sqrt(k) at fixed (rho, delta, target) once k dominates.
+    hardness grows without bound in n; it scales like sqrt(k) at fixed
+    (rho, delta, target) once k dominates.  With D = n delta^2, s = 1 + 2 rho
+    and w = (1 + rho)/s, hardness t is reached at the positive root of
+    s^2 D^2 - 4 t^2 (1 + rho)^2 D - 2 k s t^2 = 0,
+
+        D = 2 t^2 w^2 + t sqrt(4 t^2 w^4 + 2 k / s),
+
+    and n steps from ceil(D / delta^2) against `hardness_param` itself to
+    the smallest value it says reaches t.  An answer above 2^62 raises
+    DomainError, as does a hardness that does not reach t near the start.
     """
     delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
@@ -207,18 +189,21 @@ def blocklength_for_dimension(k, rho, delta, target_hardness) -> int:
     def reaches(n: int) -> bool:
         return hardness_param(math.sqrt(float(n)) * delta, rho, k) >= t
 
-    hi = 1
-    while not reaches(hi):
-        hi *= 2
-        if hi > 2 ** 62:  # unreachable in practice; guards a bad float loop
-            raise DomainError("block length search overflow")
-    if hi == 1:
-        return 1
-    lo = hi // 2  # reaches(lo) is False
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
+    s = 1.0 + 2.0 * rho
+    w = (1.0 + rho) / s
+    tw2 = t * w * w
+    n = (2.0 * t * tw2 + t * math.sqrt(4.0 * tw2 * tw2 + 2.0 * k / s)) / delta / delta
+    if not n <= 2.0 ** 63:  # the steps below settle starts just past 2^62
+        raise DomainError(f"block length {n:.3g} is above 2**62")
+    n = max(1, math.ceil(n))
+    for _ in range(1 << 16):
+        if not reaches(n):
+            n += 1
+        elif n > 1 and reaches(n - 1):
+            n -= 1
+        elif n > 2 ** 62:
+            raise DomainError(f"block length {n} is above 2**62")
         else:
-            lo = mid
-    return hi
+            return n
+    raise DomainError("block length: hardness_param does not reach the target near "
+                      f"n = {n}")

@@ -263,7 +263,6 @@ def _curve_rows(curve) -> list:
             "ci_high": None if curve.ci_high is None else float(curve.ci_high[i]),
             "provenance": curve.provenance,
         })
-    rows.sort(key=lambda r: r["p_fa"])
     return rows
 
 
