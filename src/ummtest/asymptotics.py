@@ -52,9 +52,11 @@ def hardness_param(delta, rho, k) -> float:
     """
     delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
-    s = 1.0 + 2.0 * rho
-    d2 = delta * delta
-    return d2 * s / math.sqrt(2.0 * k * s + 4.0 * (1.0 + rho) ** 2 * d2)
+    # with v = s / (1 + rho) in [1, 2), the root over 2 (1 + rho) is hypot(c,
+    # delta): no step overflows, and only a hardness below the floats underflows
+    v = 2.0 - 1.0 / (1.0 + rho)
+    c = math.sqrt(0.5 * k) * math.sqrt(v / (1.0 + rho))
+    return 0.5 * delta * v * (delta / math.hypot(c, delta))
 
 
 def asymptotic_curve(hardness, p_fa_grid) -> TradeoffCurve:
@@ -89,7 +91,10 @@ def hardness_high_k(delta, rho, k) -> float:
     """
     delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
-    return delta * delta * math.sqrt(1.0 + 2.0 * rho) / math.sqrt(2.0 * k)
+    h = delta / math.sqrt(k) * math.sqrt(0.5 + rho) * delta
+    if h == math.inf:
+        raise DomainError(f"hardness_high_k overflows at delta={delta!r}, rho={rho!r}, k={k}")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +117,11 @@ def allocation_hardness(a, k, rho):
     r = np.asarray(rho, dtype=float)
     if np.any(~np.isfinite(r)) or np.any(r < 0.0):
         raise DomainError("rho values must be nonnegative and finite")
-    s = 1.0 + 2.0 * r
-    val = a * s / ((1.0 + r) * np.sqrt(2.0 * k * s + 4.0 * (1.0 + r) * a))
+    # a v / sqrt((1 + r) (2 k v + 4 a)) with v = s / (1 + r) in [1, 2); the
+    # root is a hypot of square roots, so nothing overflows
+    v = 2.0 - 1.0 / (1.0 + r)
+    root = np.hypot(math.sqrt(0.5 * k) * np.sqrt(v), math.sqrt(a))
+    val = 0.5 * v * (a / root) / np.sqrt(1.0 + r)
     return val if val.ndim else float(val)
 
 
@@ -155,7 +163,8 @@ def allocate(a, k, rho_grid=None, tie_tol: float = 1e-2) -> Allocation:
     vals = np.atleast_1d(allocation_hardness(a, k, grid))
 
     a, k = float(a), int(k)
-    rho = 2.0 * a / ((k + a) * (1.0 + math.sqrt((k + 9.0 * a) / (k + a))))
+    f = 0.5 * a / (0.5 * k + 0.5 * a)  # a / (k + a), halved so that k + a cannot overflow
+    rho = 2.0 * f / (1.0 + math.sqrt(1.0 + 8.0 * f))
     rho = min(max(rho, float(grid[0])), float(grid[-1]))
     rhos = np.append(grid, rho)
     hs = np.append(vals, allocation_hardness(a, k, rho))
@@ -177,22 +186,26 @@ def blocklength_for_dimension(k, rho, delta, target_hardness) -> int:
         D = 2 t^2 w^2 + t sqrt(4 t^2 w^4 + 2 k / s),
 
     and n steps from ceil(D / delta^2) against `hardness_param` itself to
-    the smallest value it says reaches t.  An answer above 2^62 raises
-    DomainError, as does a hardness that does not reach t near the start.
+    the smallest value it says reaches t.  A delta whose square overflows
+    (D is then not a float), an answer above 2^62 and a hardness that does
+    not reach t near the start raise DomainError.
     """
     delta, rho = _check_delta(delta), _check_rho(rho)
     k = _check_dim(k)
     t = float(target_hardness)
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"target hardness must be positive, got {target_hardness!r}")
+    if delta * delta == math.inf:
+        raise DomainError(f"block length: delta^2 overflows at delta={delta!r}")
 
     def reaches(n: int) -> bool:
         return hardness_param(math.sqrt(float(n)) * delta, rho, k) >= t
 
-    s = 1.0 + 2.0 * rho
-    w = (1.0 + rho) / s
+    v = 2.0 - 1.0 / (1.0 + rho)  # s / (1 + rho), so that s cannot overflow
+    w = 1.0 / v
     tw2 = t * w * w
-    n = (2.0 * t * tw2 + t * math.sqrt(4.0 * tw2 * tw2 + 2.0 * k / s)) / delta / delta
+    n = (2.0 * t * tw2 + t * math.sqrt(4.0 * tw2 * tw2 + 2.0 * k / v / (1.0 + rho))) / delta
+    n /= delta
     if not n <= 2.0 ** 63:  # the steps below settle starts just past 2^62
         raise DomainError(f"block length {n:.3g} is above 2**62")
     n = max(1, math.ceil(n))

@@ -507,20 +507,25 @@ def bayes_lrt_radius(delta, rho, k, x_norm, T) -> float:
     ||rho x + y|| < psi with psi = c_k^{-1}(T c_k(delta ||rho x||)) / delta,
     where c_k is the spherical normalizing constant; everything runs in log
     scale.  Thresholds outside the constant's range have no sphere: the
-    region is empty (T too large) or the whole space (T too small), and the
-    two cases raise distinct messages.
+    region is empty (T too large) or the whole space (T too small, or a
+    root above tau = 1e10, the top of c_k's domain), and the two cases
+    raise distinct messages.
     """
     delta = _check_delta(delta)
     rho = _check_rho(rho)
     x_norm = float(x_norm)
-    if not x_norm >= 0.0:
-        raise DomainError(f"x_norm must be nonnegative, got {x_norm!r}")
+    if not 0.0 <= x_norm < math.inf:
+        raise DomainError(f"x_norm must be finite and nonnegative, got {x_norm!r}")
     T = float(T)
     if not T > 0.0:
         raise DomainError(f"threshold T must be positive, got {T!r}")
     tau0 = delta * rho * x_norm
+    top = specfun.log_vmf_const(k, 0.0)
+    if T <= 1.0 and tau0 > specfun._TAU_MAX:
+        # c_k decreases, so the root lies at or past tau0, above the constant's domain
+        raise RangeError("acceptance region is the whole space: the root lies above tau = 1e10")
     log_target = math.log(T) + specfun.log_vmf_const(k, tau0)
-    if log_target > specfun.log_vmf_const(k, 0.0) + 1e-12:
+    if log_target > top + 1e-12:
         raise RangeError("empty acceptance region: T c_k(delta ||rho x||) exceeds c_k(0)")
     try:
         tau = specfun.vmf_const_inv(k, log_target)

@@ -44,3 +44,11 @@ print(f"log I_0(1)          = {mp.nstr(mp.log(mp.besseli(0, 1)), 20)}")
 for (nu, tau) in [(0, 50), (31, 100), (15.5, 3), (2.5, 10000), (31, 10000)]:
     val = mp.log(mp.besseli(nu, tau))
     print(f"log I_{nu}({tau})   = {mp.nstr(val, 20)}")
+# edge pins (LOG_BESSEL_EDGE): tiny tau, order >> tau, large tau, a
+# non-half-integer order, the top of the stated domain, tau = 1e10, the least
+# subnormal tau and an order far above 1/tau
+for (nu, tau) in [(0.5, "1e-200"), (4999, 2000), (499, "1e8"), (99, "2e5"), (0.3, 7),
+                  (0, "1e10"), (3.7, 5e-324), ("1e10", "1e-300")]:
+    val = mp.log(mp.besseli(mp.mpf(nu), mp.mpf(tau)))
+    print(f"log I_{nu}({tau})   = {mp.nstr(val, 22)}")
+print(f"log c_3(1e-300)     = {mp.nstr(log_c3(mp.mpf('1e-300')), 20)}")

@@ -207,6 +207,28 @@ def test_blocklength_for_dimension():
             blocklength_for_dimension(k, rho, d, t)
 
 
+def test_scaled_forms_at_the_ends_of_the_floats():
+    # scaled forms: no OverflowError, nan or warning at either end of the floats
+    assert abs(hardness_param(1.0, 1e300, 8) - 1.0) <= 1e-15  # -> delta as rho -> inf
+    assert abs(hardness_param(1e200, 0.0, 128) - 0.5e200) <= 1e-15 * 0.5e200  # -> delta / 2
+    assert hardness_param(1e-200, 0.0, 128) == 0.0  # delta^2 / 16 underflows
+    d = 1e-150
+    assert abs(hardness_param(d, 1.0, 64) - hardness_high_k(d, 1.0, 64)) <= 1e-15 * d * d
+    assert blocklength_for_dimension(8, 1e300, 1.0, 2.0) == 4
+    al = allocate(1e307, 8)
+    assert math.isfinite(al.peak) and al.peak >= allocation_hardness(1e307, 8, 0.5)
+    assert al.rho_star in al.rho
+    assert math.isfinite(allocate(1e-300, 8, tie_tol=0.0).rho_star)
+    assert abs(hardness_high_k(1e100, 1.0, 8) - 1e200 * math.sqrt(3.0 / 16.0)) <= 1e-15 * 1e200
+    with pytest.raises(DomainError, match="overflows"):
+        hardness_high_k(1e200, 1.0, 8)
+    for d in (1e-300, 1.0, 1e300):
+        for rho in (0.0, 1e-300, 1.0, 1e300, 1.7e308):
+            for k in (1, 10**9, 10**300):
+                assert math.isfinite(hardness_param(d, rho, k))
+                assert math.isfinite(allocation_hardness(d, k, rho))
+
+
 def test_blocklength_scales_like_sqrt_k():
     r = (blocklength_for_dimension(400_000, 0.0, 1.0, 1.0)
          / blocklength_for_dimension(100_000, 0.0, 1.0, 1.0))

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from ummtest import montecarlo, specfun
 from ummtest.errors import DomainError, RangeError
@@ -193,6 +193,17 @@ LOG_BESSEL_STRESS = [
 ]
 LOG_C3_1 = -2.6924636085404864266
 LOG_C3_2 = -3.1262444390235136136
+LOG_BESSEL_EDGE = [  # (order, tau, log I_order(tau)): tiny tau, order >> tau, tau up to 1e10
+    (0.5, 1e-200, -230.48430065204929583),
+    (4999.0, 2000.0, -2854.5583504840924332),
+    (499.0, 1e8, 99999989.869476091063),
+    (99.0, 2e5, 199992.95352320827554),
+    (0.3, 7.0, 5.1205100009548575462),
+    (0.0, 1e10, 9999999987.568136001838),
+    (3.7, 5e-324, -2759.729315823498167507),  # tau/2 underflows
+    (1e10, 1e-300, -7134945260099.572937548),
+]
+LOG_C3_TINY = -2.531024246969290793  # log c_3(1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +564,15 @@ def test_far_above_the_bulk_tail_and_pdf_underflow_to_zero(k, lam, t):
     assert tail[0] == 0.0 and pdf[0] == 0.0
 
 
+@pytest.mark.parametrize("k, lam, t", [(2, 1e8, 1e300), (2, 1.0, 1.7e308), (2, 1e300, 1.7e308)])
+def test_chernoff_cut_off_where_lam_t_overflows(k, lam, t):
+    # 4 lam t overflows here; the cut-off's root is a hypot of k/2 and
+    # sqrt(lam) sqrt(t), so it still returns zeros, with no sweep and no warning
+    assert specfun.chisq_tail(k, lam, t) == 0.0
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, np.array([lam]), np.array([t]))
+    assert tail[0] == 0.0 and pdf[0] == 0.0
+
+
 @pytest.mark.parametrize("k, lam, t, ref", NCX2_FAR_BAND)
 def test_far_band_tail_against_mpmath(k, lam, t, ref):
     # from the Poisson mode the terms overflowed on their way up to the
@@ -704,8 +724,54 @@ def test_log_vmf_const_decreasing_in_tau():
         assert specfun.log_vmf_const(k, 0.0) > vals[0]
 
 
+def test_log_bessel_against_mpmath_to_1e14():
+    # one series for every order, from the least subnormal tau to the top of the domain
+    for nu, tau, ref in LOG_BESSEL_STRESS + LOG_BESSEL_EDGE:
+        assert abs(specfun.log_bessel_i(nu, tau) - ref) <= 1e-14 * max(1.0, abs(ref))
+    for nu, tau, ref in [(0.5, 1.0, LOG_I_HALF_1), (1.0, 2.0, LOG_I_1_2), (0.0, 1.0, LOG_I_0_1)]:
+        assert abs(specfun.log_bessel_i(nu, tau) - ref) <= 1e-14
+    # c_3(tau) = tau / (4 pi sinh tau) reads 1 / (4 pi) here
+    assert abs(specfun.log_vmf_const(3, 1e-300) - LOG_C3_TINY) <= 1e-15
+    assert specfun.log_vmf_const(2, 5e-324) == specfun.log_vmf_const(2, 0.0)
+
+
+def test_bessel_ratio_against_scipy():
+    # the Newton slope of vmf_const_inv comes from the same sweep as the value
+    for nu in (0.0, 0.5, 2.5, 14.0, 99.0):
+        for tau in (1e-3, 0.7, 15.0, 250.0, 1e4):
+            if nu * math.log10(tau) < -30.0:
+                continue  # scipy's ive underflows
+            ref = special.ive(nu + 1.0, tau) / special.ive(nu, tau)
+            assert abs(specfun._bessel_sweep(nu, tau)[2] - ref) <= 1e-13 * ref
+
+
+def test_bessel_domain_top():
+    for bad in (1.0000001e10, 1e300, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            specfun.log_bessel_i(0.0, bad)
+        with pytest.raises(DomainError):
+            specfun.log_vmf_const(3, bad)
+    # a target below log c_k(1e10) has its root above the domain
+    with pytest.raises(RangeError, match="below"):
+        specfun.vmf_const_inv(3, specfun.log_vmf_const(3, 1e9) - 2e10)
+
+
+def test_bessel_sweep_raises_at_its_cap(monkeypatch):
+    log_c = specfun.log_vmf_const(8, 15.0)
+    monkeypatch.setattr(specfun, "_term_cap", lambda scale: 8)
+    with pytest.raises(RangeError, match="not done"):
+        specfun.log_bessel_i(2.5, 1e4)
+    with pytest.raises(RangeError, match="not done"):
+        specfun.log_vmf_const(8, 15.0)
+    with pytest.raises(RangeError, match="not done"):
+        specfun.vmf_const_inv(8, log_c)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=32), st.floats(min_value=1e-3, max_value=500.0))
+@given(st.integers(min_value=2, max_value=32),
+       st.floats(min_value=1e-3, max_value=500.0)
+       | st.floats(min_value=math.log(1e-3), max_value=math.log(500.0)).map(math.exp))
+@example(29, 0.0011641201778996111)  # tiny tau: log c_k is flat, so a stop on |f| alone misses
 def test_vmf_const_inverse_roundtrip(k, tau):
     back = specfun.vmf_const_inv(k, specfun.log_vmf_const(k, tau))
     assert abs(back - tau) < 1e-7 * max(1.0, tau)
