@@ -215,8 +215,9 @@ def _binom_quantile(u, m, q, lf):
     """Smallest c with CDF(c) >= u, for per-element trial counts m.
 
     The CDF rows of all distinct counts form one 2-D array
-    (``_binom_cdf_rows``), and one vectorized binary search inverts every
-    element.
+    (``_binom_cdf_rows``); the elements of each count, grouped by a stable
+    sort, are inverted by one ``np.searchsorted`` on its row.  A u above
+    every column reads the last column.
     """
     u = np.asarray(u, dtype=float)
     m = np.asarray(m, dtype=np.int64)
@@ -226,18 +227,11 @@ def _binom_quantile(u, m, q, lf):
         return np.where(u > 0.0, m, 0)
     counts, row = np.unique(m, return_inverse=True)
     cdf = _binom_cdf_rows(counts, q, lf)
-    top = cdf.shape[1] - 1
-    # first column whose CDF reaches u, which lies in [lo, hi]
-    lo = np.zeros(u.shape, dtype=np.int64)
-    hi = np.full(u.shape, top)
-    while True:
-        live = np.flatnonzero(lo < hi)
-        if live.size == 0:
-            return lo
-        mid = (lo[live] + hi[live]) >> 1
-        reached = cdf[row[live], mid] >= u[live]
-        hi[live] = np.where(reached, mid, hi[live])
-        lo[live] = np.where(reached, lo[live], mid + 1)
+    out = np.empty(u.shape, dtype=np.int64)
+    groups = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
+    for r, at in enumerate(groups):
+        out[at] = np.searchsorted(cdf[r], u[at], side="left")
+    return np.minimum(out, cdf.shape[1] - 1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +650,31 @@ class _DiscreteDiskKernel:
         self.base = -sqrt_n * (model.root @ model.theta0)
         self.s0 = model.root[:, 0] / sqrt_n
         self.s1 = model.root[:, 1] / sqrt_n
+        # unit normal to s1, and the step of one count c1 along it; the root
+        # is positive definite, so s0 and s1 are independent and the step is
+        # not 0
+        self.normal = np.array([-self.s1[1], self.s1[0]]) / math.hypot(*self.s1)
+        self.step = float(self.s0 @ self.normal)
 
     def _miss_given(self, centers, thr):
-        """P(||center + mu_hat_y||^2 < thr) exactly, per row."""
+        """P(||center + mu_hat_y||^2 < thr) exactly, per row.
+
+        With u = center + base + s0 c1, section c1 meets a row's disk
+        where the discriminant 4a (thr - (u . normal)^2) of its quadratic
+        in c2 is positive, that is where |(center + base) . normal + c1
+        step| < sqrt(thr).  Only the kept sections from the least to the
+        largest such c1 over all rows, widened by one count each way so
+        that rounding cannot cut off a section, are summed: every other
+        section has no c2 in any row's disk and adds exact zeros.
+        """
         a = float(self.s1 @ self.s1)
         out = np.zeros(centers.shape[0])
-        for c1v, w1, cdf in zip(self.c1, self.w1, self.cdfs):
+        d = (centers + self.base) @ self.normal
+        r = np.sqrt(np.maximum(thr, 0.0))
+        ends = np.concatenate([(-r - d) / self.step, (r - d) / self.step], axis=None)
+        first = np.searchsorted(self.c1, np.floor(ends.min(initial=np.inf)) - 1.0, side="left")
+        last = np.searchsorted(self.c1, np.ceil(ends.max(initial=-np.inf)) + 1.0, side="right")
+        for c1v, w1, cdf in zip(self.c1[first:last], self.w1[first:last], self.cdfs[first:last]):
             m = self.n - int(c1v)
             u = centers + self.base + self.s0 * float(c1v)
             b = 2.0 * (u @ self.s1)

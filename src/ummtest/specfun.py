@@ -278,7 +278,8 @@ def _chisq_tail_pdf(k, lam, t):
     le = _log_g(j0 + am1, x)
     nw = ne = 0
     low = 0.0
-    if lw + le < _LOG_FLOOR and x >= a + j0 + 1.0:
+    far = lw + le < _LOG_FLOOR and x >= a + j0 + 1.0
+    if far:
         top = max(j0, float(math.floor(0.5 * (math.sqrt(am1 * am1 + 4.0 * hx) - a - 1.0))))
         j0 = max(j0, float(math.floor(top - math.sqrt(_FAR_DROP * top))))
         lw = _log_g(j0, max(h, _TINY))
@@ -302,6 +303,10 @@ def _chisq_tail_pdf(k, lam, t):
             up = not (rest <= math.ldexp(tol_t * step, ne)
                       and (vu * hx <= tol_p * (ju * (ju + a) - hx)
                            or rest <= math.ldexp(tol_p * step, ne)))
+            if up and far:  # Q_j = Q_ju + e_(ju+1) + ... + e_j, as in the vector engine
+                cu = ju * (ju + a) - hx
+                up = not (cu > 0.0 and vu * hx <= tol_p * cu
+                          and uu * h * cu + (ju + 1.0) * vu * hx <= tol_t * (ju + 1.0 - h) * cu)
         if down:
             rest = ud * jd
             cd = jd * (jd + am1)
@@ -606,7 +611,7 @@ def _gamma_q_anchor_vec(b, x, e, ne=0):
     The ratios only fall, so every ``_CHECK`` terms each element checks the
     geometric bound next term / (1 - next ratio) on the rest (which covers
     Q(1/2, x) too) against ``_Q_TOL`` of its sum; a finished element adds
-    exact zeros, and the state is compacted once a quarter of it has
+    exact zeros, and the state is compacted once two thirds of it have
     finished, as in the Poisson sweep.  Raises RangeError past
     ``_term_cap`` of the largest b terms.
     """
@@ -659,7 +664,7 @@ def _gamma_q_anchor_vec(b, x, e, ne=0):
                 if half:
                     np.copyto(y, 0.0, where=done)
             np.copyto(term, 0.0, where=done)
-            if 4 * np.count_nonzero(done) >= done.size:
+            if 3 * np.count_nonzero(done) >= 2 * done.size:
                 out[pos[done].astype(np.int64)] = 1.0 - acc[done] if upward else acc[done]
                 s = s[:, np.flatnonzero(~done)]
     return out
@@ -713,9 +718,19 @@ def _chisq_tail_pdf_vec(k, lam, t):
     tail term.  A direction stops once its bounds are within 1e-15 of the
     element's running tail and pdf, so the truncation error is relative
     and an element's result does not depend on the others.  A far sum's
+    upward rest is also bounded without Q <= 1: each unswept Q_j is the Q
+    of the last index swept plus the density terms between, so past its
+    largest term the rest is geometric and the sum stops within a few
+    spreads of that term.  A far sum's
     downward sweep, above the mode, where Q - e is unstable, stops as soon
     as its terms fall geometrically below 1e-15 of the density term at the
-    top, which no sum falls below.  Raises
+    top, which no sum falls below.  A stopped direction adds exact zeros,
+    and the state is compacted once two thirds of it have finished both
+    directions.  The checks scale the weight bounds by 2^ne and read the
+    far-only rows only in a call with a far element, and the bottom index
+    is clamped at 0 only in a block that can reach it: elsewhere these
+    would add +0.0 or scale by 2^0, so an element's bits still do not
+    depend on the elements that share its array.  Raises
     RangeError after ``_term_cap`` of the largest h steps.
     """
     lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
@@ -739,6 +754,8 @@ def _chisq_tail_pdf_vec(k, lam, t):
     nw = np.zeros(lam.size, dtype=np.int64)
     ne = np.zeros(lam.size, dtype=np.int64)
     low = np.zeros(lam.size)  # far: the density term at the top, below both sums
+    is_far = np.zeros(lam.size, dtype=bool)
+    is_far[live] = far
     any_far = bool(far.any())
     if any_far:
         top = np.maximum(j0, np.floor(0.5 * (np.sqrt(am1 * am1 + 4.0 * h * x) - a - 1.0)))
@@ -766,6 +783,8 @@ def _chisq_tail_pdf_vec(k, lam, t):
         h, x, hx, hinv, xinv, ju, jd, w, uu, vu, ud, vd, tl, pf, pos = s
         r = np.empty_like(h)
         f = np.empty_like(h)
+        # from index _CHECK on, eight steps down cannot pass index 0
+        clamp = down and jd.min() < _CHECK
         for _ in range(_CHECK):
             if up:  # one index up: w h/j, e x/(a+j-1), Q + e
                 ju += 1.0
@@ -788,7 +807,8 @@ def _chisq_tail_pdf_vec(k, lam, t):
                 f *= r
                 vd *= f
                 jd -= 1.0
-                np.maximum(jd, 0.0, out=jd)  # at index 0 the factor j zeroes the terms
+                if clamp:
+                    np.maximum(jd, 0.0, out=jd)  # at index 0 the factor j zeroes the terms
                 tl += ud
                 pf += vd
         step += _CHECK
@@ -797,28 +817,42 @@ def _chisq_tail_pdf_vec(k, lam, t):
         # zeros to it
         tol_t = _TOL * tl + _TINY
         tol_p = _TOL * pf + _TINY
+        if any_far:
+            ip = pos.astype(np.int64)
         # the density terms are bounded twice: by their geometric ratio, and
         # by the tail terms, since e_j <= Q_j (up to the factor m of the
         # j = 0 term at k = 1), for where the ratio exceeds 1
         if up:
             rest = w * h
-            sc = ne[pos.astype(np.int64)]  # the bounds on w omit e's scale, so they are scaled by it
+            cu = ju * (ju + a) - hx
+            lim_t, lim_p = tol_t * step, tol_p * step
+            if any_far:  # the bounds on w omit e's scale, so they are scaled by it
+                sc = ne[ip]
+                lim_t, lim_p = np.ldexp(lim_t, sc), np.ldexp(lim_p, sc)
             # far out, scaled density terms times hx may overflow; the
             # product is then inf, the ratio bound reads false and the
             # direction keeps summing unless the other bound holds, so an
             # overflow never stops a sweep early
             with np.errstate(over="ignore"):
-                ratio_ok = vu * hx <= tol_p * (ju * (ju + a) - hx)
-            up_ok = ((rest <= np.ldexp(tol_t * step, sc))
-                     & (ratio_ok | (rest <= np.ldexp(tol_p * step, sc))))
+                ratio_ok = vu * hx <= tol_p * cu
+                up_ok = (rest <= lim_t) & (ratio_ok | (rest <= lim_p))
+                if any_far:
+                    # a far sum's tail terms are Q_j = Q_ju + e_(ju+1) + ...
+                    # + e_j, so their rest is at most Q_ju times the rest of
+                    # the weights, w h / (ju + 1 - h), plus the density
+                    # terms' rest times (ju + 1) / (ju + 1 - h), which the
+                    # geometric ratio bounds once past the largest term
+                    up_ok |= is_far[ip] & (cu > 0.0) & ratio_ok & (
+                        uu * h * cu + (ju + 1.0) * vu * hx <= tol_t * (ju + 1.0 - h) * cu)
             for row in (w, uu, vu):
                 np.copyto(row, 0.0, where=up_ok)
         if down:
             rest = ud * jd
             cd = jd * (jd + am1)
+            gap = h - jd
             m = 1.0 if k > 1 else 0.5 + 0.5 * np.sqrt(1.0 + 2.0 * xinv)
-            down_ok = (rest <= tol_t * (h - jd)) & ((vd * cd <= tol_p * (hx - cd))
-                                                    | (rest * m <= tol_p * (h - jd)))
+            down_ok = (rest <= tol_t * gap) & ((vd * cd <= tol_p * (hx - cd))
+                                               | (rest * m <= tol_p * gap))
             if any_far:
                 # above the mode, where only a far sum sweeps down, the tail
                 # terms fall at least as fast as the density terms, since
@@ -826,14 +860,13 @@ def _chisq_tail_pdf_vec(k, lam, t):
                 # and each exceeds its density term; their rest is held to
                 # the term at the top, as the running sums there are still
                 # small and the recurrence Q - e is unstable above the mode
-                down_ok |= (jd > h) & (x > jd + am1) & (
-                    ud * cd <= _TOL * low[pos.astype(np.int64)] * (hx - cd))
+                down_ok |= (jd > h) & (x > jd + am1) & (ud * cd <= _TOL * low[ip] * (hx - cd))
             for row in (ud, vd):
                 np.copyto(row, 0.0, where=down_ok)
         # a finished element only adds zeros from here on, so it is
-        # dropped once a quarter of the state has finished
+        # dropped once two thirds of the state have finished
         done = up_ok & down_ok
-        if 4 * np.count_nonzero(done) >= done.size:
+        if 3 * np.count_nonzero(done) >= 2 * done.size:
             at = pos[done].astype(np.int64)
             tail[at] = tl[done]
             pdf[at] = pf[done]

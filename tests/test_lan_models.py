@@ -313,6 +313,14 @@ def test_binomial_quantile_matches_full_rows(n):
         u = rng.random(3000)
         m[:6] = [0, 0, n, n, n // 2, 1]
         u[:6] = [2.0 ** -54, 1.0 - 2.0 ** -53] * 3
+        if 0.0 < q < 1.0:
+            # exact ties: uniforms equal to entries of their own count's row,
+            # where the smallest c with CDF(c) >= u is that entry's column
+            # (or an earlier one of equal value)
+            counts = np.unique(m[6:1006])
+            rows = lan_models._binom_cdf_rows(counts, q, lf)
+            u[6:1006] = rows[np.searchsorted(counts, m[6:1006]),
+                             rng.integers(0, rows.shape[1], 1000)]
         got = lan_models._binom_quantile(u, m, q, lf)
         assert np.array_equal(got, _full_row_quantile(u, m, q, lf)), q
     u = block_uniforms(5, 0, 4096, 1)[:, 0]
@@ -344,6 +352,52 @@ def test_disk_kernel_rows_are_the_full_rows(monkeypatch):
             assert cdf[0] == 0.0
             assert np.array_equal(cdf[1 : m + 2], row(m, q, lf))
             assert np.all(cdf[m + 2 :] == 1.0)
+
+
+def _every_section_miss(kern, centers, thr):
+    # _miss_given as first written: a sum over every kept section, whether
+    # or not some row's disk meets it
+    a = float(kern.s1 @ kern.s1)
+    out = np.zeros(centers.shape[0])
+    for c1v, w1, cdf in zip(kern.c1, kern.w1, kern.cdfs):
+        m = kern.n - int(c1v)
+        u = centers + kern.base + kern.s0 * float(c1v)
+        b = 2.0 * (u @ kern.s1)
+        c = np.einsum("ij,ij->i", u, u) - thr
+        disc = b * b - 4.0 * a * c
+        has = disc > 0.0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.clip(np.floor((-b - sq) / (2.0 * a)).astype(np.int64) + 1, 0, m + 1)
+        hi = np.clip(np.ceil((-b + sq) / (2.0 * a)).astype(np.int64) - 1, -1, m)
+        out += w1 * np.where(has & (hi >= lo), cdf[hi + 1] - cdf[lo], 0.0)
+    return out
+
+
+@pytest.mark.parametrize("probs", ([1.0 / 3.0] * 3, [0.2, 0.3, 0.5]))
+def test_disk_sections_met_add_what_every_section_adds(probs):
+    # only the sections that some row's disk meets are summed; the others
+    # add exact zeros, so the sums are the same bit for bit: for a scalar
+    # and a per-row threshold, for disks that miss the lattice, for a
+    # threshold that meets no section and for one that meets them all
+    model = DiscreteModel(np.array(probs))
+    n = 300
+    theta1 = local_alternative(np.array([2.0, -1.0]), model, n)
+    kern = _DiscreteDiskKernel(LanProblem(model, theta1, TrainingSetup(n=n, n_x=100)))
+    rng = np.random.default_rng(23)
+    near = rng.normal(scale=0.5, size=(200, 2))  # disks that meet some sections
+    off = rng.normal(size=(50, 2)) + np.array([300.0, -200.0])  # disks that miss them all
+    per_row = rng.uniform(0.0, 10.0, 200)
+    per_row[:20] = 1e-300
+    every = 1e9  # a radius past the whole lattice from every center
+    for centers, thr in ((near, 4.6), (near, per_row), (near, 1e-300), (off, 4.6),
+                         (np.concatenate([near[:5], off[:5]]), 0.5), (near, every),
+                         (near, np.where(per_row < 2.0, 30.0, 1e-300))):
+        got = kern._miss_given(centers, thr)
+        assert np.array_equal(got, _every_section_miss(kern, centers, thr))
+    assert np.all(kern._miss_given(off, 4.6) == 0.0)
+    assert np.all(kern._miss_given(near, 1e-300) == 0.0)
+    # a disk that holds the whole lattice holds the mass of every kept section
+    assert np.all(np.abs(kern._miss_given(near, every) - kern.w1.sum()) < 1e-14)
 
 
 def test_binomial_cut_holds_all_but_the_stated_mass():

@@ -491,6 +491,42 @@ def test_vector_inverse_raises_no_overflow_warning():
     assert t[0] == pytest.approx(specfun.chisq_tail_inv(1, 1e7, 1e-300), rel=1e-15)
 
 
+def test_far_sum_stops_within_a_few_spreads_of_its_largest_term(monkeypatch):
+    # a far sum bounds its upward rest by the density terms past its largest
+    # term, not by Q <= 1: at lam = 1e7 and p = 1e-300 its sweep ends within
+    # 28,600 steps, where Q <= 1 alone took 42,500
+    monkeypatch.setattr(specfun, "_term_cap", lambda scale: 32_000)
+    t = specfun.chisq_tail_inv(1, 1e7, 1e-300)
+    assert t == pytest.approx(10235678.89734737, rel=1e-15)
+    tail, pdf = specfun._chisq_tail_pdf_vec(1, np.array([1e7]), np.array([t]))
+    assert tail[0] == pytest.approx(1e-300, rel=1e-12)
+    assert pdf[0] == pytest.approx(specfun._chisq_tail_pdf(1, 1e7, t)[1], rel=1e-13)
+
+
+def test_vector_engine_bits_do_not_depend_on_a_far_neighbour():
+    # a far element turns on the scaled and far-only checks of its call; the
+    # other elements keep the bits they have without it, and it keeps its own
+    k = 1
+    lam, t, _ = _vec_grid(k)
+    far_lam = np.full(3, 1e5)
+    far_t = np.array([specfun.chisq_tail_inv(k, 1e5, p) for p in (1e-100, 1e-200, 1e-250)])
+    bulk = specfun._chisq_tail_pdf_vec(k, lam, t)
+    far = specfun._chisq_tail_pdf_vec(k, far_lam, far_t)
+    at = np.array([0, lam.size // 2, lam.size])
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, np.insert(lam, at, far_lam), np.insert(t, at, far_t))
+    is_far = np.zeros(tail.size, dtype=bool)
+    is_far[at + np.arange(at.size)] = True
+    assert np.array_equal(tail[~is_far], bulk[0]) and np.array_equal(pdf[~is_far], bulk[1])
+    assert np.array_equal(tail[is_far], far[0]) and np.array_equal(pdf[is_far], far[1])
+    assert far[0][1] == pytest.approx(1e-200, rel=1e-12)
+    for i in range(0, lam.size, 4):
+        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, lam[i:i + 1], t[i:i + 1])
+        assert one_tail[0] == bulk[0][i] and one_pdf[0] == bulk[1][i], (lam[i], t[i])
+    for i in range(far_lam.size):
+        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, far_lam[i:i + 1], far_t[i:i + 1])
+        assert one_tail[0] == far[0][i] and one_pdf[0] == far[1][i], far_t[i]
+
+
 @pytest.mark.parametrize("k", (1, 2, 8))
 def test_vector_engine_far_from_the_bulk(k):
     # far below the mean the density terms grow toward index 0 and underflow;

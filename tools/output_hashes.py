@@ -1,0 +1,48 @@
+"""Print a digest of every benchmark command-line output, one line per run.
+
+For both workloads, seeds 1-3 and rounds 0-1, each ``cli`` operation of
+``bench/workloads.build(workload, seed)`` runs through ``ummtest.cli.main``
+in this process, as the benchmark's timed process runs it, and one line
+
+    <workload>:<seed>:<round>:<op id> <exit code> <sha256 of stdout>
+
+is printed.  A change that must keep the program's outputs byte-identical
+shows it by a ``diff`` of this script's output in two checkouts:
+
+    python tools/output_hashes.py > new.txt   # in each checkout
+    diff old.txt new.txt
+
+The script reads ``bench/`` and ``src/`` of the checkout it sits in and
+writes nothing there.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3)
+ROUNDS = (0, 1)
+
+
+def main():
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    import workloads
+    from ummtest import cli
+
+    for w in workloads.WORKLOADS:
+        for seed in SEEDS:
+            ops = [op for op in workloads.build(w, seed)["ops"] if op["kind"] == "cli"]
+            for r in ROUNDS:
+                for op in ops:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        rc = cli.main(workloads.round_argv(op, r))
+                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                    print(f"{w}:{seed}:{r}:{op['id']} {rc} {digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
