@@ -44,8 +44,6 @@ _CONVERT = {
     "delta": float, "p_fa": float,
 }
 
-_CURVE_COLUMNS = ["p_fa", "p_md", "ci_low", "ci_high", "provenance"]
-
 _REQUIRED = object()  # marks an option that has no default
 
 # options that direct the output or never change its numbers; no header lists them
@@ -206,15 +204,17 @@ def _config_pairs(given: dict):
             if dest not in _UNPRINTED]
 
 
-def _write_table(args, columns, rows, seed=None) -> None:
+def _write_table(args, table, seed=None) -> None:
+    """Write ``table``, a dict of equal-length columns; a None cell is a field
+    its row lacks: blank in CSV, left out of the row in JSON."""
+    columns = list(table)
     if args.format == "csv":
         lines = [f"# ummtest {__version__}"]
         lines.append("# config: " + " ".join(f"{k}={v}" for k, v in args.header))
         if seed is not None:
             lines.append(f"# seed: {seed}")
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines += map(",".join, zip(*([_fmt(v) for v in col] for col in table.values())))
         text = "\n".join(lines) + "\n"
     else:
         doc = {
@@ -222,8 +222,8 @@ def _write_table(args, columns, rows, seed=None) -> None:
             "version": __version__,
             "config": dict(args.header),
             "columns": columns,
-            "rows": [{c: row.get(c) for c in columns if row.get(c) is not None}
-                     for row in rows],
+            "rows": [{c: v for c, v in zip(columns, row) if v is not None}
+                     for row in zip(*table.values())],
         }
         if seed is not None:
             doc["seed"] = seed
@@ -253,17 +253,21 @@ def _read_csv_table(path: str):
 # ---------------------------------------------------------------------------
 # curve
 
-def _curve_rows(curve) -> list:
-    rows = []
-    for i in range(curve.p_fa.size):
-        rows.append({
-            "p_fa": float(curve.p_fa[i]),
-            "p_md": float(curve.p_md[i]),
-            "ci_low": None if curve.ci_low is None else float(curve.ci_low[i]),
-            "ci_high": None if curve.ci_high is None else float(curve.ci_high[i]),
-            "provenance": curve.provenance,
-        })
-    return rows
+def _curve_table(curve, fa=None) -> dict:
+    """The columns of a tradeoff curve.  A simulated table passes its measured
+    (not nominal) false-alarm rates ``fa``, and an exact (analytic) p_md is
+    then its own zero-width interval."""
+    lo, hi = curve.ci_low, curve.ci_high
+    if fa is not None and lo is None:
+        lo = hi = curve.p_md
+    blank = [None] * curve.p_md.size
+    return {
+        "p_fa": (curve.p_fa if fa is None else fa).tolist(),
+        "p_md": curve.p_md.tolist(),
+        "ci_low": blank if lo is None else lo.tolist(),
+        "ci_high": blank if hi is None else hi.tolist(),
+        "provenance": [curve.provenance if fa is None else "simulated"] * len(blank),
+    }
 
 
 def cmd_curve(args) -> int:
@@ -281,7 +285,7 @@ def cmd_curve(args) -> int:
         rho = _as_float(args.rho, "--rho")
         curve = asymptotics.asymptotic_curve(
             asymptotics.hardness_param(args.delta, rho, args.k), grid)
-    _write_table(args, _CURVE_COLUMNS, _curve_rows(curve))
+    _write_table(args, _curve_table(curve))
     return 0
 
 
@@ -297,20 +301,7 @@ def _simulate_nlp(args, grid, mc):
     rho = _as_float(args.rho, "--rho") if args.detector == "umm-train" else 0.0
     problem = nlp_detect.NlpProblem(k=args.k, delta=args.delta, rho=rho)
     curve = montecarlo.roc_sweep(_NLP_FAMILIES[args.detector], problem, grid, mc)
-    return _CURVE_COLUMNS, _sim_rows(curve.fa_hat, curve)
-
-
-def _sim_rows(fa_hat, md):
-    """Rows of a simulated curve md, with the measured (not nominal) p_fa;
-    an exact (analytic) md is its own zero-width interval."""
-    lo, hi = (md.p_md, md.p_md) if md.ci_low is None else (md.ci_low, md.ci_high)
-    return [{
-        "p_fa": float(fa_hat[i]),
-        "p_md": float(md.p_md[i]),
-        "ci_low": float(lo[i]),
-        "ci_high": float(hi[i]),
-        "provenance": "simulated",
-    } for i in range(md.p_md.size)]
+    return _curve_table(curve, curve.fa_hat)
 
 
 def _build_lan_model(args):
@@ -333,9 +324,6 @@ def _simulate_lan(args, grid, mc):
     # three-symbol models get the conditional estimator (exact test-block
     # sections given training), everything else the plain indicator average
     use_disk = isinstance(model, lan_models.DiscreteModel) and model.k == 2
-    with_dev = not isinstance(model, lan_models.GaussianLocationModel)
-
-    columns = list(_CURVE_COLUMNS) + (["dev_from_limit"] if with_dev else [])
     if use_disk:
         dets = [lan_models.AummDetector(float(p)) for p in grid]
         fa = montecarlo.run_kernel(lan_models.AummDetector.mc_kernel(dets, problem, (False,)), mc)
@@ -343,12 +331,11 @@ def _simulate_lan(args, grid, mc):
     else:
         md = montecarlo.roc_sweep(lan_models.AummDetector, problem, grid, mc)
         fa = md.fa_hat
-    rows = _sim_rows(fa, md)
-    if with_dev:
+    table = _curve_table(md, fa)
+    if not isinstance(model, lan_models.GaussianLocationModel):
         ref = nlp_detect.umm_curve(float(args.delta), problem.rho, model.k, grid, mc)
-        for row, r in zip(rows, ref.p_md.tolist()):
-            row["dev_from_limit"] = abs(row["p_md"] - r)
-    return columns, rows
+        table["dev_from_limit"] = np.abs(md.p_md - ref.p_md).tolist()
+    return table
 
 
 def _read_reference(path: str, count: int) -> list:
@@ -364,17 +351,16 @@ def _read_reference(path: str, count: int) -> list:
     return [_as_float(ref.get("p_md"), f"{path!r} row {i}: p_md") for i, ref in enumerate(ref_rows)]
 
 
-def _check_against(targets, rows) -> int:
+def _check_against(targets, table) -> int:
     """Exit 1 unless every simulated interval covers the reference p_md."""
     misses = []
-    for i, (target, row) in enumerate(zip(targets, rows)):
-        lo, hi = row["ci_low"], row["ci_high"]
+    for i, (target, lo, hi) in enumerate(zip(targets, table["ci_low"], table["ci_high"])):
         if not (lo <= target <= hi):
             misses.append(f"row {i}: reference p_md={target!r} outside [{lo!r}, {hi!r}]")
     if misses:
         print("\n".join(misses), file=sys.stderr)
         return 1
-    print(f"against: all {len(rows)} intervals cover the reference", file=sys.stderr)
+    print(f"against: all {len(targets)} intervals cover the reference", file=sys.stderr)
     return 0
 
 
@@ -382,13 +368,10 @@ def cmd_simulate(args) -> int:
     grid = _parse_grid(args.grid) if args.p_fa is None else np.array([float(args.p_fa)])
     targets = None if args.against is None else _read_reference(args.against, grid.size)
     mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
-    if args.model == "nlp":
-        columns, rows = _simulate_nlp(args, grid, mc)
-    else:
-        columns, rows = _simulate_lan(args, grid, mc)
-    _write_table(args, columns, rows, seed=mc.seed)
+    table = (_simulate_nlp if args.model == "nlp" else _simulate_lan)(args, grid, mc)
+    _write_table(args, table, seed=mc.seed)
     if targets is not None:
-        return _check_against(targets, rows)
+        return _check_against(targets, table)
     return 0
 
 
@@ -402,32 +385,24 @@ def cmd_regions(args) -> int:
     mu1 = np.zeros(k)
     mu1[0] = float(delta)
     train = nlp_detect.UmmTrainDetector(p_fa, x=mu1)
-    disks = []
-    for rho in rhos:
-        problem = nlp_detect.NlpProblem(k=k, mu1=mu1, rho=rho)
-        disks.append((rho, train.region(problem)))
+    table = {c: [] for c in ("record", "rho", "center_x", "center_y", "radius")}
 
-    columns = ["record", "rho", "center_x", "center_y", "radius"]
-    rows = []
-    for rho, b in disks:
-        rows.append({
-            "record": "disk",
-            "rho": rho,
-            "center_x": float(b.center[0]),
-            "center_y": float(b.center[1]) if k > 1 else 0.0,
-            "radius": float(b.radius),
-        })
+    def extend(record, rho, xs, ys, radius=None):
+        """Append one record per point (xs[i], ys[i])."""
+        n = len(xs)
+        for c, col in zip(table, ([record] * n, [rho] * n, xs, ys, [radius] * n)):
+            table[c] += col
+
+    reach = []  # |center_x| + radius of each disk
+    for rho in rhos:
+        b = train.region(nlp_detect.NlpProblem(k=k, mu1=mu1, rho=rho))
+        cx, r = float(b.center[0]), float(b.radius)
+        extend("disk", rho, [cx], [float(b.center[1]) if k > 1 else 0.0], r)
+        reach.append(abs(cx) + r)
         if k == 2:
             t = 2.0 * math.pi * np.arange(256) / 256.0
-            xs = b.center[0] + b.radius * np.cos(t)
-            ys = b.center[1] + b.radius * np.sin(t)
-            for x, y in zip(xs, ys):
-                rows.append({
-                    "record": "boundary",
-                    "rho": rho,
-                    "center_x": float(x),
-                    "center_y": float(y),
-                })
+            extend("boundary", rho, (b.center[0] + b.radius * np.cos(t)).tolist(),
+                   (b.center[1] + b.radius * np.sin(t)).tolist())
     if k == 2:
         # matched-filter boundary as a segment spanning the figure
         problem = nlp_detect.NlpProblem(k=k, mu1=mu1, rho=0.0)
@@ -435,15 +410,9 @@ def cmd_regions(args) -> int:
         nrm = float(h.normal @ h.normal)
         p0 = (h.offset / nrm) * h.normal
         u = np.array([-h.normal[1], h.normal[0]]) / math.sqrt(nrm)
-        span = max(abs(r["center_x"]) + r["radius"] for r in rows if r["record"] == "disk")
-        for sgn in (-1.0, 1.0):
-            pt = p0 + sgn * span * u
-            rows.append({
-                "record": "segment",
-                "center_x": float(pt[0]),
-                "center_y": float(pt[1]),
-            })
-    _write_table(args, columns, rows)
+        xs, ys = zip(*((p0 + sgn * max(reach) * u).tolist() for sgn in (-1.0, 1.0)))
+        extend("segment", None, xs, ys)
+    _write_table(args, table)
     return 0
 
 
@@ -457,17 +426,12 @@ def cmd_allocate(args) -> int:
     a = float(n) * float(delta) ** 2  # information budget
     grid = None if args.rho is None else np.array(_parse_rho_list(args.rho))
     alloc = asymptotics.allocate(a, k, rho_grid=grid)
-    columns = ["kind", "rho", "hardness"]
-    rows = [
-        {"kind": "grid", "rho": float(r), "hardness": float(h)}
-        for r, h in zip(alloc.rho, alloc.hardness)
-    ]
-    rows.append({
-        "kind": "optimum",
-        "rho": alloc.rho_star,
-        "hardness": float(asymptotics.allocation_hardness(a, k, alloc.rho_star)),
+    _write_table(args, {
+        "kind": ["grid"] * alloc.rho.size + ["optimum"],
+        "rho": alloc.rho.tolist() + [alloc.rho_star],
+        "hardness": alloc.hardness.tolist()
+                    + [float(asymptotics.allocation_hardness(a, k, alloc.rho_star))],
     })
-    _write_table(args, columns, rows)
     return 0
 
 

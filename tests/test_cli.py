@@ -9,7 +9,7 @@ import pytest
 from ummtest import __version__, cli, lan_models, linalg, montecarlo, specfun
 from ummtest.asymptotics import allocation_hardness, hardness_param
 from ummtest.cli import main
-from ummtest.nlp_detect import glrt_curve, lrt_curve
+from ummtest.nlp_detect import NlpProblem, UmmTrainDetector, glrt_curve, lrt_curve
 
 
 def _read(path):
@@ -282,6 +282,29 @@ def test_regions_geometry(tmp_path):
     assert ys[0] == -ys[1] and ys[1] > 40.0
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_regions_off_the_plane_writes_one_disk_per_rho(tmp_path, k):
+    # no plane to draw: no boundary or segment records, and at k = 1 the
+    # disk (an interval) sits on the first axis
+    out = tmp_path / "r.csv"
+    assert main(["regions", "--k", str(k), "--delta", "2", "--out", str(out)]) == 0
+    _, header, rows = _read(out)
+    assert header == ["record", "rho", "center_x", "center_y", "radius"]
+    assert [r["record"] for r in rows] == ["disk"] * 4
+    mu1 = np.zeros(k)
+    mu1[0] = 2.0
+    train = UmmTrainDetector(0.1, x=mu1)
+    for row, rho in zip(rows, (0.0, 1.0, 5.0, 20.0)):
+        assert float(row["rho"]) == rho
+        b = train.region(NlpProblem(k=k, mu1=mu1, rho=rho))
+        assert float(row["center_x"]) == b.center[0]
+        if k == 1:
+            assert row["center_y"] == "0.0"
+        else:
+            assert float(row["center_y"]) == b.center[1]
+        assert float(row["radius"]) == b.radius
+
+
 def test_allocate_table(tmp_path):
     out = tmp_path / "al.csv"
     assert main(["allocate", "--k", "1000", "--n", "25", "--delta", "2",
@@ -356,6 +379,34 @@ def test_json_output(tmp_path):
     # analytic curves have no interval fields at all in json
     assert "ci_low" not in doc["rows"][0]
     assert doc["config"]["detector"] == "glrt"
+
+
+@pytest.mark.parametrize("argv, blanks", [
+    (["curve", "--detector", "lrt", "--delta", "2", "--grid", "0.1:0.5:3"], 6),
+    (["curve", "--detector", "umm-train", "--delta", "2", "--k", "2", "--rho", "1",
+      "--grid", "0.1:0.5:3", "--trials", "1000"], 0),
+    (["simulate", "--model", "discrete", "--delta", "2", "--n", "50", "--nx", "50",
+      "--grid", "0.1:0.3:2", "--trials", "1000"], 0),
+    (["regions", "--delta", "2", "--rho", "0,3"], 2 * 256 + 2 * 2),
+    (["allocate", "--k", "8", "--n", "25", "--delta", "2", "--rho", "0,0.5,1"], 0),
+], ids=["analytic", "umm-train", "discrete", "regions", "allocate"])
+def test_csv_and_json_hold_the_same_cells(tmp_path, argv, blanks):
+    # a JSON row lacks exactly the fields whose CSV cells are blank, and
+    # every other value is the CSV cell: a string, or the float it reads as;
+    # blank are an analytic curve's interval, a boundary point's radius and
+    # a segment's rho and radius
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    _, header, rows = _read(csv_out)
+    doc = json.loads(json_out.read_text())
+    assert doc["columns"] == header
+    assert len(doc["rows"]) == len(rows)
+    for row, cells in zip(doc["rows"], rows):
+        assert set(row) == {c for c in header if cells[c] != ""}
+        for c, v in row.items():
+            assert v == (cells[c] if isinstance(v, str) else float(cells[c]))
+    assert sum(len(header) - len(row) for row in doc["rows"]) == blanks
 
 
 def test_bad_grid_exits_two(capsys):

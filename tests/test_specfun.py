@@ -674,6 +674,36 @@ def test_training_inversions_take_few_passes(monkeypatch, rho, bound):
         assert len(sizes) <= 2
 
 
+@pytest.mark.parametrize("rho, steps0, steps1", [(1.0, 41, 49), (5.0, 113, 121),
+                                                  (20.0, 337, 337)])
+def test_training_sweeps_take_few_steps(monkeypatch, rho, steps0, steps1):
+    # Poisson-sweep steps of the vector engine on the 3,000 training draws
+    # above, level 0.1, t the quantile under H0: the least constant
+    # _term_cap at which the tail returns, for lam = ||rho x||^2 and for
+    # lam = ||rho x + mu1||^2; pinned at the counts the engine takes now
+    rx = math.sqrt(rho) * np.random.default_rng(12).standard_normal((3000, 2))
+    rx[:, 0] += rho * 2.0
+    lam0 = np.sum(rx * rx, axis=1)
+    rx[:, 0] += 2.0
+    lam1 = np.sum(rx * rx, axis=1)
+    t = specfun._chisq_tail_inv_vec(2, lam0, 0.1)
+
+    def least_cap(lam):
+        lo, hi = 1, 4096
+        while lo < hi:
+            mid = (lo + hi) // 2
+            monkeypatch.setattr(specfun, "_term_cap", lambda scale: mid)
+            try:
+                specfun._chisq_tail_pdf_vec(2, lam, t)
+                hi = mid
+            except RangeError:
+                lo = mid + 1
+        return lo
+
+    assert least_cap(lam0) <= steps0
+    assert least_cap(lam1) <= steps1
+
+
 def _training_draws(k, delta, rho, n=3000):
     # ||rho x||^2 of n training draws, x ~ N(delta e_1, I / rho) in R^k
     rx = math.sqrt(rho) * np.random.default_rng(12).standard_normal((n, k))

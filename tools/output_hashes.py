@@ -6,11 +6,17 @@ in this process, as the benchmark's timed process runs it, and one line
 
     <workload>:<seed>:<round>:<op id> <exit code> <sha256 of stdout>
 
-is printed.  A change that must keep the program's outputs byte-identical
-shows it by a ``diff`` of this script's output in two checkouts:
+is printed.  The benchmark writes CSV only; so that the JSON writer is
+covered too, each operation runs a second time with ``--format json`` and
+prints a second line, its id ending in ``:json``.  A change that must keep
+the program's outputs byte-identical shows it by a ``diff`` of this
+script's output in two checkouts:
 
     python tools/output_hashes.py > new.txt   # in each checkout
     diff old.txt new.txt
+
+An older checkout may hold an older copy of the script: copy this one into
+its ``tools/`` first, as the CI workflow does for a pull request's base.
 
 The script reads ``bench/`` and ``src/`` of the checkout it sits in and
 writes nothing there.
@@ -37,11 +43,13 @@ def main():
             ops = [op for op in workloads.build(w, seed)["ops"] if op["kind"] == "cli"]
             for r in ROUNDS:
                 for op in ops:
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                        rc = cli.main(workloads.round_argv(op, r))
-                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                    print(f"{w}:{seed}:{r}:{op['id']} {rc} {digest}", flush=True)
+                    for suffix, extra in (("", []), (":json", ["--format", "json"])):
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out), \
+                                contextlib.redirect_stderr(io.StringIO()):
+                            rc = cli.main(workloads.round_argv(op, r) + extra)
+                        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                        print(f"{w}:{seed}:{r}:{op['id']}{suffix} {rc} {digest}", flush=True)
 
 
 if __name__ == "__main__":
