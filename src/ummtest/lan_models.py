@@ -601,9 +601,6 @@ class AummDetector(UmmTrainDetector):
     training block is always the one passed to ``region``/``decide``.
     """
 
-    def __init__(self, p_fa):
-        super().__init__(p_fa)
-
     @classmethod
     def mc_kernel(cls, detectors, problem: LanProblem, hypotheses):
         return _UmmTrainKernel(problem, [d.p_fa for d in detectors], hypotheses)

@@ -15,15 +15,18 @@ floats for the public functions, and on ndarrays by the ``*_vec`` kernels of
 the Monte Carlo hot paths (a 0-d call to numpy costs several times the
 scalar one).  Both share their constants, their log-density split and
 Sankaran's starting point.  Each sum is anchored at its own Poisson mode
-(one ``exp`` per term kind, at the anchor; in the far upper tail just below
-its largest term instead, and scaled by powers of two), takes the incomplete
-gamma there from positive sums that start at the density term already in
-hand (at half-integer orders they end in Q(1/2, x) = erfc(sqrt x); no other
+(one ``exp`` per term kind, at the anchor), takes the incomplete gamma there
+from positive sums that start at the density term already in hand (at
+half-integer orders they end in Q(1/2, x) = erfc(sqrt x); no other
 incomplete gamma is computed), sums outward with recurrences, and stops at
 its own certified relative truncation bound, so an element's tail and
 density from the vector engine are the same bit for bit whatever array they
-are computed in.  Far above the bulk, where a Chernoff bound puts the tail
-below the least subnormal, tail and density are 0 without a sum.  Each
+are computed in.  The far upper tail, where the density term at the mode
+lies below 1e-250, has one implementation, in the scalar engine: its sum is
+anchored just below its largest term and scaled by powers of two, and the
+vector engine hands each such element to it.  Far above the bulk, where a
+Chernoff bound puts the tail below the least subnormal, tail and density
+are 0 without a sum.  Each
 inverse takes Newton steps on the tail's normal deviate in Sankaran's
 coordinate, in which that deviate is nearly linear (on the log tail where
 the deviate passes 8 or the step fails), and stops once the tail is within
@@ -219,7 +222,10 @@ def _log_tail_bound(k, lam, t, maximum=max, log=math.log, hypot=math.hypot):
 
 
 def _gamma_q_anchor(b, x, e, ne=0):
-    """Q(b, x) for b > 0, x > 0: ``_gamma_q_anchor_vec`` on one element."""
+    """Q(b, x) for b > 0, x > 0: ``_gamma_q_anchor_vec`` on one element.
+
+    ``e`` and Q are in units of 2^``ne``, which only a far sum sets.
+    """
     up = x < b
     # at b = 1/2 the downward sum has no terms
     c, y, term = (b, x, x * e / b) if up else (b - 1.0, 1.0 / x, e if b >= 1.0 else 0.0)
@@ -253,15 +259,26 @@ def _chisq_tail_pdf(k, lam, t):
     """(tail, pdf) of the noncentral chi-square at one point, t >= 0.
 
     ``_chisq_tail_pdf_vec``'s algorithm on floats: the same cut-off far
-    above the bulk, the same anchor at the Poisson mode (below the largest
-    term in the far upper tail) and the same positive sums for its
-    incomplete gamma, the same scaling in the far upper tail, the same
-    recurrences in lockstep up and down and the same
-    certified relative bounds, checked every ``_CHECK`` steps (and once
-    before the first, which ends a sum with no terms to add).  It adds the
-    same terms in the same order as the vector engine on a one-element
-    array, so the two differ only by the last bits of the anchor's ``exp``
-    and ``log``.  Raises RangeError after ``_term_cap(h)`` steps.
+    above the bulk, the same anchor at the Poisson mode and the same
+    positive sums for its incomplete gamma, the same recurrences in lockstep
+    up and down and the same certified relative bounds, checked every
+    ``_CHECK`` steps (and once before the first, which ends a sum with no
+    terms to add).  It adds the same terms in the same order as the vector
+    engine on a one-element array, so the two differ only by the last bits
+    of the anchor's ``exp`` and ``log``.
+
+    It is the only implementation of the far upper tail, where the density
+    term at the mode lies below 1e-250 and x above the mode: there the terms
+    grow from the mode to their largest, near (j + 1)(j + a) = h x, by more
+    than the range of a float once lam reaches 1e5 near the cut-off.  Such a
+    sum is anchored sqrt(``_FAR_DROP`` top) indices below that top instead,
+    with w and e in units of powers of two near their values there, scaled
+    back at the end, so that tails down to 1e-300 keep their relative
+    accuracy and subnormal ones their absolute accuracy.  Two more bounds,
+    one each way, stop it within a few spreads of its largest term.  The
+    vector engine hands each far element here, so a vector call pays this
+    pure-Python sum once per far element.  Raises RangeError after
+    ``_term_cap(h)`` steps.
     """
     if _log_tail_bound(k, lam, t) < _LOG_UNDER:
         return 0.0, 0.0
@@ -298,15 +315,30 @@ def _chisq_tail_pdf(k, lam, t):
     while True:
         tol_t = _TOL * tl + _TINY
         tol_p = _TOL * pf + _TINY
+        # far out, scaled density terms times hx may overflow; the product is
+        # then inf, the ratio bound reads false and the direction keeps
+        # summing unless another bound holds, so an overflow never stops a
+        # sweep early
         if up:  # the bounds on w omit e's scale, so they are scaled by it
             rest = w * h
             up = not (rest <= math.ldexp(tol_t * step, ne)
                       and (vu * hx <= tol_p * (ju * (ju + a) - hx)
                            or rest <= math.ldexp(tol_p * step, ne)))
-            if up and far:  # Q_j = Q_ju + e_(ju+1) + ... + e_j, as in the vector engine
+            if up and far:
+                # a far sum's tail terms are Q_j = Q_ju + e_(ju+1) + ... + e_j,
+                # so their rest is at most Q_ju times the rest of the weights,
+                # w h / (ju + 1 - h), plus the density terms' rest times
+                # (ju + 1) / (ju + 1 - h), which the geometric ratio bounds
+                # once past the largest term
                 cu = ju * (ju + a) - hx
                 up = not (cu > 0.0 and vu * hx <= tol_p * cu
                           and uu * h * cu + (ju + 1.0) * vu * hx <= tol_t * (ju + 1.0 - h) * cu)
+        # above the mode, where only a far sum sweeps down, the tail terms fall
+        # at least as fast as the density terms, since Q(b - 1, x) <= Q(b, x)
+        # (b - 1) / x for b >= 1 and x > b - 1, and each exceeds its density
+        # term; their rest is held to the term at the top, low, as the running
+        # sums there are still small and the recurrence Q - e is unstable
+        # above the mode
         if down:
             rest = ud * jd
             cd = jd * (jd + am1)
@@ -595,13 +627,13 @@ def _log_g_vec(nu, x):
     return np.where(nu >= 1.0, -bd0 - c, nu * np.log(x) - x - lg)
 
 
-def _gamma_q_anchor_vec(b, x, e, ne=0):
+def _gamma_q_anchor_vec(b, x, e):
     """Q(b, x) elementwise for ndarrays b > 0 and x > 0, from positive sums.
 
-    ``e`` is the density term x^(b-1) e^-x / Gamma(b) in units of 2^``ne``,
-    which the engine already holds at its anchor; Q comes back in the same
-    units.  Each term is the last one times a ratio, one multiply and one
-    add (Ding's AS 275, 1992, sums the noncentral chi-square so):
+    ``e`` is the density term x^(b-1) e^-x / Gamma(b), which the engine
+    already holds at its anchor.  Each term is the last one times a ratio,
+    one multiply and one add (Ding's AS 275, 1992, sums the noncentral
+    chi-square so):
     - where x >= b, Q = sum_i x^(b-1-i) e^-x / Gamma(b-i), downward from e
       with ratio (b-1-i)/x; the terms end at exponent 0 for integer b, and
       at exponent 1/2 for half-integer b, which leaves Q(1/2, x) =
@@ -616,7 +648,6 @@ def _gamma_q_anchor_vec(b, x, e, ne=0):
     ``_term_cap`` of the largest b terms.
     """
     out = np.empty_like(x)
-    ne = np.broadcast_to(ne, x.shape)
     cap = _term_cap(np.max(b, initial=0.0))
     up = x < b
     for upward in (True, False):
@@ -658,8 +689,7 @@ def _gamma_q_anchor_vec(b, x, e, ne=0):
                 if clamp:  # an ended sum adds Q(1/2, x); y = 0 marks one stopped earlier
                     end = (c < 0.0) & (y != 0.0) & (np.floor(c) != c)
                     at = pos[end].astype(np.int64)
-                    q = [math.erfc(math.sqrt(v)) for v in x[at].tolist()]
-                    acc[end] += np.ldexp(q, -ne[at])
+                    acc[end] += [math.erfc(math.sqrt(v)) for v in x[at].tolist()]
                 done = term <= _Q_TOL * acc * (1.0 - c * y)
                 if half:
                     np.copyto(y, 0.0, where=done)
@@ -702,36 +732,33 @@ def _chisq_tail_pdf_vec(k, lam, t):
     element is anchored at its own Poisson mode j0 = floor(h), the only
     place that calls exp: w_j0 and the density term e_j0 = x^(a+j0-1) e^-x /
     Gamma(a+j0), from which ``_gamma_q_anchor_vec`` sums Q(a + j0, x).
-    Where the density term there is below 1e-250 and x lies above the mode,
-    in the far upper tail, the terms grow from the mode to their largest,
-    near (j + 1)(j + a) = h x, by more than the range of a float once lam
-    reaches 1e5 near the cut-off; such an element is anchored
-    sqrt(``_FAR_DROP`` top) indices below that top instead, with w and e
-    carried in units of powers of two near their values there and scaled
-    back at the end, so that tails down to 1e-300 keep their relative
-    accuracy and subnormal ones their absolute accuracy.  From there it steps
-    up and down in lockstep with the recurrences w h/j, e x/(a+j) and
-    Q +- e, on the products u = w Q and v = w e.  Every eight steps each
-    element checks its own certified bounds on the unswept terms: above the
-    top index Q <= 1 and the Poisson and density ratios are geometric;
-    below the bottom index Q only falls; and a density term is at most its
-    tail term.  A direction stops once its bounds are within 1e-15 of the
-    element's running tail and pdf, so the truncation error is relative
-    and an element's result does not depend on the others.  A far sum's
-    upward rest is also bounded without Q <= 1: each unswept Q_j is the Q
-    of the last index swept plus the density terms between, so past its
-    largest term the rest is geometric and the sum stops within a few
-    spreads of that term.  A far sum's
-    downward sweep, above the mode, where Q - e is unstable, stops as soon
-    as its terms fall geometrically below 1e-15 of the density term at the
-    top, which no sum falls below.  A stopped direction adds exact zeros,
-    and the state is compacted once two thirds of it have finished both
-    directions.  The checks scale the weight bounds by 2^ne and read the
-    far-only rows only in a call with a far element, and the bottom index
-    is clamped at 0 only in a block that can reach it: elsewhere these
-    would add +0.0 or scale by 2^0, so an element's bits still do not
-    depend on the elements that share its array.  Raises
-    RangeError after ``_term_cap`` of the largest h steps.
+    From there it steps up and down in lockstep with the recurrences w h/j,
+    e x/(a+j) and Q +- e, on the products u = w Q and v = w e.  Every eight
+    steps each element checks its own certified bounds on the unswept
+    terms: above the top index Q <= 1 and the Poisson and density ratios
+    are geometric; below the bottom index Q only falls; and a density term
+    is at most its tail term.  A direction stops once its bounds are within
+    1e-15 of the element's running tail and pdf, so the truncation error is
+    relative and an element's result does not depend on the others.  A
+    stopped direction adds exact zeros, and the state is compacted once two
+    thirds of it have finished both directions.  The bottom index is clamped
+    at 0 only in a block that can reach it: elsewhere that would add +0.0,
+    so an element's bits still do not depend on the elements that share its
+    array.  Raises RangeError after ``_term_cap`` of the largest h steps.
+
+    Where the density term at the mode is below 1e-250 and x lies above the
+    mode, in the far upper tail, the terms grow from the mode to their
+    largest by more than the range of a float; the element is handed to the
+    scalar engine ``_chisq_tail_pdf``, the one implementation of that sum,
+    and takes its tail and pdf bit for bit, raising RangeError at its own
+    ``_term_cap(h)``.  That costs a pure-Python sum per far element, which
+    pays for few far elements and not for many: ``_chisq_tail_inv_vec(2,
+    lam, 1e-300)``, every element far, measured (one core of a 2-CPU Xeon)
+    4.1 s for 4,096 elements over lam in [0.9e5, 1.1e5], against 0.29 s for
+    a vector sweep of them, 1.17 s against 0.077 s over [0.9e4, 1.1e4], the
+    same 0.09 s for 64 elements near 1e5, and 0.024 s against 1.47 s for one
+    element at lam = 1e7.  No Monte Carlo path, test or command-line
+    default makes a call with many far elements.
     """
     lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
     shape = lam.shape
@@ -747,28 +774,17 @@ def _chisq_tail_pdf_vec(k, lam, t):
     lw = _log_g_vec(j0, np.maximum(h, _TINY))
     le = _log_g_vec(j0 + am1, x)
     # far in the upper tail the terms grow from the Poisson mode up to their
-    # largest, near (j + 1)(j + a) = h x; such a sum is anchored just below
-    # that term instead, with w in units of 2^nw and e in units of 2^ne
-    # near their values there, so no term on the way over- or underflows
+    # largest by more than the range of a float; the scalar engine sums such
+    # an element
     far = (lw + le < _LOG_FLOOR) & (x >= a + j0 + 1.0)
-    nw = np.zeros(lam.size, dtype=np.int64)
-    ne = np.zeros(lam.size, dtype=np.int64)
-    low = np.zeros(lam.size)  # far: the density term at the top, below both sums
-    is_far = np.zeros(lam.size, dtype=bool)
-    is_far[live] = far
-    any_far = bool(far.any())
-    if any_far:
-        top = np.maximum(j0, np.floor(0.5 * (np.sqrt(am1 * am1 + 4.0 * h * x) - a - 1.0)))
-        j0 = np.where(far, np.maximum(j0, np.floor(top - np.sqrt(_FAR_DROP * top))), j0)
-        lw = np.where(far, _log_g_vec(j0, np.maximum(h, _TINY)), lw)
-        le = np.where(far, _log_g_vec(j0 + am1, x), le)
-        nw[live] = np.where(far, np.floor(lw / _LN2), 0.0)
-        ne[live] = np.where(far, np.floor(le / _LN2), 0.0)
-        lt = _log_g_vec(top, np.maximum(h, _TINY)) + _log_g_vec(top + am1, x)
-        low[live] = np.where(far, np.exp(lt - (nw[live] + ne[live]) * _LN2), 0.0)
-    w = np.exp(lw - nw[live] * _LN2)
-    e = np.exp(le - ne[live] * _LN2)
-    u = w * _gamma_q_anchor_vec(j0 + a, x, e, ne[live])
+    if far.any():
+        for i in live[far].tolist():
+            tail[i], pdf[i] = _chisq_tail_pdf(k, float(lam[i]), float(t[i]))
+        near = ~far
+        live, h, x, j0, lw, le = live[near], h[near], x[near], j0[near], lw[near], le[near]
+    w = np.exp(lw)
+    e = np.exp(le)
+    u = w * _gamma_q_anchor_vec(j0 + a, x, e)
     v = w * e
     # sweep state, one row each: h, x, hx, 1/h, 1/x, top and bottom index,
     # top weight, top and bottom terms u and v, tail, pdf, position
@@ -817,33 +833,13 @@ def _chisq_tail_pdf_vec(k, lam, t):
         # zeros to it
         tol_t = _TOL * tl + _TINY
         tol_p = _TOL * pf + _TINY
-        if any_far:
-            ip = pos.astype(np.int64)
         # the density terms are bounded twice: by their geometric ratio, and
         # by the tail terms, since e_j <= Q_j (up to the factor m of the
         # j = 0 term at k = 1), for where the ratio exceeds 1
         if up:
             rest = w * h
-            cu = ju * (ju + a) - hx
-            lim_t, lim_p = tol_t * step, tol_p * step
-            if any_far:  # the bounds on w omit e's scale, so they are scaled by it
-                sc = ne[ip]
-                lim_t, lim_p = np.ldexp(lim_t, sc), np.ldexp(lim_p, sc)
-            # far out, scaled density terms times hx may overflow; the
-            # product is then inf, the ratio bound reads false and the
-            # direction keeps summing unless the other bound holds, so an
-            # overflow never stops a sweep early
-            with np.errstate(over="ignore"):
-                ratio_ok = vu * hx <= tol_p * cu
-                up_ok = (rest <= lim_t) & (ratio_ok | (rest <= lim_p))
-                if any_far:
-                    # a far sum's tail terms are Q_j = Q_ju + e_(ju+1) + ...
-                    # + e_j, so their rest is at most Q_ju times the rest of
-                    # the weights, w h / (ju + 1 - h), plus the density
-                    # terms' rest times (ju + 1) / (ju + 1 - h), which the
-                    # geometric ratio bounds once past the largest term
-                    up_ok |= is_far[ip] & (cu > 0.0) & ratio_ok & (
-                        uu * h * cu + (ju + 1.0) * vu * hx <= tol_t * (ju + 1.0 - h) * cu)
+            up_ok = (rest <= tol_t * step) & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
+                                              | (rest <= tol_p * step))
             for row in (w, uu, vu):
                 np.copyto(row, 0.0, where=up_ok)
         if down:
@@ -853,14 +849,6 @@ def _chisq_tail_pdf_vec(k, lam, t):
             m = 1.0 if k > 1 else 0.5 + 0.5 * np.sqrt(1.0 + 2.0 * xinv)
             down_ok = (rest <= tol_t * gap) & ((vd * cd <= tol_p * (hx - cd))
                                                | (rest * m <= tol_p * gap))
-            if any_far:
-                # above the mode, where only a far sum sweeps down, the tail
-                # terms fall at least as fast as the density terms, since
-                # Q(b - 1, x) <= Q(b, x) (b - 1) / x for b >= 1 and x > b - 1,
-                # and each exceeds its density term; their rest is held to
-                # the term at the top, as the running sums there are still
-                # small and the recurrence Q - e is unstable above the mode
-                down_ok |= (jd > h) & (x > jd + am1) & (ud * cd <= _TOL * low[ip] * (hx - cd))
             for row in (ud, vd):
                 np.copyto(row, 0.0, where=down_ok)
         # a finished element only adds zeros from here on, so it is
@@ -868,15 +856,13 @@ def _chisq_tail_pdf_vec(k, lam, t):
         done = up_ok & down_ok
         if 3 * np.count_nonzero(done) >= 2 * done.size:
             at = pos[done].astype(np.int64)
-            tail[at] = tl[done]
-            pdf[at] = pf[done]
+            tail[at] = np.clip(tl[done], 0.0, 1.0)
+            pdf[at] = 0.5 * np.maximum(pf[done], 0.0)
             keep = np.flatnonzero(~done)
             s = s[:, keep]
             up_ok, down_ok = up_ok[keep], down_ok[keep]
         up, down = not up_ok.all(), not down_ok.all()
-    n = nw + ne
-    tail, pdf = np.ldexp(tail, n), np.ldexp(0.5 * np.maximum(pdf, 0.0), n)
-    return np.clip(tail, 0.0, 1.0).reshape(shape), pdf.reshape(shape)
+    return tail.reshape(shape), pdf.reshape(shape)
 
 
 def _chisq_tail_vec(k, lam, t):

@@ -429,6 +429,17 @@ def test_simulate_plugin_worker_invariance(tmp_path, model):
     assert ("dev_from_limit" in header) == (model == "discrete")
 
 
+def test_simulate_ar_worker_invariance(tmp_path):
+    # the AR model takes no --k; its 5000 trials also span two blocks
+    base = ["simulate", "--model", "ar", "--n", "40", "--nx", "80", "--delta", "2",
+            "--grid", "0.05:0.3:3", "--trials", "5000", "--seed", "4"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+    assert main(base + ["--workers", "3", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(_read(a)[2]) == 3
+
+
 def test_back_to_back_calls_share_no_options(capsys):
     # the parser is built once per process; each call parses into its own
     # namespace, so an option given once does not stick to later calls

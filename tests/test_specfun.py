@@ -481,9 +481,10 @@ def test_vector_engine_elements_are_independent():
 
 
 def test_vector_inverse_raises_no_overflow_warning():
-    # far in the upper tail at large noncentrality the scaled density terms
-    # times hx overflow in the up-direction bound; the bound reads false
-    # there and the result stays right, without a warning
+    # far in the upper tail at large noncentrality the vector engine hands
+    # the element to the scalar engine, whose float products overflow to inf
+    # without a warning; the up-direction bound then reads false and the
+    # result stays right
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         t = specfun._chisq_tail_inv_vec(1, np.array([1e7]), np.array([1e-300]))
@@ -494,18 +495,20 @@ def test_vector_inverse_raises_no_overflow_warning():
 def test_far_sum_stops_within_a_few_spreads_of_its_largest_term(monkeypatch):
     # a far sum bounds its upward rest by the density terms past its largest
     # term, not by Q <= 1: at lam = 1e7 and p = 1e-300 its sweep ends within
-    # 28,600 steps, where Q <= 1 alone took 42,500
+    # 28,600 steps, where Q <= 1 alone took 42,500; the vector engine hands
+    # the element to that scalar sum, so its pdf is the scalar one exactly
     monkeypatch.setattr(specfun, "_term_cap", lambda scale: 32_000)
     t = specfun.chisq_tail_inv(1, 1e7, 1e-300)
     assert t == pytest.approx(10235678.89734737, rel=1e-15)
     tail, pdf = specfun._chisq_tail_pdf_vec(1, np.array([1e7]), np.array([t]))
     assert tail[0] == pytest.approx(1e-300, rel=1e-12)
-    assert pdf[0] == pytest.approx(specfun._chisq_tail_pdf(1, 1e7, t)[1], rel=1e-13)
+    assert pdf[0] == specfun._chisq_tail_pdf(1, 1e7, t)[1]
 
 
 def test_vector_engine_bits_do_not_depend_on_a_far_neighbour():
-    # a far element turns on the scaled and far-only checks of its call; the
-    # other elements keep the bits they have without it, and it keeps its own
+    # a far element goes to the scalar engine and leaves the sweep (here the
+    # tails 1e-200 and 1e-250 are far, 1e-100 is not); the other elements
+    # keep the bits they have without it, and it keeps its own
     k = 1
     lam, t, _ = _vec_grid(k)
     far_lam = np.full(3, 1e5)
@@ -525,6 +528,38 @@ def test_vector_engine_bits_do_not_depend_on_a_far_neighbour():
     for i in range(far_lam.size):
         one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, far_lam[i:i + 1], far_t[i:i + 1])
         assert one_tail[0] == far[0][i] and one_pdf[0] == far[1][i], far_t[i]
+
+
+# far elements, k: (lam, p): at the quantile t of p the density term at the
+# Poisson mode lies below 1e-250 (at lam = 1e5, k = 1, p = 1e-100 it does not)
+FAR_CASES = {1: ((1e5, 1e-200), (1e5, 1e-250)), 2: ((1e4, 1e-280),), 8: ((1e6, 1e-300),)}
+
+
+@pytest.mark.parametrize("k", sorted(FAR_CASES))
+def test_vector_engine_hands_each_far_element_to_the_scalar_engine(k, monkeypatch):
+    # the vector engine sums no far element itself: each goes to the scalar
+    # engine exactly once, and the bulk elements keep their bits
+    far_lam, far_t = (np.array(c) for c in zip(*[(lam, specfun.chisq_tail_inv(k, lam, p))
+                                                 for lam, p in FAR_CASES[k]]))
+    lam, t, _ = _vec_grid(k)
+    at = np.linspace(0, lam.size, far_lam.size).astype(np.int64)
+    calls = []
+    scalar = specfun._chisq_tail_pdf
+
+    def counted(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(specfun, "_chisq_tail_pdf", counted)
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, np.insert(lam, at, far_lam), np.insert(t, at, far_t))
+    assert sorted(calls) == sorted(zip([k] * far_lam.size, far_lam.tolist(), far_t.tolist()))
+    is_far = np.zeros(tail.size, dtype=bool)
+    is_far[at + np.arange(at.size)] = True
+    for i, (lv, tv) in enumerate(zip(far_lam.tolist(), far_t.tolist())):
+        assert (tail[is_far][i], pdf[is_far][i]) == scalar(k, lv, tv), (lv, tv)
+    for i, (lv, tv) in enumerate(zip(lam.tolist(), t.tolist())):
+        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, np.array([lv]), np.array([tv]))
+        assert one_tail[0] == tail[~is_far][i] and one_pdf[0] == pdf[~is_far][i], (lv, tv)
 
 
 @pytest.mark.parametrize("k", (1, 2, 8))
