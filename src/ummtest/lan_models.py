@@ -601,6 +601,10 @@ class AummDetector(UmmTrainDetector):
     training block is always the one passed to ``region``/``decide``.
     """
 
+    def __init__(self, p_fa):
+        # no frozen x: ``mc_kernel`` draws a fresh training block every trial
+        super().__init__(p_fa)
+
     @classmethod
     def mc_kernel(cls, detectors, problem: LanProblem, hypotheses):
         return _UmmTrainKernel(problem, [d.p_fa for d in detectors], hypotheses)

@@ -221,6 +221,12 @@ def test_plug_in_decisions_on_symbols_are_the_kernel_verdicts():
     assert 0 < np.count_nonzero(rejected) < rejected.size
 
 
+def test_plug_in_rule_takes_no_frozen_training_block():
+    # its kernel always draws x, so a frozen x would be silently ignored
+    with pytest.raises(TypeError):
+        AummDetector(0.1, x=np.zeros(2))
+
+
 def test_plug_in_rule_runs_on_the_training_test_kernels(monkeypatch):
     # each estimator has one kernel: a fresh-x sweep of the plug-in rule and
     # of the training test get the same kernel class, the three-symbol

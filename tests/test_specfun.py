@@ -505,44 +505,23 @@ def test_far_sum_stops_within_a_few_spreads_of_its_largest_term(monkeypatch):
     assert pdf[0] == specfun._chisq_tail_pdf(1, 1e7, t)[1]
 
 
-def test_vector_engine_bits_do_not_depend_on_a_far_neighbour():
-    # a far element goes to the scalar engine and leaves the sweep (here the
-    # tails 1e-200 and 1e-250 are far, 1e-100 is not); the other elements
-    # keep the bits they have without it, and it keeps its own
-    k = 1
-    lam, t, _ = _vec_grid(k)
-    far_lam = np.full(3, 1e5)
-    far_t = np.array([specfun.chisq_tail_inv(k, 1e5, p) for p in (1e-100, 1e-200, 1e-250)])
-    bulk = specfun._chisq_tail_pdf_vec(k, lam, t)
-    far = specfun._chisq_tail_pdf_vec(k, far_lam, far_t)
-    at = np.array([0, lam.size // 2, lam.size])
-    tail, pdf = specfun._chisq_tail_pdf_vec(k, np.insert(lam, at, far_lam), np.insert(t, at, far_t))
-    is_far = np.zeros(tail.size, dtype=bool)
-    is_far[at + np.arange(at.size)] = True
-    assert np.array_equal(tail[~is_far], bulk[0]) and np.array_equal(pdf[~is_far], bulk[1])
-    assert np.array_equal(tail[is_far], far[0]) and np.array_equal(pdf[is_far], far[1])
-    assert far[0][1] == pytest.approx(1e-200, rel=1e-12)
-    for i in range(0, lam.size, 4):
-        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, lam[i:i + 1], t[i:i + 1])
-        assert one_tail[0] == bulk[0][i] and one_pdf[0] == bulk[1][i], (lam[i], t[i])
-    for i in range(far_lam.size):
-        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, far_lam[i:i + 1], far_t[i:i + 1])
-        assert one_tail[0] == far[0][i] and one_pdf[0] == far[1][i], far_t[i]
+# elements put among the bulk grid's, k: ((lam, p, far), ...): t is the
+# quantile of p, and a far element's density term at the Poisson mode lies
+# below 1e-250 (at lam = 1e5, k = 1 and p = 1e-100 it does not)
+NEIGHBOURS = {1: ((1e5, 1e-100, False), (1e5, 1e-200, True), (1e5, 1e-250, True)),
+              2: ((1e4, 1e-280, True),), 8: ((1e6, 1e-300, True),)}
 
 
-# far elements, k: (lam, p): at the quantile t of p the density term at the
-# Poisson mode lies below 1e-250 (at lam = 1e5, k = 1, p = 1e-100 it does not)
-FAR_CASES = {1: ((1e5, 1e-200), (1e5, 1e-250)), 2: ((1e4, 1e-280),), 8: ((1e6, 1e-300),)}
-
-
-@pytest.mark.parametrize("k", sorted(FAR_CASES))
-def test_vector_engine_hands_each_far_element_to_the_scalar_engine(k, monkeypatch):
+@pytest.mark.parametrize("k", sorted(NEIGHBOURS))
+def test_vector_engine_bits_do_not_depend_on_a_far_neighbour(k, monkeypatch):
     # the vector engine sums no far element itself: each goes to the scalar
-    # engine exactly once, and the bulk elements keep their bits
-    far_lam, far_t = (np.array(c) for c in zip(*[(lam, specfun.chisq_tail_inv(k, lam, p))
-                                                 for lam, p in FAR_CASES[k]]))
+    # engine exactly once and leaves the sweep, so it takes the scalar
+    # engine's bits, and every other element keeps the bits of a call alone
+    near_lam, p, far = (np.array(c) for c in zip(*NEIGHBOURS[k]))
+    near_t = np.array([specfun.chisq_tail_inv(k, lv, pv) for lv, pv in zip(near_lam, p)])
     lam, t, _ = _vec_grid(k)
-    at = np.linspace(0, lam.size, far_lam.size).astype(np.int64)
+    at = np.linspace(0, lam.size, near_lam.size).astype(np.int64)
+    lam, t = np.insert(lam, at, near_lam), np.insert(t, at, near_t)
     calls = []
     scalar = specfun._chisq_tail_pdf
 
@@ -551,15 +530,19 @@ def test_vector_engine_hands_each_far_element_to_the_scalar_engine(k, monkeypatc
         return scalar(*args)
 
     monkeypatch.setattr(specfun, "_chisq_tail_pdf", counted)
-    tail, pdf = specfun._chisq_tail_pdf_vec(k, np.insert(lam, at, far_lam), np.insert(t, at, far_t))
-    assert sorted(calls) == sorted(zip([k] * far_lam.size, far_lam.tolist(), far_t.tolist()))
-    is_far = np.zeros(tail.size, dtype=bool)
-    is_far[at + np.arange(at.size)] = True
-    for i, (lv, tv) in enumerate(zip(far_lam.tolist(), far_t.tolist())):
-        assert (tail[is_far][i], pdf[is_far][i]) == scalar(k, lv, tv), (lv, tv)
-    for i, (lv, tv) in enumerate(zip(lam.tolist(), t.tolist())):
-        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, np.array([lv]), np.array([tv]))
-        assert one_tail[0] == tail[~is_far][i] and one_pdf[0] == pdf[~is_far][i], (lv, tv)
+    tail, pdf = specfun._chisq_tail_pdf_vec(k, lam, t)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(zip([k] * far.sum(), near_lam[far].tolist(), near_t[far].tolist()))
+    is_near = np.zeros(tail.size, dtype=bool)
+    is_near[at + np.arange(at.size)] = True
+    assert tail[is_near] == pytest.approx(p, rel=1e-12)
+    is_far = is_near.copy()
+    is_far[is_near] = far
+    for i in np.flatnonzero(is_far).tolist():
+        assert (tail[i], pdf[i]) == scalar(k, lam[i], t[i]), (lam[i], t[i])
+    for i in np.flatnonzero(~is_far).tolist():
+        one_tail, one_pdf = specfun._chisq_tail_pdf_vec(k, lam[i:i + 1], t[i:i + 1])
+        assert one_tail[0] == tail[i] and one_pdf[0] == pdf[i], (lam[i], t[i])
 
 
 @pytest.mark.parametrize("k", (1, 2, 8))

@@ -5,18 +5,16 @@ of a docstring (the string that opens a module, class or function body).
 Blank, comment-only and docstring lines do not count, so deleting a comment
 does not shrink a module by this measure.  Usage:
 
-    python tools/code_lines.py [FILE ...]
+    python tools/code_lines.py
 
-With no arguments it reads ``src/ummtest/*.py`` of the checkout it sits in.
-It prints one line per module, ``<code lines> <path>``, and a total, and
-writes no file.
+It reads ``src/ummtest/*.py`` of the checkout it sits in, prints one line
+per module, ``<code lines> <path>``, and a total, and writes no file.
 """
 
 import ast
 import glob
 import io
 import os
-import sys
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,10 +43,9 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(paths):
-    paths = paths or sorted(glob.glob(os.path.join(ROOT, "src", "ummtest", "*.py")))
+def main():
     total = 0
-    for path in paths:
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "ummtest", "*.py"))):
         with open(path, encoding="utf-8") as f:
             code = code_lines(f.read())
         total += code
@@ -57,4 +54,4 @@ def main(paths):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
