@@ -189,6 +189,13 @@ def _resolve(args) -> None:
 # output
 
 def _fmt(v) -> str:
+    """One table cell: a float as the shortest repr that reads back to it,
+    -0.0 as 0.0; an integer (bool and numpy integers too) in decimal; a str
+    as itself; None as empty.  Most cells are built-in floats, so they are
+    tested first; for them float(v) is v, so the first branch writes the
+    text of the last line, without its call."""
+    if type(v) is float:
+        return repr(v + 0.0)  # + 0.0 normalizes -0.0
     if v is None:
         return ""
     if isinstance(v, str):

@@ -93,9 +93,13 @@ def _open_unit(raw):
 
     ``(raw + 0.5) * 2^-53`` rounds half-to-even once raw >= 2^52, which
     sends raw = 2^53 - 1 to exactly 1.0; only that value is clamped, to the
-    largest double below 1, so every other value is unchanged.
+    largest double below 1, so every other value is unchanged.  The sum,
+    the product and the clamp run in place in one output array: the same
+    three roundings per value as with a temporary for each.
     """
-    return np.minimum((raw + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+    u = raw + 0.5
+    u *= 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def block_uniforms(seed, index, rows, nu):
@@ -115,10 +119,13 @@ def gaussians(u):
 
     Wichura's AS241 through ``specfun._normal_tail_inv_vec``: one rational
     evaluation per value, relative error measured below 1e-15 across
-    (0, 1); outside it the result is nan.  Increasing in u up to rounding
-    (inputs a few ulps apart can come out up to 4 ulps out of order), so
-    kernels that rank-couple through shared uniforms (quantile coupling
-    across blocklengths or estimators) keep a positive pairing.
+    (0, 1); outside it the result is nan.  That function walks u in
+    cache-sized chunks and gives each value the bits it would have in a
+    call alone, so a block's deviates do not depend on its shape or on the
+    chunk size.  Increasing in u up to rounding (inputs a few ulps apart
+    can come out up to 4 ulps out of order), so kernels that rank-couple
+    through shared uniforms (quantile coupling across blocklengths or
+    estimators) keep a positive pairing.
     """
     return -_normal_tail_inv_vec(np.asarray(u, dtype=float))
 

@@ -700,22 +700,57 @@ def _gamma_q_anchor_vec(b, x, e):
     return out
 
 
+_NORMAL_CHUNK = 8192  # elements per pass of _normal_tail_inv_vec: four 64 KB buffers stay in cache
+
+
 def _normal_tail_inv_vec(p):
-    """normal_tail_inv over an ndarray of p in (0, 1); same tables and regions."""
+    """normal_tail_inv over an ndarray of p in (0, 1); same tables and regions.
+
+    Walks the flattened p in passes of ``_NORMAL_CHUNK`` elements through
+    four buffers allocated once per call (so concurrent calls share
+    nothing).  Each pass evaluates the centre rational in place on every
+    element, which costs less than gathering the centre's 85% and
+    scattering it back, and throws away the values of tail elements.  For
+    p outside (0, 1) that evaluation can overflow or meet a zero of the
+    denominator, so it runs with warnings off; such p still warn in the
+    tail's log, as before.  Only the tail elements are gathered and take
+    ``_rational`` in their region.  Every element takes the operations of
+    ``_rational`` in the same order, each rounded once, so its bits do not
+    depend on the chunk or on the other elements; the result is C-ordered.
+    """
     p = np.asarray(p, dtype=float)
-    q = 0.5 - p
-    z = np.empty_like(p)
-    centre = np.abs(q) <= 0.425
-    qc = q[centre]
-    z[centre] = qc * _rational(_PPND_CENTRE, 0.180625 - qc * qc)
-    tail = ~centre
-    pt = p[tail]
-    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    near = r <= 5.0
-    zt = np.empty_like(r)
-    zt[near] = _rational(_PPND_NEAR, r[near] - 1.6)
-    zt[~near] = _rational(_PPND_FAR, r[~near] - 5.0)
-    z[tail] = np.copysign(zt, q[tail])
+    z = np.empty(p.shape)
+    pf, zf = p.reshape(-1), z.reshape(-1)
+    q, x, num, den = (np.empty(min(pf.size, _NORMAL_CHUNK)) for _ in range(4))
+    a, b = _PPND_CENTRE
+    for lo in range(0, pf.size, _NORMAL_CHUNK):
+        pc, zc = pf[lo:lo + _NORMAL_CHUNK], zf[lo:lo + _NORMAL_CHUNK]
+        m = pc.size
+        qc, xc, nc, dc = q[:m], x[:m], num[:m], den[:m]
+        np.subtract(0.5, pc, out=qc)
+        with np.errstate(all="ignore"):
+            np.multiply(qc, qc, out=xc)
+            np.subtract(0.180625, xc, out=xc)
+            # _rational's Horner steps: its first, 0 * x + a[0], is a[0] exactly
+            np.multiply(xc, a[0], out=nc)
+            np.multiply(xc, b[0], out=dc)
+            for ai, bi in zip(a[1:-1], b[1:-1]):
+                nc += ai
+                nc *= xc
+                dc += bi
+                dc *= xc
+            nc += a[-1]
+            dc += b[-1]
+            np.divide(nc, dc, out=zc)
+            zc *= qc
+        tail = np.flatnonzero(~(np.abs(qc, out=xc) <= 0.425))
+        pt = pc[tail]
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        near = r <= 5.0
+        zt = np.empty_like(r)
+        zt[near] = _rational(_PPND_NEAR, r[near] - 1.6)
+        zt[~near] = _rational(_PPND_FAR, r[~near] - 5.0)
+        zc[tail] = np.copysign(zt, qc[tail])
     return z
 
 

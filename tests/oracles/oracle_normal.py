@@ -1,46 +1,44 @@
-# Oracle: standard normal upper-tail values via adaptive quadrature (independent
-# of any implementation under test).  Run once; freeze printed values into tests.
-import numpy as np
-from scipy.integrate import quad
+# Oracle: standard normal upper-tail values by quadrature of the density in
+# mpmath at 50 significant digits (independent of any implementation under
+# test).  Run once; freeze printed values into tests.
+import mpmath as mp
+
+mp.mp.dps = 50
 
 
 def phi(t):
-    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+    return mp.exp(-t * t / 2) / mp.sqrt(2 * mp.pi)
 
 
 def tail(z):
-    # integrate density from z to a far cutoff; quad with tight tolerances
-    val, err = quad(phi, z, 60.0, epsabs=1e-16, epsrel=1e-14, limit=400)
-    return val, err
+    # integrate the density from z (a double, as the tests pass it) to infinity
+    return mp.quad(phi, [mp.mpf(z), mp.inf])
 
 
 def tail_inv(p):
-    # bisection on the quadrature tail
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid)[0] > p:
+    # bisection on the quadrature tail, to a bracket far narrower than a double's ulp
+    p = mp.mpf(p)
+    lo, hi = mp.mpf(-40), mp.mpf(40)
+    while hi - lo > mp.mpf(10) ** -30:
+        mid = (lo + hi) / 2
+        if tail(mid) > p:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return (lo + hi) / 2
+
+
+def show(label, v):
+    print(f"{label:<17}= {mp.nstr(v, 20, min_fixed=0, max_fixed=0)}")
 
 
 if __name__ == "__main__":
-    v, e = tail(1.2816)
-    print(f"Q(1.2816)        = {v:.16e}   (quad err {e:.2e})")
-    z01 = tail_inv(0.1)
-    print(f"Qinv(0.1)        = {z01:.16f}")
-    v2, e2 = tail(2.0 - z01)
-    print(f"Q(2 - Qinv(0.1)) = {v2:.16e}   (quad err {e2:.2e})")
-    v3, e3 = tail(1.0)
-    print(f"Q(1)             = {v3:.16e}   (quad err {e3:.2e})")
-    z025 = tail_inv(0.025)
-    print(f"Qinv(0.025)      = {z025:.16f}")
+    show("Q(1.2816)", tail(1.2816))
+    z01 = tail_inv("0.1")
+    show("Qinv(0.1)", z01)
+    show("Q(2 - Qinv(0.1))", tail(2.0 - float(z01)))  # as the tests form it
+    show("Q(1)", tail(1))
+    show("Qinv(0.025)", tail_inv("0.025"))
     # symmetry spot value used in a unit test
-    v4, _ = tail(0.25)
-    print(f"Q(0.25)          = {v4:.16e}")
-    v5, _ = tail(8.0)
-    print(f"Q(8)             = {v5:.16e}")
+    show("Q(0.25)", tail(0.25))
+    show("Q(8)", tail(8))

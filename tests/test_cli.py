@@ -132,6 +132,18 @@ def test_simulate_worker_invariance(tmp_path):
     assert float(rows[0]["p_fa"]) != 0.1
 
 
+def test_simulate_worker_invariance_across_threads(tmp_path):
+    # 9000 trials are three blocks, so three workers run them on threads at
+    # once; each block's 4096 x 32 uniforms span many normal-kernel chunks
+    base = ["simulate", "--detector", "glrt", "--k", "32", "--delta", "5",
+            "--grid", "0.05:0.3:3", "--trials", "9000", "--seed", "5"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+    assert main(base + ["--workers", "3", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(_read(a)[2]) == 3
+
+
 def test_simulate_against_reference(tmp_path, capsys):
     ref = tmp_path / "ref.csv"
     assert main(["curve", "--detector", "glrt", "--delta", "2", "--k", "2",
@@ -438,6 +450,15 @@ def test_simulate_ar_worker_invariance(tmp_path):
     assert main(base + ["--workers", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(_read(a)[2]) == 3
+
+
+@pytest.mark.parametrize("value, cell", [
+    (-0.0, "0.0"), (np.float64(-0.0), "0.0"), (math.nan, "nan"), (1e-300, "1e-300"),
+    (0.1 + 0.2, "0.30000000000000004"), (np.float64(0.1) + np.float64(0.2), "0.30000000000000004"),
+    (np.int64(3), "3"), (True, "1"), ("boundary", "boundary"), (None, ""),
+])
+def test_fmt_cells(value, cell):
+    assert cli._fmt(value) == cell
 
 
 def test_back_to_back_calls_share_no_options(capsys):

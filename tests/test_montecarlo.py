@@ -1,6 +1,7 @@
 """Harness determinism, stream layout, Wilson coverage, and sweep sanity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ def test_open_unit_edges():
     assert np.all(u > 0.0) and np.all(u < 1.0)
     assert np.array_equal(u[:3], (raw[:3] + 0.5) * 2.0**-53)
     assert np.all(np.isfinite(gaussians(u)))
+    # a 2-D block keeps its shape, and the in-place sum, product and clamp
+    # give the bits of the expression with a temporary for each
+    raw2 = np.concatenate([raw, np.random.default_rng(3).integers(0, 1 << 53, 8)]).reshape(3, 4)
+    u2 = montecarlo._open_unit(raw2)
+    assert u2.shape == (3, 4) and u2.dtype == np.float64
+    assert np.array_equal(u2.view(np.int64),
+                          np.minimum((raw2 + 0.5) * 2.0**-53, 1.0 - 2.0**-53).view(np.int64))
+    assert u2[0, 3] == 1.0 - 2.0**-53
 
 
 def _adjacent_doubles(x, n):
@@ -85,6 +94,54 @@ def test_gaussians_monotone_at_as241_branch_points(branch):
     # an earlier one (one-ulp steps of log/sqrt and the Horner sums jitter)
     deficit = np.maximum.accumulate(g) - g
     assert np.all(deficit <= 4.0 * np.spacing(np.abs(g)))
+
+
+def _gathered_normal_tail_inv(p):
+    # _normal_tail_inv_vec as first written: the centre and the tail elements
+    # each gathered, evaluated by _rational and scattered back
+    p = np.asarray(p, dtype=float)
+    q = 0.5 - p
+    z = np.empty_like(p)
+    centre = np.abs(q) <= 0.425
+    qc = q[centre]
+    z[centre] = qc * specfun._rational(specfun._PPND_CENTRE, 0.180625 - qc * qc)
+    tail = ~centre
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    near = r <= 5.0
+    zt = np.empty_like(r)
+    zt[near] = specfun._rational(specfun._PPND_NEAR, r[near] - 1.6)
+    zt[~near] = specfun._rational(specfun._PPND_FAR, r[~near] - 5.0)
+    z[tail] = np.copysign(zt, q[tail])
+    return z
+
+
+def _normal_kernel_inputs():
+    chunk = specfun._NORMAL_CHUNK
+    u = block_uniforms(11, 0, BLOCK, 32)
+    cases = [block_uniforms(12, 0, n, 1)[:, 0] for n in (0, 1, chunk - 1, chunk, chunk + 1)]
+    cases += [block_uniforms(12, 0, 3 * chunk + 7, 1)[:, 0], u, u[:904], u[:, 0]]
+    cases += [_adjacent_doubles(b, 4000) for b in (0.075, 0.925, math.exp(-25.0))]
+    cases.append(np.array([5e-324, 2.0**-54, 1.0 - 2.0**-53]))
+    cases.append(10.0 ** -np.random.default_rng(5).uniform(0.0, 320.0, 50_000))
+    return cases
+
+
+def test_normal_kernel_bits_match_the_gathered_kernel():
+    # the chunked kernel gives every value the bits of the gathered one: at
+    # sizes around the chunk, on the blocks the simulations draw, a strided
+    # column, runs across each AS241 branch point, the edges of (0, 1) and p
+    # down to subnormals; inside (0, 1) it raises no warning
+    for p in _normal_kernel_inputs():
+        assert np.all((p > 0.0) & (p < 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = specfun._normal_tail_inv_vec(p)
+            g = gaussians(p)
+        ref = _gathered_normal_tail_inv(p)
+        assert got.shape == p.shape and g.shape == p.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(g.view(np.int64), (-ref).view(np.int64))
 
 
 def test_gaussians_shape_monotone_symmetric():
