@@ -3,9 +3,7 @@
 All regions live in the standardized plane after centering the training
 sample: the training test accepts inside a disk around -rho * x, so with
 x on the first axis the centers march left and the radii grow as rho
-increases, while the matched filter accepts a half-plane.  The footer checks
-the prior-odds reading of the same disk: at unit odds the indifference
-sphere passes exactly through the training center.
+increases, while the matched filter accepts a half-plane.
 """
 
 import math
@@ -36,13 +34,6 @@ def main():
           f"(= Q^{{-1}}({P_FA:g}) at this separation)")
     print(f"rho=0 disk radius is sqrt(-2 ln {P_FA:g}) = "
           f"{math.sqrt(-2.0 * math.log(P_FA)):.4f}: the energy test.")
-
-    # unit prior odds: the indifference sphere runs through the disk center
-    for rho in (1.0, 5.0):
-        x_norm = DELTA
-        r = nlp_detect.bayes_lrt_radius(DELTA, rho, K, x_norm, 1.0)
-        print(f"odds T=1, rho={rho:g}: indifference radius {r:.6f} "
-              f"= rho*|x| = {rho * x_norm:.6f}")
 
 
 if __name__ == "__main__":

@@ -299,8 +299,8 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-_NLP_FAMILIES = {"lrt": lambda p: nlp_detect.LrtDetector(p_fa=p),
-                 "glrt": nlp_detect.GlrtDetector, "umm-train": nlp_detect.UmmTrainDetector}
+_NLP_FAMILIES = {"lrt": nlp_detect.LrtDetector, "glrt": nlp_detect.GlrtDetector,
+                 "umm-train": nlp_detect.UmmTrainDetector}
 
 
 def _simulate_nlp(args, grid, mc):

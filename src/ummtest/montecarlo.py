@@ -134,14 +134,16 @@ def wilson_interval(p_hat, trials):
     """Two-sided 95% Wilson score interval.
 
     Stays inside [0, 1] and keeps positive width at p_hat in {0, 1}, where
-    the Wald interval collapses; always contains p_hat.
+    the Wald interval collapses; always contains p_hat, to which the bounds
+    are clamped (at p_hat = 0 the lower bound rounds to a tiny positive
+    number otherwise, and at p_hat = 1 the upper one to 1 - 2^-53).
     """
     n = float(trials)
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / n
     center = (p_hat + z2 / (2.0 * n)) / denom
     half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    return min(max(center - half, 0.0), p_hat), max(min(center + half, 1.0), p_hat)
 
 
 def _check_grid(grid):

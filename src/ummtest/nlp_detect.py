@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, montecarlo, specfun
-from .errors import ConfigError, DomainError, RangeError
+from .errors import ConfigError, DomainError
 from .montecarlo import McConfig, _check_grid, _estimates
 from .specfun import _chisq_tail_inv_vec, _chisq_tail_vec
 
@@ -54,7 +54,6 @@ __all__ = [
     "lrt_curve",
     "glrt_curve",
     "umm_curve",
-    "bayes_lrt_radius",
 ]
 
 
@@ -410,25 +409,11 @@ class _RegionDetector:
 
 
 class LrtDetector(_RegionDetector):
-    """Matched filter operated at a fixed threshold or a nominal level.
-
-    The level form resolves threshold = delta * Q^{-1}(p_fa) against the
-    problem's separation.
-    """
-
-    def __init__(self, threshold=None, p_fa=None):
-        if (threshold is None) == (p_fa is None):
-            raise ConfigError("give exactly one of threshold, p_fa")
-        if p_fa is not None:
-            _check_pfa(p_fa)
-        self.threshold = threshold
-        self.p_fa = p_fa
+    """Matched filter at significance level p_fa: the threshold is
+    delta * Q^{-1}(p_fa), delta the problem's separation."""
 
     def region(self, problem, x=None) -> RegionBoundary:
-        if self.threshold is not None:
-            t = float(self.threshold)
-        else:
-            t = problem.separation() * specfun.normal_tail_inv(self.p_fa)
+        t = problem.separation() * specfun.normal_tail_inv(self.p_fa)
         return RegionBoundary("hyperplane", normal=problem.standardized_mu1(), offset=t)
 
     def decide(self, y, problem, x=None) -> DetectorVerdict:
@@ -461,6 +446,16 @@ class UmmTrainDetector(_RegionDetector):
         self.x = None if x is None else np.asarray(x, dtype=float)
 
     def region(self, problem, x=None) -> RegionBoundary:
+        """The ball around -rho zx at level p_fa, zx the standardized x.
+
+        It is also the likelihood-ratio sphere of a uniform prior on the
+        direction of mu1: given x that direction has a von Mises-Fisher
+        posterior, and the ratio at prior odds T accepts ||z + rho zx|| <
+        psi with c_k(delta psi) = T c_k(delta rho ||zx||), c_k the vMF
+        normalizing constant.  c_k decreases, so each level is one T; at
+        unit odds psi = rho ||zx||, the distance of the center from the
+        origin.
+        """
         x = self.x if x is None else x
         if problem.rho == 0.0:
             zx = np.zeros(problem.k)  # no training: the energy test
@@ -499,36 +494,3 @@ def umm_curve(delta, rho, k, p_fa_grid, mc: McConfig) -> TradeoffCurve:
     md, lo, hi = _estimates(_UmmPmdKernel(NlpProblem(k, delta=delta, rho=rho), g), mc)
     return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
 
-
-def bayes_lrt_radius(delta, rho, k, x_norm, T) -> float:
-    """Radius of the training-sample likelihood-ratio acceptance sphere.
-
-    The likelihood-ratio region for the spherical prior reduces to
-    ||rho x + y|| < psi with psi = c_k^{-1}(T c_k(delta ||rho x||)) / delta,
-    where c_k is the spherical normalizing constant; everything runs in log
-    scale.  Thresholds outside the constant's range have no sphere: the
-    region is empty (T too large) or the whole space (T too small, or a
-    root above tau = 1e10, the top of c_k's domain), and the two cases
-    raise distinct messages.
-    """
-    delta = _check_delta(delta)
-    rho = _check_rho(rho)
-    x_norm = float(x_norm)
-    if not 0.0 <= x_norm < math.inf:
-        raise DomainError(f"x_norm must be finite and nonnegative, got {x_norm!r}")
-    T = float(T)
-    if not T > 0.0:
-        raise DomainError(f"threshold T must be positive, got {T!r}")
-    tau0 = delta * rho * x_norm
-    top = specfun.log_vmf_const(k, 0.0)
-    if T <= 1.0 and tau0 > specfun._TAU_MAX:
-        # c_k decreases, so the root lies at or past tau0, above the constant's domain
-        raise RangeError("acceptance region is the whole space: the root lies above tau = 1e10")
-    log_target = math.log(T) + specfun.log_vmf_const(k, tau0)
-    if log_target > top + 1e-12:
-        raise RangeError("empty acceptance region: T c_k(delta ||rho x||) exceeds c_k(0)")
-    try:
-        tau = specfun.vmf_const_inv(k, log_target)
-    except RangeError as exc:
-        raise RangeError(f"acceptance region is the whole space: {exc}") from exc
-    return tau / delta

@@ -1,12 +1,12 @@
-"""Tail probabilities and sphere-integral constants used by every detector.
+"""Tail probabilities used by every detector, and the vMF sphere constant.
 
 Dependency-free implementations of the normal tail Q and its inverse, the
-(non)central chi-square tail and inverse, the log modified Bessel function
-of the first kind, and the von Mises-Fisher normalizing constant c_k with
-its inverse.  All Bessel/c_k arithmetic happens in log scale; c_k underflows
-rapidly in both k and tau otherwise.  e^-tau I_nu(tau) is one positive
-series for every real nu >= 0, anchored at its largest term; it takes
-O(sqrt tau) terms, so its domain stops at tau = 1e10.
+(non)central chi-square tail and inverse, and the von Mises-Fisher
+normalizing constant c_k with its inverse.  All c_k arithmetic happens in log
+scale; c_k underflows rapidly in both k and tau otherwise.  The Bessel
+function in c_k, e^-tau I_nu(tau) at nu = k/2 - 1, is one positive series,
+anchored at its largest term; it takes O(sqrt tau) terms, so its domain
+stops at tau = 1e10.
 
 The normal tail is one ``math.erfc`` call, and the normal quantile one
 algorithm (AS241) on one set of tables for float and ndarray input alike.
@@ -51,7 +51,6 @@ __all__ = [
     "normal_tail_inv",
     "chisq_tail",
     "chisq_tail_inv",
-    "log_bessel_i",
     "log_vmf_const",
     "vmf_const_inv",
 ]
@@ -454,7 +453,7 @@ def chisq_tail_inv(k: int, lam: float, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# log modified Bessel I and the vMF constant
+# the vMF constant
 
 _TAU_MAX = 1e10  # top of the stated domain of tau: the Bessel sweep takes O(sqrt tau) terms
 
@@ -494,33 +493,8 @@ def _bessel_sweep(nu, tau):
             s += t
             w += j * t
         else:
-            raise RangeError("log_bessel_i: series not done in %d terms" % cap)
+            raise RangeError("vMF constant: series not done in %d terms" % cap)
     return j0, math.log(s), 2.0 * w / (tau * s)
-
-
-def log_bessel_i(order: float, tau: float) -> float:
-    """log I_order(tau) for order >= 0 and 0 <= tau <= 1e10.
-
-    One positive series for every real order, summed outward from its
-    largest term (``_bessel_sweep``) in O(sqrt tau) terms; raises DomainError
-    above tau = 1e10.  Against mpmath the relative error measured at most
-    3.2e-16 at orders 0 to 1e10 and tau from 5e-324 to 1e10.  e^-tau
-    I_order(tau), the quantity summed, is good to 5e-14 relative out to tau =
-    1e8, but only to 9e-13 at (4999, 2000): Loader's bd0 rounds at order >>
-    tau.
-    """
-    order = float(order)
-    tau = float(tau)
-    if order < 0.0 or not math.isfinite(order):
-        raise DomainError("log_bessel_i: order must be finite and >= 0")
-    if not 0.0 <= tau <= _TAU_MAX:
-        raise DomainError("log_bessel_i: tau must lie in [0, 1e10]")
-    if tau == 0.0:
-        return 0.0 if order == 0.0 else -math.inf
-    j0, ls, _ = _bessel_sweep(order, tau)
-    if j0 == 0.0:  # e^tau t_0 = (tau/2)^order / Gamma(order + 1), where tau/2 may underflow
-        return order * (math.log(tau) - _LN2) - math.lgamma(order + 1.0) + ls
-    return _log_g(j0, 0.5 * tau) + _log_g(j0 + order, 0.5 * tau) + ls + tau
 
 
 def _check_vmf(k, tau):
@@ -549,9 +523,11 @@ def log_vmf_const(k: int, tau: float) -> float:
     """log c_k(tau), the von Mises-Fisher normalizing constant (log scale).
 
     c_k(tau) = tau^(k/2-1) / ((2 pi)^(k/2) I_{k/2-1}(tau)) for 0 <= tau <=
-    1e10, from ``log_bessel_i``'s series; strictly decreasing in tau.  tau =
+    1e10, from ``_bessel_sweep``'s series; strictly decreasing in tau.  tau =
     0 is the uniform-on-sphere limit; below tau^2 = 2k the constant is c_k(0)
     over the series in units of its first term, accurate as tau -> 0.
+    Against mpmath the relative error measured at most 8e-16 at k from 2 to
+    2e10 + 2 and tau from 1e-300 to 1e10.
     """
     return _log_vmf(*_check_vmf(k, tau))[0]
 

@@ -174,6 +174,17 @@ def test_simulate_against_reference(tmp_path, capsys):
     assert "row count mismatch" in capsys.readouterr().err
 
 
+def test_simulate_against_its_own_output(tmp_path):
+    # every interval holds its own p_md, p_md = 0 included
+    base = ["simulate", "--detector", "lrt", "--k", "2", "--delta", "2",
+            "--trials", "100", "--p-fa", "0.999999"]
+    out = tmp_path / "sim.csv"
+    assert main(base + ["--out", str(out)]) == 0
+    row = _read(out)[2][0]
+    assert float(row["p_md"]) == 0.0 == float(row["ci_low"])
+    assert main(base + ["--out", str(tmp_path / "again.csv"), "--against", str(out)]) == 0
+
+
 @pytest.mark.parametrize("table, shown", [
     ("p_fa,p_md\n0.1,abc\n", "'abc'"),  # p_md is not a number
     ("p_fa,p_md\n0.1\n", "None"),  # the row is shorter than the header

@@ -166,13 +166,21 @@ def test_wilson_interval_basics():
     lo, hi = wilson_interval(0.3, 1000)
     assert 0.0 <= lo < 0.3 < hi <= 1.0
     lo0, hi0 = wilson_interval(0.0, 1000)
-    assert lo0 < 1e-12 and hi0 > 1e-4
+    assert lo0 == 0.0 and hi0 > 1e-4
     lo1, hi1 = wilson_interval(1.0, 1000)
     assert lo1 < 1.0 - 1e-4 and hi1 > 1.0 - 1e-12
     # width shrinks like 1/sqrt(n)
     w1 = np.diff(wilson_interval(0.2, 1_000))[0]
     w2 = np.diff(wilson_interval(0.2, 100_000))[0]
     assert w2 < w1 / 5.0
+
+
+def test_wilson_interval_contains_p_hat_at_both_ends():
+    # unclamped, the lower bound at p_hat = 0 rounds to 3.47e-18 at n = 100,
+    # and the upper one at p_hat = 1 to 1 - 2^-53 at many n
+    for n in range(100, 20_001):
+        assert wilson_interval(0.0, n)[0] == 0.0
+        assert wilson_interval(1.0, n)[1] == 1.0
 
 
 def test_wilson_interval_coverage():

@@ -1,9 +1,7 @@
 """Location-testing detectors: rules, curves, training-sample behavior.
 
 Frozen reference numbers come from tests/oracles/oracle_umm_sim.py (full
-simulation of the training rule with scipy thresholds, 1e6 trials) and
-tests/oracles/oracle_bessel_vmf.py (mpmath closed forms for the k=3
-normalizer and the likelihood-ratio sphere radius).
+simulation of the training rule with scipy thresholds, 1e6 trials).
 """
 
 import math
@@ -12,17 +10,17 @@ import numpy as np
 import pytest
 
 from ummtest import linalg, specfun
-from ummtest.errors import ConfigError, DomainError, RangeError
+from ummtest.errors import ConfigError, DomainError
 from ummtest.lan_models import AummDetector, GaussianLocationModel, LanProblem, TrainingSetup
 from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs, gaussians
 from ummtest.nlp_detect import (
     GlrtDetector,
     LrtDetector,
     NlpProblem,
+    RegionBoundary,
     UmmTrainDetector,
     _LrtKernel,
     _QuadKernel,
-    bayes_lrt_radius,
     glrt_curve,
     lrt_curve,
     umm_curve,
@@ -31,10 +29,6 @@ from ummtest.nlp_detect import (
 # full simulation of the training rule, rho=5 p_fa=0.1 k=2 delta=2 (1e6 trials)
 UMM_PMD_FULLSIM = 0.252639
 UMM_PMD_FULLSIM_3SIG = 1.30e-3
-
-# mpmath: radius of the likelihood-ratio sphere at k=3, delta=2, rho=1,
-# ||x|| = 2, T = 0.5 (tests/oracles/oracle_bessel_vmf.py)
-BAYES_RADIUS_PIN = 2.4473665439529641158
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +69,23 @@ def test_problem_standardization():
 # ---------------------------------------------------------------------------
 # decision rules
 
-def test_lrt_decide_and_ties():
+def test_lrt_decide():
     prob = NlpProblem(k=2, mu1=np.array([2.0, 0.0]))
-    v = LrtDetector(threshold=1.0).decide(np.array([0.4, 3.0]), prob)
+    v = LrtDetector(0.1).decide(np.array([0.4, 3.0]), prob)
     assert v.statistic == pytest.approx(0.8)
+    assert v.threshold == 2.0 * specfun.normal_tail_inv(0.1)
     assert v.accepted and v.decision == "accept-H0"
-    # ties reject
-    v = LrtDetector(threshold=1.0).decide(np.array([0.5, 0.0]), prob)
-    assert not v.accepted
     with pytest.raises(ConfigError):
-        LrtDetector(threshold=0.0).decide(np.zeros(2), NlpProblem(k=2, delta=1.0))
+        LrtDetector(0.1).decide(np.zeros(2), NlpProblem(k=2, delta=1.0))
+
+
+def test_region_verdict_ties_reject():
+    plane = RegionBoundary("hyperplane", normal=np.array([2.0, 0.0]), offset=1.0)
+    v = plane.verdict(np.array([0.5, 0.0]))
+    assert v.statistic == v.threshold and not v.accepted
+    ball = RegionBoundary("sphere", center=np.array([-1.0, 0.0]), sq_radius=4.0)
+    v = ball.verdict(np.array([1.0, 0.0]))
+    assert v.statistic == v.threshold and not v.accepted
 
 
 def test_glrt_decide_matches_threshold():
@@ -239,31 +240,6 @@ def test_umm_conditional_false_alarm_level():
 
 
 # ---------------------------------------------------------------------------
-# likelihood-ratio sphere for the spherical prior
-
-def test_bayes_lrt_radius_pin():
-    assert abs(bayes_lrt_radius(2.0, 1.0, 3, 2.0, 0.5) - BAYES_RADIUS_PIN) < 1e-10
-
-
-def test_bayes_lrt_radius_unit_threshold_identity():
-    # T = 1 maps the sphere radius onto the training-sample norm itself
-    for d, r, k, xn in [(2.0, 1.0, 3, 2.0), (1.5, 4.0, 7, 0.8), (3.0, 0.5, 2, 1.1)]:
-        assert abs(bayes_lrt_radius(d, r, k, xn, 1.0) - r * xn) < 1e-9
-
-
-def test_bayes_lrt_radius_range_errors():
-    with pytest.raises(RangeError, match="empty"):
-        bayes_lrt_radius(2.0, 1.0, 3, 2.0, 1e6)
-    # a target below the inversion floor reads as an everything-accepting rule
-    with pytest.raises(RangeError, match="whole space"):
-        bayes_lrt_radius(2.0, 1e6, 3, 1e7, 0.5)
-    with pytest.raises(DomainError):
-        bayes_lrt_radius(0.0, 1.0, 3, 2.0, 0.5)
-    with pytest.raises(DomainError):
-        bayes_lrt_radius(2.0, 1.0, 3, 2.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # acceptance-region boundaries
 
 def test_region_boundary_shapes():
@@ -285,18 +261,15 @@ def test_region_boundary_shapes():
         UmmTrainDetector(0.1).region(prob)
 
 
-def test_umm_sphere_is_a_bayes_sphere():
-    # the level-p_fa training sphere coincides with the likelihood-ratio
-    # sphere at the matching threshold, linking the two constructions
-    prob = NlpProblem(k=3, delta=2.0, rho=1.0)
-    x = np.array([1.1, -0.7, 0.4])
-    b = UmmTrainDetector(0.1).region(prob, x=x)
-    d = prob.separation()
-    xn = float(np.linalg.norm(x))
-    log_T = specfun.log_vmf_const(3, d * b.radius) - specfun.log_vmf_const(
-        3, d * prob.rho * xn)
-    r2 = bayes_lrt_radius(d, prob.rho, 3, xn, math.exp(log_T))
-    assert abs(r2 - b.radius) < 1e-9
+def test_training_disk_center_sets_the_unit_odds_radius():
+    # the training disk is the likelihood-ratio sphere of a uniform direction
+    # prior, centered at -rho x; at unit prior odds that sphere's radius is
+    # rho ||x||, the norm of the center
+    for d, r, k, xn in [(2.0, 1.0, 3, 2.0), (1.5, 4.0, 7, 0.8), (3.0, 0.5, 2, 1.1)]:
+        x = np.full(k, xn / math.sqrt(k))
+        b = UmmTrainDetector(0.1).region(NlpProblem(k=k, delta=d, rho=r), x=x)
+        assert np.array_equal(b.center, -r * x)
+        assert abs(np.linalg.norm(b.center) - r * xn) < 1e-9
 
 
 @pytest.mark.parametrize("rule", ["matched-filter", "energy", "training", "plug-in"])
@@ -344,9 +317,7 @@ def test_detector_level_resolution():
     det = LrtDetector(p_fa=0.1)
     kern = det.mc_kernel([det], prob, (False,))
     assert kern.thresholds[0] == pytest.approx(2.0 * specfun.normal_tail_inv(0.1))
-    with pytest.raises(ConfigError):
-        LrtDetector()
-    with pytest.raises(ConfigError):
-        LrtDetector(threshold=1.0, p_fa=0.1)
+    with pytest.raises(DomainError):
+        LrtDetector(0.0)
     with pytest.raises(DomainError):
         GlrtDetector(1.2)

@@ -2,10 +2,9 @@
 
 The frozen constants were produced once by the scripts in tests/oracles/
 (quadrature + bisection for the normal tail, direct Monte Carlo for the
-noncentral chi-square, mpmath series/closed forms for Bessel and the
-matched-density normalizer) and pinned here; scipy and mpmath also appear
-inline as independent routes.  The library code under test never calls
-either.
+noncentral chi-square, mpmath Bessel values for the vMF constant) and
+pinned here; scipy and mpmath also appear inline as independent routes.  The
+library code under test never calls either.
 """
 
 import math
@@ -180,28 +179,27 @@ GAMMA_ANCHOR = [  # (b, x, e, Q(b, x))
     (10000.0, 10800.0, 2.3412728992919789284e-16, 3.1098199621688447545e-15),
 ]
 
-# ---- frozen oracle values (tests/oracles/oracle_bessel_vmf.py, mpmath) ----
-LOG_I_HALF_1 = -0.064351991073531798753
-LOG_I_1_2 = 0.46413447354615974426
-LOG_I_0_1 = 0.23591435850717864869
-LOG_BESSEL_STRESS = [
-    (0.0, 50.0, 47.127575501871804584),
-    (31.0, 100.0, 91.988975079706840893),
-    (15.5, 3.0, -22.857207836604422871),
-    (2.5, 10000.0, 9994.4755912658072361),
-    (31.0, 10000.0, 9994.4278514171634661),
-]
+# ---- frozen oracle values (tests/oracles/oracle_vmf.py, mpmath) ----
 LOG_C3_1 = -2.6924636085404864266
 LOG_C3_2 = -3.1262444390235136136
-LOG_BESSEL_EDGE = [  # (order, tau, log I_order(tau)): tiny tau, order >> tau, tau up to 1e10
-    (0.5, 1e-200, -230.48430065204929583),
-    (4999.0, 2000.0, -2854.5583504840924332),
-    (499.0, 1e8, 99999989.869476091063),
-    (99.0, 2e5, 199992.95352320827554),
-    (0.3, 7.0, 5.1205100009548575462),
-    (0.0, 1e10, 9999999987.568136001838),
-    (3.7, 5e-324, -2759.729315823498167507),  # tau/2 underflows
-    (1e10, 1e-300, -7134945260099.572937548),
+LOG_VMF_PINS = [  # (k, tau, log c_k(tau)) at small tau
+    (2, 1.0, -2.07379142491652413225),
+    (4, 2.0, -3.44674142580490540196),
+]
+LOG_VMF_STRESS = [
+    (2, 50.0, -48.96545256828115006772),
+    (64, 100.0, -8.040765439175063957768),
+    (33, 3.0, 9.56072671520592260888),
+    (7, 10000.0, -9977.882310068299488468),
+    (64, 10000.0, -9767.719366011000856762),
+]
+LOG_VMF_EDGE = [  # tiny tau, k >> tau, tau up to 1e10, and k = 2e10 + 2
+    (3, 1e-200, -2.531024246969290792978),
+    (10000, 2000.0, 31662.08441368823474041),
+    (1000, 1e8, -99991716.88831806350529),
+    (200, 2e5, -198968.3400379417228881),
+    (2, 1e10, -9999999989.406013068247),
+    (20000000002, 1e-300, 208811210451.5045535921),
 ]
 LOG_C3_TINY = -2.531024246969290793  # log c_3(1e-300)
 
@@ -784,20 +782,19 @@ def test_interpolated_starts_raise_at_the_pass_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Bessel / matched-density normalizer
-
-def test_log_bessel_pinned():
-    assert abs(specfun.log_bessel_i(0.5, 1.0) - LOG_I_HALF_1) < 1e-12
-    assert abs(specfun.log_bessel_i(1.0, 2.0) - LOG_I_1_2) < 1e-12
-    assert abs(specfun.log_bessel_i(0.0, 1.0) - LOG_I_0_1) < 1e-12
-    for nu, tau, ref in LOG_BESSEL_STRESS:
-        assert abs(specfun.log_bessel_i(nu, tau) - ref) < 1e-9 * max(1.0, abs(ref))
-
+# the vMF constant
 
 def test_log_vmf_const_pinned():
     assert abs(specfun.log_vmf_const(3, 1.0) - LOG_C3_1) < 1e-12
     assert abs(specfun.log_vmf_const(3, 2.0) - LOG_C3_2) < 1e-12
     assert abs(specfun.log_vmf_const(3, 0.0) - math.log(1.0 / (4.0 * math.pi))) < 1e-12
+
+
+def test_log_vmf_const_pinned_across_k():
+    for k, tau, ref in LOG_VMF_PINS:
+        assert abs(specfun.log_vmf_const(k, tau) - ref) < 1e-12
+    for k, tau, ref in LOG_VMF_STRESS:
+        assert abs(specfun.log_vmf_const(k, tau) - ref) < 1e-9 * max(1.0, abs(ref))
 
 
 def test_log_vmf_const_decreasing_in_tau():
@@ -808,12 +805,12 @@ def test_log_vmf_const_decreasing_in_tau():
         assert specfun.log_vmf_const(k, 0.0) > vals[0]
 
 
-def test_log_bessel_against_mpmath_to_1e14():
-    # one series for every order, from the least subnormal tau to the top of the domain
-    for nu, tau, ref in LOG_BESSEL_STRESS + LOG_BESSEL_EDGE:
-        assert abs(specfun.log_bessel_i(nu, tau) - ref) <= 1e-14 * max(1.0, abs(ref))
-    for nu, tau, ref in [(0.5, 1.0, LOG_I_HALF_1), (1.0, 2.0, LOG_I_1_2), (0.0, 1.0, LOG_I_0_1)]:
-        assert abs(specfun.log_bessel_i(nu, tau) - ref) <= 1e-14
+def test_log_vmf_const_against_mpmath_to_1e14():
+    # one series for every k, from the least subnormal tau to the top of the domain
+    for k, tau, ref in LOG_VMF_STRESS + LOG_VMF_EDGE:
+        assert abs(specfun.log_vmf_const(k, tau) - ref) <= 1e-14 * max(1.0, abs(ref))
+    for k, tau, ref in [(3, 1.0, LOG_C3_1)] + LOG_VMF_PINS:
+        assert abs(specfun.log_vmf_const(k, tau) - ref) <= 1e-14
     # c_3(tau) = tau / (4 pi sinh tau) reads 1 / (4 pi) here
     assert abs(specfun.log_vmf_const(3, 1e-300) - LOG_C3_TINY) <= 1e-15
     assert specfun.log_vmf_const(2, 5e-324) == specfun.log_vmf_const(2, 0.0)
@@ -829,12 +826,11 @@ def test_bessel_ratio_against_scipy():
             assert abs(specfun._bessel_sweep(nu, tau)[2] - ref) <= 1e-13 * ref
 
 
-def test_bessel_domain_top():
+def test_vmf_domain_top():
     for bad in (1.0000001e10, 1e300, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            specfun.log_bessel_i(0.0, bad)
-        with pytest.raises(DomainError):
-            specfun.log_vmf_const(3, bad)
+        for k in (2, 3):
+            with pytest.raises(DomainError):
+                specfun.log_vmf_const(k, bad)
     # a target below log c_k(1e10) has its root above the domain
     with pytest.raises(RangeError, match="below"):
         specfun.vmf_const_inv(3, specfun.log_vmf_const(3, 1e9) - 2e10)
@@ -844,7 +840,7 @@ def test_bessel_sweep_raises_at_its_cap(monkeypatch):
     log_c = specfun.log_vmf_const(8, 15.0)
     monkeypatch.setattr(specfun, "_term_cap", lambda scale: 8)
     with pytest.raises(RangeError, match="not done"):
-        specfun.log_bessel_i(2.5, 1e4)
+        specfun.log_vmf_const(7, 1e4)
     with pytest.raises(RangeError, match="not done"):
         specfun.log_vmf_const(8, 15.0)
     with pytest.raises(RangeError, match="not done"):
