@@ -11,11 +11,14 @@ timestamps, the RNG is seeded explicitly, and worker count never changes
 the bytes produced.  Options may come from a key=value config file
 (`--config run.cfg`, each key once), with command-line flags taking precedence.
 
-A run is a command plus the options that pick its code path; `_RUNS` lists
-the options each run reads, each required or with its default.  An option
-the run does not read exits 2, set by flag or by config key.  The `# config:`
-header lists exactly the options that were set, never a default, plus the
-model of a `simulate` run, and leaves out those in `_UNPRINTED`.
+`_OPTIONS` and `_RUNS` are the only option tables.  `_OPTIONS` gives each
+option's type, choices and help.  A run is a command plus the options that
+pick its code path; `_RUNS` lists the options each run reads, each required
+or with its default.  The parser, the config-file types and the defaults in
+`--help` are built from the two.  An option the run does not read exits 2,
+set by flag or by config key.  The `# config:` header lists exactly the
+options that were set, never a default, plus the model of a `simulate` run,
+and leaves out those in `_UNPRINTED`.
 
 Every option is checked before any work, the `--against` reference and the
 `--grid` points included, so a bad one exits 2 with no table written.
@@ -36,12 +39,26 @@ from . import __version__, asymptotics, lan_models, montecarlo, nlp_detect
 from .errors import ConfigError, UmmtestError
 from .montecarlo import McConfig
 
-# dests that may appear in a config file, with their parsed types
-_CONVERT = {
-    "detector": str, "model": str, "grid": str, "rho": str,
-    "format": str, "out": str, "against": str,
-    "k": int, "n": int, "nx": int, "trials": int, "seed": int, "workers": int,
-    "delta": float, "p_fa": float,
+# every option by dest, with its add_argument keywords; a config file's
+# value is converted by the option's type
+_OPTIONS = {
+    "detector": {"help": "lrt | glrt | umm-train | asymptotic (curve only)"},
+    "model": {"help": "nlp | gaussian | discrete | ar"},
+    "k": {"type": int, "help": "dimension / free cells"},
+    "delta": {"type": float, "help": "separation (local, for models); for curve --detector "
+                                     "asymptotic without --k, the effective hardness itself"},
+    "rho": {"help": "training ratio; for regions and allocate, a comma-separated list"},
+    "n": {"type": int, "help": "test blocklength (allocate: total blocklength)"},
+    "nx": {"type": int, "help": "training blocklength"},
+    "p_fa": {"type": float, "help": "single false-alarm level"},
+    "grid": {"help": "false-alarm grid start:stop:count"},
+    "against": {"help": "reference CSV; exit 1 unless every interval covers its p_md"},
+    "trials": {"type": int, "help": "Monte Carlo trials"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "workers": {"type": int, "help": "threads; never changes output bytes"},
+    "config": {"help": "key=value file; flags override it"},
+    "format": {"choices": ["csv", "json"], "help": "output format"},
+    "out": {"help": "output path (default stdout)"},
 }
 
 _REQUIRED = object()  # marks an option that has no default
@@ -126,14 +143,14 @@ def _load_config_file(path: str, args) -> None:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in _CONVERT:
+        if dest not in _OPTIONS or dest == "config":
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if dest in seen:
             raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[dest]}")
         seen[dest] = lineno
         if getattr(args, dest, None) is None:  # flags win over the file
             try:
-                setattr(args, dest, _CONVERT[dest](val))
+                setattr(args, dest, _OPTIONS[dest].get("type", str)(val))
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
 
@@ -147,7 +164,7 @@ def _run_of(args) -> str:
     run = args.command
     if run == "simulate":
         if args.model is None:
-            args.model = "nlp"  # set, so the header names the model
+            args.model = _SIM["model"]  # set, so the header names the model
         run += f" --model {args.model}"
     if run in ("curve", "simulate --model nlp"):
         if args.detector is None:
@@ -372,7 +389,7 @@ def _check_against(targets, table) -> int:
 
 
 def cmd_simulate(args) -> int:
-    grid = _parse_grid(args.grid) if args.p_fa is None else np.array([float(args.p_fa)])
+    grid = _parse_grid(args.grid) if args.p_fa is None else montecarlo._check_grid([args.p_fa])
     targets = None if args.against is None else _read_reference(args.against, grid.size)
     mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
     table = (_simulate_nlp if args.model == "nlp" else _simulate_lan)(args, grid, mc)
@@ -445,22 +462,22 @@ def cmd_allocate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sp):
-    sp.add_argument("--config", help="key=value file; flags override it")
-    sp.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sp.add_argument("--out", help="output path (default stdout)")
-
-
-def _add_mc(sp):
-    sp.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sp.add_argument("--workers", type=int, help="threads; never changes output bytes (default 1)")
+_COMMANDS = {
+    "curve": (cmd_curve, "analytic or training-averaged tradeoff curve"),
+    "simulate": (cmd_simulate, "Monte Carlo run against a detector or model"),
+    "regions": (cmd_regions, "acceptance-region geometry (standardized plane)"),
+    "allocate": (cmd_allocate, "train/test split study at fixed budget"),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process: parsing reads it and
-    fills a fresh namespace on every call, so calls share no options."""
+    fills a fresh namespace on every call, so calls share no options.
+
+    Each command takes the options its runs read in ``_RUNS``; a help line
+    names a default when every run of the command that reads the option has
+    the same one, and it is neither required nor None."""
     parser = argparse.ArgumentParser(
         prog="ummtest",
         description="Error-tradeoff curves, detectors, and Monte Carlo validation "
@@ -468,51 +485,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ummtest {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("curve", help="analytic or training-averaged tradeoff curve")
-    sp.add_argument("--detector", choices=["lrt", "glrt", "umm-train", "asymptotic"])
-    sp.add_argument("--k", type=int, help="dimension")
-    sp.add_argument("--delta", type=float,
-                    help="separation; for --detector asymptotic without --k, "
-                         "the effective hardness itself")
-    sp.add_argument("--rho", help="training ratio")
-    sp.add_argument("--grid", help="false-alarm grid start:stop:count (default 0.05:0.95:19)")
-    _add_mc(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_curve)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo run against a detector or model")
-    sp.add_argument("--detector", help="lrt | glrt | umm-train (nlp model)")
-    sp.add_argument("--model", help="nlp (default) | gaussian | discrete | ar")
-    sp.add_argument("--k", type=int, help="dimension / free cells")
-    sp.add_argument("--delta", type=float, help="separation (local, for models)")
-    sp.add_argument("--rho", help="training ratio override")
-    sp.add_argument("--n", type=int, help="test blocklength (models)")
-    sp.add_argument("--nx", type=int, help="training blocklength (models)")
-    sp.add_argument("--p-fa", type=float, dest="p_fa",
-                    help="single false-alarm level (default 0.1)")
-    sp.add_argument("--grid", help="false-alarm grid start:stop:count")
-    sp.add_argument("--against",
-                    help="reference CSV; exit 1 unless every interval covers its p_md")
-    _add_mc(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("regions", help="acceptance-region geometry (standardized plane)")
-    sp.add_argument("--k", type=int, help="dimension (default 2)")
-    sp.add_argument("--delta", type=float, help="separation")
-    sp.add_argument("--rho", help="comma-separated training ratios (default 0,1,5,20)")
-    sp.add_argument("--p-fa", type=float, dest="p_fa", help="false-alarm level (default 0.1)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_regions)
-
-    sp = sub.add_parser("allocate", help="train/test split study at fixed budget")
-    sp.add_argument("--k", type=int, help="dimension")
-    sp.add_argument("--n", type=int, help="total blocklength")
-    sp.add_argument("--delta", type=float, help="per-observation separation")
-    sp.add_argument("--rho", help="comma-separated ratio grid (default built-in)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_allocate)
+    for command, (func, text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        rows = [row for run, row in _RUNS.items() if run.split()[0] == command]
+        for dest, kwargs in _OPTIONS.items():
+            defaults = {row[dest] for row in rows if dest in row}
+            if not defaults:
+                continue
+            default, *rest = defaults
+            if not rest and default is not _REQUIRED and default is not None:
+                kwargs = {**kwargs, "help": f"{kwargs['help']} (default {default})"}
+            sp.add_argument(_flag(dest), **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 

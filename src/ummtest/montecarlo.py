@@ -148,11 +148,11 @@ def wilson_interval(p_hat, trials):
 
 def _check_grid(grid):
     """A false-alarm grid as a float array: non-empty, 1-d, strictly
-    increasing inside (0, 1)."""
+    increasing inside (0, 1); NaN fails every comparison, so it is refused."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise DomainError("p_fa grid must be a non-empty 1-d sequence")
-    if np.any(g <= 0.0) or np.any(g >= 1.0) or np.any(np.diff(g) <= 0.0):
+    if not (np.all(g > 0.0) and np.all(g < 1.0) and np.all(np.diff(g) > 0.0)):
         raise DomainError("p_fa grid must be strictly increasing inside (0, 1)")
     return g
 

@@ -223,10 +223,6 @@ class TradeoffCurve:
     fa_ci_low: Optional[np.ndarray] = None
     fa_ci_high: Optional[np.ndarray] = None
 
-    @property
-    def points(self):
-        return list(zip(self.p_fa.tolist(), self.p_md.tolist()))
-
 
 @dataclass(eq=False)
 class RegionBoundary:

@@ -176,7 +176,7 @@ def normal_tail_inv(p: float) -> float:
 # (non)central chi-square
 
 def _check_chisq_params(k, lam):
-    if int(k) != k or k < 1:
+    if not (math.isfinite(k) and int(k) == k and k >= 1):
         raise DomainError("chi-square dof k must be a positive integer")
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
@@ -498,7 +498,7 @@ def _bessel_sweep(nu, tau):
 
 
 def _check_vmf(k, tau):
-    if int(k) != k or k < 2:
+    if not (math.isfinite(k) and int(k) == k and k >= 2):
         raise DomainError("vMF constant: k must be an integer >= 2")
     tau = float(tau)
     if not 0.0 <= tau <= _TAU_MAX:

@@ -21,10 +21,21 @@ def _read(path):
     return comments, header, rows
 
 
-def test_help_and_version_exit_zero():
+def test_help_and_version_exit_zero(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--help"])
     assert e.value.code == 0
+    helps = {}
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    # the help defaults come from the run table: simulate's grid has one,
+    # its --p-fa none (its runs read it unset)
+    text = helps["simulate"]
+    assert "--grid GRID false-alarm grid start:stop:count (default 0.1:0.1:1)" in text
+    assert "default" not in text[text.index("--p-fa P_FA"):text.index("--grid GRID")]
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
@@ -91,6 +102,10 @@ def test_curve_asymptotic_rejects_rho_without_k(tmp_path, capsys):
 def test_curve_missing_option_exits_two(capsys):
     assert main(["curve", "--detector", "glrt", "--delta", "2"]) == 2
     assert "missing required option --k" in capsys.readouterr().err
+    # an unknown detector names no run; the message lists those there are
+    assert main(["curve", "--detector", "lrtt", "--delta", "2"]) == 2
+    assert ("no run 'curve --detector lrtt'; the curve runs are: curve --detector lrt, "
+            in capsys.readouterr().err)
     assert main(["curve", "--detector", "umm-train", "--delta", "2",
                  "--k", "2", "--rho", "fast"]) == 2
     assert "--rho must be a number" in capsys.readouterr().err
@@ -554,11 +569,17 @@ def _options(command):
     return set(vars(cli._build_parser().parse_args([command]))) - {"command", "func"}
 
 
-def test_run_table_matches_the_parser():
+def test_run_table_matches_the_parser(tmp_path, capsys):
     assert set(_BASE) == set(cli._RUNS)
-    for run, row in cli._RUNS.items():
-        assert set(row) <= _options(run.split()[0]), run
-    assert set(_SAMPLE) == set(cli._CONVERT)
+    for command in cli._COMMANDS:
+        read = set().union(*(row for run, row in cli._RUNS.items() if run.split()[0] == command))
+        assert _options(command) == read, command
+    # a config file takes every option but --config itself
+    assert set(_SAMPLE) == set(cli._OPTIONS) - {"config"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"config = {cfg}\n")
+    assert main(_BASE["regions"] + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'config'" in capsys.readouterr().err
 
 
 def _outside(keys_of):
@@ -577,7 +598,7 @@ def test_option_outside_the_run_exits_two_by_flag(tmp_path, capsys, run, dest):
     assert not out.exists()
 
 
-@_outside(lambda command: set(cli._CONVERT))
+@_outside(lambda command: set(cli._OPTIONS) - {"config"})
 def test_option_outside_the_run_exits_two_by_config_key(tmp_path, capsys, run, dest):
     cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
     cfg.write_text(f"{dest} = {_SAMPLE[dest]}\n")
@@ -693,13 +714,27 @@ def test_bad_run_options_exit_two_before_any_work(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["0:0.5:3", "0.5:1:2", "-0.1:0.5:2", "1:1:1"])
+@pytest.mark.parametrize("grid", ["0:0.5:3", "0.5:1:2", "-0.1:0.5:2", "1:1:1",
+                                  "nan:nan:1", "0.1:nan:3"])
 def test_curve_grid_endpoints_outside_the_unit_interval_exit_two(capsys, grid):
-    # the grid's endpoints are checked as --p-fa is, not clipped into (0, 1)
+    # the grid's endpoints are checked as --p-fa is, not clipped into (0, 1);
+    # a NaN point is not inside it either
+    message = "p_fa grid must be strictly increasing inside (0, 1)"
     assert main(["curve", "--detector", "lrt", "--delta", "2", "--grid=" + grid]) == 2
     captured = capsys.readouterr()
-    assert "p_fa grid must be strictly increasing inside (0, 1)" in captured.err
+    assert message in captured.err
+    assert captured.out == ""
+    assert main(["curve", "--detector", "umm-train", "--k", "2", "--delta", "2", "--rho", "5",
+                 "--trials", "200", "--grid=" + grid]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
     assert main(["simulate", "--detector", "glrt", "--k", "2", "--delta", "2",
                  "--p-fa", "0"]) == 2
-    assert "p_fa grid must be strictly increasing inside (0, 1)" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    # --p-fa takes the grid's check on every model, before any work
+    assert main(["simulate", "--model", "discrete", "--delta", "2", "--n", "40",
+                 "--trials", "200", "--p-fa", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -269,6 +269,8 @@ def test_roc_sweep_grid_validation():
         roc_sweep(fam, prob, [], McConfig(trials=200))
     with pytest.raises(DomainError):
         roc_sweep(fam, prob, [0.0, 0.5], McConfig(trials=200))
+    with pytest.raises(DomainError, match="p_fa grid"):
+        roc_sweep(fam, prob, [0.1, math.nan], McConfig(trials=200))
 
 
 def test_roc_sweep_glrt_curve():

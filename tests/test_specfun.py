@@ -326,6 +326,11 @@ def test_chisq_domain_errors():
         specfun.chisq_tail(2, 1.0, -1.0)
     with pytest.raises(DomainError):
         specfun.chisq_tail_inv(2, 1.0, 1.5)
+    for bad in (math.nan, math.inf, -math.inf):  # refused before int(k)
+        with pytest.raises(DomainError):
+            specfun.chisq_tail(bad, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            specfun.chisq_tail_inv(bad, 0.0, 0.5)
 
 
 SCALAR_REL_TOL = 1e-10  # relative error bound of the scalar path against scipy and mpmath
@@ -831,6 +836,11 @@ def test_vmf_domain_top():
         for k in (2, 3):
             with pytest.raises(DomainError):
                 specfun.log_vmf_const(k, bad)
+    for bad in (math.nan, math.inf, -math.inf):  # refused before int(k)
+        with pytest.raises(DomainError):
+            specfun.log_vmf_const(bad, 1.0)
+        with pytest.raises(DomainError):
+            specfun.vmf_const_inv(bad, -1.0)
     # a target below log c_k(1e10) has its root above the domain
     with pytest.raises(RangeError, match="below"):
         specfun.vmf_const_inv(3, specfun.log_vmf_const(3, 1e9) - 2e10)
