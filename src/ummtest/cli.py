@@ -198,6 +198,8 @@ def _resolve(args) -> None:
             setattr(args, dest, default)
     if "delta" in row:
         nlp_detect._check_delta(args.delta)
+    if "k" in row:
+        nlp_detect._check_k(args.k)
     if args.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {args.format!r}")
 

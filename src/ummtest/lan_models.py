@@ -215,9 +215,11 @@ def _binom_quantile(u, m, q, lf):
     """Smallest c with CDF(c) >= u, for per-element trial counts m.
 
     The CDF rows of all distinct counts form one 2-D array
-    (``_binom_cdf_rows``); the elements of each count, grouped by a stable
-    sort, are inverted by one ``np.searchsorted`` on its row.  A u above
-    every column reads the last column.
+    (``_binom_cdf_rows``), searched once: its keys are row + 1j CDF, which
+    numpy orders lexicographically, so an element's key row + 1j u lands in
+    its own row, at the first column with CDF >= u.  Both parts of a key
+    are exact, so this is the search of that row alone.  A u above every
+    column reads the last column.
     """
     u = np.asarray(u, dtype=float)
     m = np.asarray(m, dtype=np.int64)
@@ -227,11 +229,11 @@ def _binom_quantile(u, m, q, lf):
         return np.where(u > 0.0, m, 0)
     counts, row = np.unique(m, return_inverse=True)
     cdf = _binom_cdf_rows(counts, q, lf)
-    out = np.empty(u.shape, dtype=np.int64)
-    groups = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
-    for r, at in enumerate(groups):
-        out[at] = np.searchsorted(cdf[r], u[at], side="left")
-    return np.minimum(out, cdf.shape[1] - 1, out=out)
+    width = cdf.shape[1]
+    keys = (np.arange(counts.size)[:, None] + 1j * cdf).ravel()
+    out = np.searchsorted(keys, row + 1j * u, side="left")
+    out -= row * width
+    return np.minimum(out, width - 1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -663,33 +665,60 @@ class _DiscreteDiskKernel:
         With u = center + base + s0 c1, section c1 meets a row's disk
         where the discriminant 4a (thr - (u . normal)^2) of its quadratic
         in c2 is positive, that is where |(center + base) . normal + c1
-        step| < sqrt(thr).  Only the kept sections from the least to the
-        largest such c1 over all rows, widened by one count each way so
-        that rounding cannot cut off a section, are summed: every other
-        section has no c2 in any row's disk and adds exact zeros.
+        step| < sqrt(thr).  Each row's band is the kept sections from the
+        least to the largest such c1, widened by one count each way so
+        that rounding cannot cut off a section: every section outside it
+        has no c2 in the row's disk and adds an exact zero, so a row sums
+        only its band, in order of c1.  The rows are sorted by the first
+        section of their band; with a running maximum of their last
+        sections, the rows whose band holds a section form one contiguous
+        slice, found by two searches (a slice may also hold a row whose
+        band ended earlier, which adds exact zeros as before).
         """
         a = float(self.s1 @ self.s1)
-        out = np.zeros(centers.shape[0])
-        d = (centers + self.base) @ self.normal
+        rows = centers.shape[0]
+        out = np.zeros(rows)
+        if rows == 0:
+            return out
+        cb = centers + self.base
+        d = cb @ self.normal
+        thr = np.broadcast_to(thr, (rows,))
         r = np.sqrt(np.maximum(thr, 0.0))
-        ends = np.concatenate([(-r - d) / self.step, (r - d) / self.step], axis=None)
-        first = np.searchsorted(self.c1, np.floor(ends.min(initial=np.inf)) - 1.0, side="left")
-        last = np.searchsorted(self.c1, np.ceil(ends.max(initial=-np.inf)) + 1.0, side="right")
-        for c1v, w1, cdf in zip(self.c1[first:last], self.w1[first:last], self.cdfs[first:last]):
+        e0, e1 = (-r - d) / self.step, (r - d) / self.step
+        first = np.searchsorted(self.c1, np.floor(np.minimum(e0, e1)) - 1.0, side="left")
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        last = np.maximum.accumulate(
+            np.searchsorted(self.c1, np.ceil(np.maximum(e0, e1)) + 1.0, side="right")[order])
+        cb, thr = cb[order], thr[order]
+        sections = np.arange(first[0], last[-1])
+        lows = np.searchsorted(last, sections, side="right")
+        highs = np.searchsorted(first, sections, side="right")
+        acc = np.zeros(rows)
+        for i, lo_row, hi_row in zip(sections.tolist(), lows.tolist(), highs.tolist()):
+            if lo_row >= hi_row:
+                continue
+            if hi_row - lo_row == 1 < rows:
+                # numpy takes a one-row product through dot, not gemv, which
+                # can round it otherwise; a neighbour row adds an exact zero
+                lo_row, hi_row = (lo_row, hi_row + 1) if hi_row < rows else (lo_row - 1, hi_row)
+            c1v = float(self.c1[i])
             m = self.n - int(c1v)
-            u = centers + self.base + self.s0 * float(c1v)
+            u = cb[lo_row:hi_row] + self.s0 * c1v
             b = 2.0 * (u @ self.s1)
-            c = _rowsq(u) - thr
+            c = _rowsq(u) - thr[lo_row:hi_row]
             disc = b * b - 4.0 * a * c
             has = disc > 0.0
             sq = np.sqrt(np.maximum(disc, 0.0))
             # strict inequality: integer c2 strictly between the roots
             lo = np.floor((-b - sq) / (2.0 * a)).astype(np.int64) + 1
             hi = np.ceil((-b + sq) / (2.0 * a)).astype(np.int64) - 1
-            lo = np.clip(lo, 0, m + 1)
-            hi = np.clip(hi, -1, m)
+            lo = np.minimum(np.maximum(lo, 0), m + 1)
+            hi = np.minimum(np.maximum(hi, -1), m)
+            cdf = self.cdfs[i]
             val = np.where(has & (hi >= lo), cdf[hi + 1] - cdf[lo], 0.0)
-            out += w1 * val
+            acc[lo_row:hi_row] += self.w1[i] * val
+        out[order] = acc
         return out
 
 

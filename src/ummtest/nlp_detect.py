@@ -322,7 +322,16 @@ class _QuadKernel:
 
     def values(self, u):
         z = montecarlo.gaussians(u)
-        stats = [_rowsq((z + self.mu1 if h else z) - self.center) for h in self.hypotheses]
+        # each hypothesis' (z + mu1) - center in one buffer per call, not per
+        # kernel: run_kernel may call values from several threads
+        d = np.empty_like(z)
+        stats = []
+        for h in self.hypotheses:
+            if h:
+                np.subtract(np.add(z, self.mu1, out=d), self.center, out=d)
+            else:
+                np.subtract(z, self.center, out=d)
+            stats.append(_rowsq(d))
         return _region_errors(stats, self.thresholds, self.hypotheses)
 
 

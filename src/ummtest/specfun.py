@@ -620,8 +620,9 @@ def _gamma_q_anchor_vec(b, x, e):
     geometric bound next term / (1 - next ratio) on the rest (which covers
     Q(1/2, x) too) against ``_Q_TOL`` of its sum; a finished element adds
     exact zeros, and the state is compacted once two thirds of it have
-    finished, as in the Poisson sweep.  Raises RangeError past
-    ``_term_cap`` of the largest b terms.
+    finished, by ``take`` along axis 1 as in the Poisson sweep, which keeps
+    each state row contiguous.  Raises RangeError past ``_term_cap`` of the
+    largest b terms.
     """
     out = np.empty_like(x)
     cap = _term_cap(np.max(b, initial=0.0))
@@ -672,7 +673,7 @@ def _gamma_q_anchor_vec(b, x, e):
             np.copyto(term, 0.0, where=done)
             if 3 * np.count_nonzero(done) >= 2 * done.size:
                 out[pos[done].astype(np.int64)] = 1.0 - acc[done] if upward else acc[done]
-                s = s[:, np.flatnonzero(~done)]
+                s = s.take(np.flatnonzero(~done), axis=1)
     return out
 
 
@@ -750,12 +751,20 @@ def _chisq_tail_pdf_vec(k, lam, t):
     are geometric; below the bottom index Q only falls; and a density term
     is at most its tail term.  A direction stops once its bounds are within
     1e-15 of the element's running tail and pdf, so the truncation error is
-    relative and an element's result does not depend on the others.  A
-    stopped direction adds exact zeros, and the state is compacted once two
-    thirds of it have finished both directions.  The bottom index is clamped
-    at 0 only in a block that can reach it: elsewhere that would add +0.0,
-    so an element's bits still do not depend on the elements that share its
-    array.  Raises RangeError after ``_term_cap`` of the largest h steps.
+    relative and an element's result does not depend on the others.  The
+    check tests the weight clause first, and forms the density clauses and
+    the zeroing only where some element passes it: in the early blocks none
+    does.  A stopped direction adds exact zeros, and the state is compacted
+    once two thirds of it have finished both directions.  The compaction is
+    ``take`` along axis 1, which returns a C-ordered copy: indexing axis 1
+    returns an F-ordered one, whose rows every later step would walk with a
+    stride of the state's height (an in-place add over 6,000 elements took
+    9.4 against 2.4 us on one core of a 2-vCPU Xeon).  The bottom index is clamped at 0 only in a block
+    that can reach it: elsewhere that would add +0.0, so an element's bits
+    still do not depend on the elements that share its array.  At k = 2 the
+    offset a - 1 of the density ratios is 0, and the index enters them
+    without it; adding 0.0 to an index changes no bit.  Raises RangeError
+    after ``_term_cap`` of the largest h steps.
 
     Where the density term at the mode is below 1e-250 and x lies above the
     mode, in the far upper tail, the terms grow from the mode to their
@@ -818,8 +827,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
                 np.divide(h, ju, out=r)
                 w *= r
                 uu *= r
-                np.add(ju, am1, out=f)
-                np.divide(x, f, out=f)
+                np.divide(x, np.add(ju, am1, out=f) if am1 else ju, out=f)
                 f *= r
                 vu *= f
                 uu += vu
@@ -829,8 +837,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
                 np.multiply(jd, hinv, out=r)
                 ud -= vd
                 ud *= r
-                np.add(jd, am1, out=f)
-                f *= xinv
+                np.multiply(np.add(jd, am1, out=f) if am1 else jd, xinv, out=f)
                 f *= r
                 vd *= f
                 jd -= 1.0
@@ -841,27 +848,33 @@ def _chisq_tail_pdf_vec(k, lam, t):
         step += _CHECK
         # certified bounds on the unswept terms; a direction whose bound
         # holds is frozen by zeroing its terms, so later steps add exact
-        # zeros to it
+        # zeros to it.  The weight clause is tested first: the density
+        # clauses and the zeroing are formed only where it holds somewhere
         tol_t = _TOL * tl + _TINY
-        tol_p = _TOL * pf + _TINY
+        tol_p = None
         # the density terms are bounded twice: by their geometric ratio, and
         # by the tail terms, since e_j <= Q_j (up to the factor m of the
         # j = 0 term at k = 1), for where the ratio exceeds 1
         if up:
             rest = w * h
-            up_ok = (rest <= tol_t * step) & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
-                                              | (rest <= tol_p * step))
-            for row in (w, uu, vu):
-                np.copyto(row, 0.0, where=up_ok)
+            up_ok = rest <= tol_t * step
+            if up_ok.any():
+                tol_p = _TOL * pf + _TINY
+                up_ok &= (vu * hx <= tol_p * (ju * (ju + a) - hx)) | (rest <= tol_p * step)
+                for row in (w, uu, vu):
+                    np.copyto(row, 0.0, where=up_ok)
         if down:
             rest = ud * jd
-            cd = jd * (jd + am1)
             gap = h - jd
-            m = 1.0 if k > 1 else 0.5 + 0.5 * np.sqrt(1.0 + 2.0 * xinv)
-            down_ok = (rest <= tol_t * gap) & ((vd * cd <= tol_p * (hx - cd))
-                                               | (rest * m <= tol_p * gap))
-            for row in (ud, vd):
-                np.copyto(row, 0.0, where=down_ok)
+            down_ok = rest <= tol_t * gap
+            if down_ok.any():
+                if tol_p is None:
+                    tol_p = _TOL * pf + _TINY
+                cd = jd * (jd + am1)
+                m = 1.0 if k > 1 else 0.5 + 0.5 * np.sqrt(1.0 + 2.0 * xinv)
+                down_ok &= (vd * cd <= tol_p * (hx - cd)) | (rest * m <= tol_p * gap)
+                for row in (ud, vd):
+                    np.copyto(row, 0.0, where=down_ok)
         # a finished element only adds zeros from here on, so it is
         # dropped once two thirds of the state have finished
         done = up_ok & down_ok
@@ -870,7 +883,7 @@ def _chisq_tail_pdf_vec(k, lam, t):
             tail[at] = np.clip(tl[done], 0.0, 1.0)
             pdf[at] = 0.5 * np.maximum(pf[done], 0.0)
             keep = np.flatnonzero(~done)
-            s = s[:, keep]
+            s = s.take(keep, axis=1)
             up_ok, down_ok = up_ok[keep], down_ok[keep]
         up, down = not up_ok.all(), not down_ok.all()
     return tail.reshape(shape), pdf.reshape(shape)

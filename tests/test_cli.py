@@ -670,6 +670,14 @@ def test_nonpositive_delta_exits_two_before_any_work(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_nonpositive_k_exits_two_before_any_work(tmp_path, capsys, k):
+    out = tmp_path / "t.csv"
+    assert main(["regions", "--delta", "2", "--k", k, "--out", str(out)]) == 2
+    assert "k must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _GLRT_SIM = ["simulate", "--detector", "glrt", "--k", "2", "--delta", "2", "--trials", "2000"]
 
 

@@ -335,6 +335,49 @@ def test_binomial_quantile_matches_full_rows(n):
                           _full_row_quantile(u, m, 0.25, lf))
 
 
+def _grouped_quantile(u, m, q, lf):
+    # _binom_quantile as written before its one search: the elements of each
+    # distinct count grouped by a stable sort, one searchsorted per count
+    u = np.asarray(u, dtype=float)
+    m = np.asarray(m, dtype=np.int64)
+    if m.size == 0 or q <= 0.0:
+        return np.zeros(u.shape, dtype=np.int64)
+    if q >= 1.0:
+        return np.where(u > 0.0, m, 0)
+    counts, row = np.unique(m, return_inverse=True)
+    cdf = lan_models._binom_cdf_rows(counts, q, lf)
+    out = np.empty(u.shape, dtype=np.int64)
+    groups = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
+    for r, at in enumerate(groups):
+        out[at] = np.searchsorted(cdf[r], u[at], side="left")
+    return np.minimum(out, cdf.shape[1] - 1, out=out)
+
+
+@pytest.mark.parametrize("q", (1e-12, 1e-4, 0.3, 0.5, 0.999, 1.0 - 1e-12))
+@pytest.mark.parametrize("distinct", (1, 40))
+def test_binomial_quantile_bits_match_the_grouped_search(q, distinct):
+    # one lexicographic search over (row, CDF) keys gives every draw of the
+    # per-count searches: at u equal to CDF values and at their neighbours
+    # on both sides, for one distinct count and many, and above every column
+    n = 500
+    lf = lan_models._log_factorials(n)
+    rng = np.random.default_rng(distinct)
+    counts = np.unique(np.concatenate([[n], rng.integers(1, n + 1, distinct - 1)]))
+    cdf = lan_models._binom_cdf_rows(counts, q, lf)
+    pick = rng.integers(0, counts.size, 3000)
+    m = counts[pick]
+    u = cdf[pick, rng.integers(0, cdf.shape[1], 3000)]
+    above = np.nextafter(1.0, 2.0)
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 2.0), rng.random(3000),
+                        [above, above, 2.0 ** -54]])
+    m = np.concatenate([m, m, m, counts[rng.integers(0, counts.size, 3000)],
+                        [counts[0], n, n]])
+    got = lan_models._binom_quantile(u, m, q, lf)
+    ref = _grouped_quantile(u, m, q, lf)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert np.all(got[-3:-1] == cdf.shape[1] - 1)
+
+
 def test_disk_kernel_rows_are_the_full_rows(monkeypatch):
     # the disk kernel builds its CDF rows in one call; each equals the full
     # row of _binom_cdf_row bit for bit and reads 1 past it, also at q = 1
@@ -381,7 +424,7 @@ def _every_section_miss(kern, centers, thr):
 
 @pytest.mark.parametrize("probs", ([1.0 / 3.0] * 3, [0.2, 0.3, 0.5]))
 def test_disk_sections_met_add_what_every_section_adds(probs):
-    # only the sections that some row's disk meets are summed; the others
+    # each row sums only the band of sections its disk can meet; the others
     # add exact zeros, so the sums are the same bit for bit: for a scalar
     # and a per-row threshold, for disks that miss the lattice, for a
     # threshold that meets no section and for one that meets them all
@@ -395,11 +438,21 @@ def test_disk_sections_met_add_what_every_section_adds(probs):
     per_row = rng.uniform(0.0, 10.0, 200)
     per_row[:20] = 1e-300
     every = 1e9  # a radius past the whole lattice from every center
+    # rows in random order whose bands overlap, nest or lie apart: a group,
+    # half of it moved 30 sections down, and one row moved 30 sections up,
+    # which alone meets its sections
+    tight = 0.1 * near[:40]
+    shift = 30.0 * kern.step * kern.normal
+    apart = np.concatenate([tight, tight[:20] + shift, tight[:1] - shift])
+    apart = apart[rng.permutation(len(apart))]
+    mixed = np.concatenate([apart, near])[rng.permutation(len(apart) + len(near))]
     for centers, thr in ((near, 4.6), (near, per_row), (near, 1e-300), (off, 4.6),
                          (np.concatenate([near[:5], off[:5]]), 0.5), (near, every),
-                         (near, np.where(per_row < 2.0, 30.0, 1e-300))):
+                         (near, np.where(per_row < 2.0, 30.0, 1e-300)), (near[:1], 4.6),
+                         (apart, 0.5), (mixed, 4.6), (mixed, rng.uniform(0.0, 10.0, len(mixed)))):
         got = kern._miss_given(centers, thr)
-        assert np.array_equal(got, _every_section_miss(kern, centers, thr))
+        ref = _every_section_miss(kern, centers, thr)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     assert np.all(kern._miss_given(off, 4.6) == 0.0)
     assert np.all(kern._miss_given(near, 1e-300) == 0.0)
     # a disk that holds the whole lattice holds the mass of every kept section

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from ummtest import linalg, specfun
+from ummtest import linalg, nlp_detect, specfun
 from ummtest.errors import ConfigError, DomainError
 from ummtest.lan_models import AummDetector, GaussianLocationModel, LanProblem, TrainingSetup
 from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs, gaussians
@@ -310,6 +310,26 @@ def test_one_rule_one_truth(rule):
         kern = det.mc_kernel([det], prob, (False,))
         assert isinstance(kern, _LrtKernel if rule == "matched-filter" else _QuadKernel)
         assert np.array_equal(accepted, kern.values(u[:, : kern.nu])[0] == 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 904, 4096])
+def test_quad_kernel_statistics_keep_the_plain_expression_bits(monkeypatch, rows):
+    # values forms each hypothesis' (z + mu1) - center in one buffer; the
+    # statistics it compares with the levels keep the bits of the plain
+    # expression, under both hypotheses and in either order
+    seen = []
+    monkeypatch.setattr(nlp_detect, "_region_errors",
+                        lambda stats, thr, hyp: seen.append(stats) or np.zeros((1, rows)))
+    k = 32
+    mu1 = np.linspace(-1.0, 2.0, k)
+    center = -0.3 * np.cos(np.arange(k))
+    u = block_uniforms(17, 0, rows, k)
+    z = gaussians(u)
+    for hyp in ((False, True), (True, False), (True,)):
+        _QuadKernel(k, mu1, center, [30.0], hyp).values(u)
+        for stat, h in zip(seen.pop(), hyp):
+            ref = nlp_detect._rowsq((z + mu1 if h else z) - center)
+            assert np.array_equal(stat.view(np.int64), ref.view(np.int64))
 
 
 def test_detector_level_resolution():

@@ -483,6 +483,174 @@ def test_vector_engine_elements_are_independent():
         assert specfun._chisq_tail_inv_vec(k, lam[i:i + 1], p[i:i + 1])[0] == inv[i]
 
 
+def _eager_gamma_q_anchor(b, x, e):
+    # _gamma_q_anchor_vec as first written, compacting its state by indexing
+    # axis 1, which returns an F-ordered copy
+    out = np.empty_like(x)
+    cap = specfun._term_cap(np.max(b, initial=0.0))
+    up = x < b
+    for upward in (True, False):
+        sel = np.flatnonzero(up == upward)
+        xs = x[sel]
+        if upward:
+            s = np.stack([b[sel], xs, xs * e[sel] / b[sel], np.zeros_like(xs), sel])
+        else:
+            s = np.stack([b[sel] - 1.0, 1.0 / xs, e[sel], np.zeros_like(xs), sel])
+        half = not upward and bool(np.any(np.floor(b[sel]) != b[sel]))
+        if half:
+            np.copyto(s[2], 0.0, where=s[0] < 0.0)
+        step = 0
+        while s.shape[1]:
+            if step >= cap:
+                raise RangeError("incomplete gamma: no convergence in %d terms" % cap)
+            c, y, term, acc, pos = s
+            f = np.empty_like(c)
+            clamp = half and c.min() < specfun._CHECK + 1
+            for _ in range(specfun._CHECK):
+                acc += term
+                if upward:
+                    c += 1.0
+                    np.divide(y, c, out=f)
+                else:
+                    np.multiply(c, y, out=f)
+                    if clamp:
+                        np.copyto(f, 0.0, where=c < 1.0)
+                    c -= 1.0
+                term *= f
+            step += specfun._CHECK
+            if upward:
+                done = term * (c + 1.0) <= specfun._Q_TOL * acc * (c + 1.0 - y)
+            else:
+                if clamp:
+                    end = (c < 0.0) & (y != 0.0) & (np.floor(c) != c)
+                    at = pos[end].astype(np.int64)
+                    acc[end] += [math.erfc(math.sqrt(v)) for v in x[at].tolist()]
+                done = term <= specfun._Q_TOL * acc * (1.0 - c * y)
+                if half:
+                    np.copyto(y, 0.0, where=done)
+            np.copyto(term, 0.0, where=done)
+            if 3 * np.count_nonzero(done) >= 2 * done.size:
+                out[pos[done].astype(np.int64)] = 1.0 - acc[done] if upward else acc[done]
+                s = s[:, np.flatnonzero(~done)]
+    return out
+
+
+def _eager_chisq_tail_pdf(k, lam, t):
+    # _chisq_tail_pdf_vec as first written: compaction by indexing axis 1 (an
+    # F-ordered copy), every clause of the bound check formed at every check,
+    # and the offset a - 1 added to the index also where it is 0
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
+    shape = lam.shape
+    lam, t = lam.ravel(), t.ravel()
+    tail = np.zeros(lam.size)
+    pdf = np.zeros(lam.size)
+    live = np.flatnonzero(specfun._log_tail_bound(k, lam, t, np.maximum, np.log, np.hypot)
+                          >= specfun._LOG_UNDER)
+    a = 0.5 * k
+    am1 = a - 1.0
+    h = 0.5 * lam[live]
+    x = np.maximum(0.5 * t[live], specfun._TINY)
+    j0 = np.floor(h)
+    lw = specfun._log_g_vec(j0, np.maximum(h, specfun._TINY))
+    le = specfun._log_g_vec(j0 + am1, x)
+    far = (lw + le < specfun._LOG_FLOOR) & (x >= a + j0 + 1.0)
+    if far.any():
+        for i in live[far].tolist():
+            tail[i], pdf[i] = specfun._chisq_tail_pdf(k, float(lam[i]), float(t[i]))
+        near = ~far
+        live, h, x, j0, lw, le = live[near], h[near], x[near], j0[near], lw[near], le[near]
+    w = np.exp(lw)
+    e = np.exp(le)
+    u = w * _eager_gamma_q_anchor(j0 + a, x, e)
+    v = w * e
+    s = np.stack([h, x, h * x, 1.0 / np.maximum(h, specfun._TINY), 1.0 / x, j0, j0, w, u, v,
+                  u, v, u, v, live])
+    cap = specfun._term_cap(np.max(h, initial=0.0))
+    step = 0
+    up = down = True
+    tol, tiny = specfun._TOL, specfun._TINY
+    while s.shape[1]:
+        if step >= cap:
+            raise RangeError("noncentral chi-square: Poisson sum not done in %d steps" % cap)
+        h, x, hx, hinv, xinv, ju, jd, w, uu, vu, ud, vd, tl, pf, pos = s
+        r = np.empty_like(h)
+        f = np.empty_like(h)
+        clamp = down and jd.min() < specfun._CHECK
+        for _ in range(specfun._CHECK):
+            if up:
+                ju += 1.0
+                np.divide(h, ju, out=r)
+                w *= r
+                uu *= r
+                np.add(ju, am1, out=f)
+                np.divide(x, f, out=f)
+                f *= r
+                vu *= f
+                uu += vu
+                tl += uu
+                pf += vu
+            if down:
+                np.multiply(jd, hinv, out=r)
+                ud -= vd
+                ud *= r
+                np.add(jd, am1, out=f)
+                f *= xinv
+                f *= r
+                vd *= f
+                jd -= 1.0
+                if clamp:
+                    np.maximum(jd, 0.0, out=jd)
+                tl += ud
+                pf += vd
+        step += specfun._CHECK
+        tol_t = tol * tl + tiny
+        tol_p = tol * pf + tiny
+        if up:
+            rest = w * h
+            up_ok = (rest <= tol_t * step) & ((vu * hx <= tol_p * (ju * (ju + a) - hx))
+                                              | (rest <= tol_p * step))
+            for row in (w, uu, vu):
+                np.copyto(row, 0.0, where=up_ok)
+        if down:
+            rest = ud * jd
+            cd = jd * (jd + am1)
+            gap = h - jd
+            m = 1.0 if k > 1 else 0.5 + 0.5 * np.sqrt(1.0 + 2.0 * xinv)
+            down_ok = (rest <= tol_t * gap) & ((vd * cd <= tol_p * (hx - cd))
+                                               | (rest * m <= tol_p * gap))
+            for row in (ud, vd):
+                np.copyto(row, 0.0, where=down_ok)
+        done = up_ok & down_ok
+        if 3 * np.count_nonzero(done) >= 2 * done.size:
+            at = pos[done].astype(np.int64)
+            tail[at] = np.clip(tl[done], 0.0, 1.0)
+            pdf[at] = 0.5 * np.maximum(pf[done], 0.0)
+            keep = np.flatnonzero(~done)
+            s = s[:, keep]
+            up_ok, down_ok = up_ok[keep], down_ok[keep]
+        up, down = not up_ok.all(), not down_ok.all()
+    return tail.reshape(shape), pdf.reshape(shape)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("size", [1, 64, 6000])
+def test_vector_engine_bits_match_the_eager_engine(k, size):
+    # lam over five decades, so the state compacts several times (eight
+    # times at 6,000 elements), the first elements sweep down to index 0,
+    # and the last one lies in the far upper tail, which the scalar engine
+    # sums; tail and pdf keep every bit of the engine as first written
+    rng = np.random.default_rng(100 * k + size)
+    lam = 10.0 ** rng.uniform(-1.0, 4.0, size)
+    t = (lam + k) * np.exp(rng.normal(scale=0.4, size=size))
+    lam[:3], t[:3] = [0.0, 0.5, 3.0][:size], [0.7, 2.0, 9.0][:size]
+    if size > 3:
+        lam[-1], t[-1] = 1e4, 18783.07245712967  # p = 1e-300 at lam = 1e4: far
+    got, ref = specfun._chisq_tail_pdf_vec(k, lam, t), _eager_chisq_tail_pdf(k, lam, t)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g.view(np.int64), r.view(np.int64))
+    assert size <= 3 or ref[0][-1] > 0.0
+
+
 def test_vector_inverse_raises_no_overflow_warning():
     # far in the upper tail at large noncentrality the vector engine hands
     # the element to the scalar engine, whose float products overflow to inf
