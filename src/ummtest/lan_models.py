@@ -201,25 +201,46 @@ def _binom_cdf_rows(counts, q, lf):
     count: every term past it is below half an ulp of its running sum,
     which is near 1, so the cut changes no CDF value, and a row's CDF is 1
     from the cut on.  lf must cover log-factorials up to the largest count.
+
+    The log-pmf is the expression of ``_binom_log_pmf`` in its order, with
+    the terms of the column alone (lf[c], c log q) formed once per column,
+    and exp, cumsum and the division run in place.  Only when some count is
+    below the cut are the columns past it masked: m - c is clamped at 0 and
+    their terms zeroed after exp.
     """
     mm = np.asarray(counts, dtype=np.int64)[:, None]
     top = _binom_top(int(mm.max()), q)
     c = np.arange(top + 1)
-    cdf = np.cumsum(np.where(c <= mm, np.exp(_binom_log_pmf(mm, q, lf, np.minimum(c, mm))), 0.0),
-                    axis=1)
+    rest = mm - c
+    short = int(mm.min()) < top
+    if short:
+        past = rest < 0
+        np.maximum(rest, 0, out=rest)
+    cdf = lf[mm] - lf[c]
+    cdf -= lf[rest]
+    cdf += c * math.log(q)
+    cdf += rest * math.log1p(-q)
+    np.exp(cdf, out=cdf)
+    if short:
+        cdf[past] = 0.0
+    np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:]
     return cdf
 
 
 def _binom_quantile(u, m, q, lf):
-    """Smallest c with CDF(c) >= u, for per-element trial counts m.
+    """Smallest c with CDF(c) >= u, for per-element trial counts m (u and m
+    1-D, of one length).
 
-    The CDF rows of all distinct counts form one 2-D array
-    (``_binom_cdf_rows``), searched once: its keys are row + 1j CDF, which
-    numpy orders lexicographically, so an element's key row + 1j u lands in
-    its own row, at the first column with CDF >= u.  Both parts of a key
-    are exact, so this is the search of that row alone.  A u above every
-    column reads the last column.
+    The CDF rows of the distinct counts, found by one ``np.bincount`` over
+    their range, form one 2-D array (``_binom_cdf_rows``).  Only the row of
+    the middle count is searched; each element starts from that column
+    shifted by (m - m_mid) q, its count's mean offset, and walks its own
+    row to the smallest column with CDF >= u: up while the column is below
+    u, then down while the column before is not, never past either end of
+    the row.  A u above every column reads the last column.  The walk only
+    compares u with CDF entries, so it returns what a search of each row
+    returns.
     """
     u = np.asarray(u, dtype=float)
     m = np.asarray(m, dtype=np.int64)
@@ -227,13 +248,30 @@ def _binom_quantile(u, m, q, lf):
         return np.zeros(u.shape, dtype=np.int64)
     if q >= 1.0:
         return np.where(u > 0.0, m, 0)
-    counts, row = np.unique(m, return_inverse=True)
+    least = int(m.min())
+    present = np.bincount(m - least) > 0
+    counts = np.flatnonzero(present) + least
     cdf = _binom_cdf_rows(counts, q, lf)
     width = cdf.shape[1]
-    keys = (np.arange(counts.size)[:, None] + 1j * cdf).ravel()
-    out = np.searchsorted(keys, row + 1j * u, side="left")
-    out -= row * width
-    return np.minimum(out, width - 1, out=out)
+    mid = counts.size // 2
+    at = np.searchsorted(cdf[mid], u, side="left")
+    at += np.rint((m - counts[mid]) * q).astype(np.int64)
+    np.clip(at, 0, width - 1, out=at)
+    # flat positions: the first and last column of each element's row
+    begin = (np.cumsum(present) - 1)[m - least] * width
+    end = begin + (width - 1)
+    at += begin
+    flat = cdf.ravel()
+    walk = np.flatnonzero((at < end) & (flat[at] < u))
+    while walk.size:
+        at[walk] += 1
+        walk = walk[(at[walk] < end[walk]) & (flat[at[walk]] < u[walk])]
+    walk = np.flatnonzero((at > begin) & (flat[at - 1] >= u))
+    while walk.size:
+        at[walk] -= 1
+        walk = walk[(at[walk] > begin[walk]) & (flat[at[walk] - 1] >= u[walk])]
+    at -= begin
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +700,11 @@ class _DiscreteDiskKernel:
     def _miss_given(self, centers, thr):
         """P(||center + mu_hat_y||^2 < thr) exactly, per row.
 
+        The probability depends on a row's center + base and thr alone, so
+        it is summed once per distinct pair: the rows are sorted by the
+        complex key of center + base, and each run of equal keys and
+        thresholds keeps one row, whose sum every row of the run takes.
+
         With u = center + base + s0 c1, section c1 meets a row's disk
         where the discriminant 4a (thr - (u . normal)^2) of its quadratic
         in c2 is positive, that is where |(center + base) . normal + c1
@@ -669,27 +712,38 @@ class _DiscreteDiskKernel:
         least to the largest such c1, widened by one count each way so
         that rounding cannot cut off a section: every section outside it
         has no c2 in the row's disk and adds an exact zero, so a row sums
-        only its band, in order of c1.  The rows are sorted by the first
-        section of their band; with a running maximum of their last
-        sections, the rows whose band holds a section form one contiguous
-        slice, found by two searches (a slice may also hold a row whose
-        band ended earlier, which adds exact zeros as before).
+        only its band, in order of c1.  The rows are sorted by the section
+        past the end of their band; with a running minimum of their first
+        sections from the last row back, the rows whose band holds a
+        section form one contiguous slice, found by two searches (a slice
+        may also hold a row whose band starts later, which adds exact
+        zeros as before).
         """
         a = float(self.s1 @ self.s1)
         rows = centers.shape[0]
-        out = np.zeros(rows)
         if rows == 0:
-            return out
+            return np.zeros(0)
         cb = centers + self.base
-        d = cb @ self.normal
         thr = np.broadcast_to(thr, (rows,))
+        key = cb[:, 0] + 1j * cb[:, 1]
+        by_key = np.argsort(key)
+        key, cb, thr = key[by_key], cb[by_key], thr[by_key]
+        new = np.empty(rows, dtype=bool)
+        new[1:] = (key[1:] != key[:-1]) | (thr[1:] != thr[:-1])
+        # the first two rows stay even if equal, so that the one-row guard
+        # below finds a neighbour whenever the call has two rows
+        new[:2] = True
+        run = np.cumsum(new) - 1
+        cb, thr = cb[new], thr[new]
+        rows = cb.shape[0]
+        d = cb @ self.normal
         r = np.sqrt(np.maximum(thr, 0.0))
         e0, e1 = (-r - d) / self.step, (r - d) / self.step
+        last = np.searchsorted(self.c1, np.ceil(np.maximum(e0, e1)) + 1.0, side="right")
+        order = np.argsort(last, kind="stable")
+        last = last[order]
         first = np.searchsorted(self.c1, np.floor(np.minimum(e0, e1)) - 1.0, side="left")
-        order = np.argsort(first, kind="stable")
-        first = first[order]
-        last = np.maximum.accumulate(
-            np.searchsorted(self.c1, np.ceil(np.maximum(e0, e1)) + 1.0, side="right")[order])
+        first = np.minimum.accumulate(first[order][::-1])[::-1]
         cb, thr = cb[order], thr[order]
         sections = np.arange(first[0], last[-1])
         lows = np.searchsorted(last, sections, side="right")
@@ -718,7 +772,10 @@ class _DiscreteDiskKernel:
             cdf = self.cdfs[i]
             val = np.where(has & (hi >= lo), cdf[hi + 1] - cdf[lo], 0.0)
             acc[lo_row:hi_row] += self.w1[i] * val
-        out[order] = acc
+        sums = np.empty(rows)
+        sums[order] = acc
+        out = np.empty(centers.shape[0])
+        out[by_key] = sums[run]
         return out
 
 

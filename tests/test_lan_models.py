@@ -378,6 +378,96 @@ def test_binomial_quantile_bits_match_the_grouped_search(q, distinct):
     assert np.all(got[-3:-1] == cdf.shape[1] - 1)
 
 
+def _complex_key_quantile(u, m, q, lf):
+    # _binom_quantile as written before the walk: one search over the keys
+    # row + 1j CDF of all distinct counts' rows, ordered lexicographically
+    u = np.asarray(u, dtype=float)
+    m = np.asarray(m, dtype=np.int64)
+    if m.size == 0 or q <= 0.0:
+        return np.zeros(u.shape, dtype=np.int64)
+    if q >= 1.0:
+        return np.where(u > 0.0, m, 0)
+    counts, row = np.unique(m, return_inverse=True)
+    cdf = lan_models._binom_cdf_rows(counts, q, lf)
+    width = cdf.shape[1]
+    keys = (np.arange(counts.size)[:, None] + 1j * cdf).ravel()
+    out = np.searchsorted(keys, row + 1j * u, side="left")
+    out -= row * width
+    return np.minimum(out, width - 1, out=out)
+
+
+def _walk_start(u, m, q, lf):
+    # the column each draw's walk starts from: the search of the middle
+    # count's row, shifted by the mean offset of its own count
+    counts = np.unique(m)
+    cdf = lan_models._binom_cdf_rows(counts, q, lf)
+    mid = counts.size // 2
+    start = np.searchsorted(cdf[mid], u) + np.rint((m - counts[mid]) * q).astype(np.int64)
+    return np.clip(start, 0, cdf.shape[1] - 1)
+
+
+@pytest.mark.parametrize("q", (1e-12, 1e-4, 1.0 / 9.0, 0.5, 1.0 - 1e-12))
+def test_binomial_quantile_bits_match_the_complex_key_search(q):
+    # the walk from a shifted start lands where the search of each row
+    # lands: over hundreds of distinct counts, some below the column cut,
+    # at u on CDF entries and their neighbours, at the extreme uniforms
+    # block_uniforms can return, below and above every column, and from
+    # starts far from the answer, up and down, also in the first column
+    n = 1000
+    lf = lan_models._log_factorials(n)
+    rng = np.random.default_rng(24)
+    m = rng.integers(0, n + 1, 4000)
+    assert np.unique(m).size >= 150
+    assert m.min() < lan_models._binom_top(n, q)
+    counts = np.unique(m)
+    cdf = lan_models._binom_cdf_rows(counts, q, lf)
+    tie = cdf[np.searchsorted(counts, m), rng.integers(0, cdf.shape[1], m.size)]
+    edges = np.array([0.0, 1e-310, 2.0 ** -54, 1.0 - 2.0 ** -53, 1.0, np.nextafter(1.0, 2.0)])
+    u = np.concatenate([tie, np.nextafter(tie, 0.0), np.nextafter(tie, 2.0), rng.random(m.size),
+                        np.repeat(edges, 4)])
+    m = np.concatenate([m, m, m, m, np.tile([0, counts[1], n // 2, n], edges.size)])
+    # three counts, the middle one small: at q = 1/9 and 1/2 the starts of
+    # the largest count lie tens to hundreds of columns from its answers
+    far_m = np.repeat([1, 2, n], 4)
+    far_u = np.tile([1e-300, 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53], 3)
+    for u, m in ((u, m), (far_u, far_m)):
+        got = lan_models._binom_quantile(u, m, q, lf)
+        ref = _complex_key_quantile(u, m, q, lf)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    if 1e-4 < q < 1.0 - 1e-4:
+        assert np.abs(ref - _walk_start(far_u, far_m, q, lf)).max() > 10
+
+
+def _masked_cdf_rows(counts, q, lf):
+    # _binom_cdf_rows as written before its lean passes: every column
+    # masked, the log-pmf formed over the whole (counts x columns) array
+    mm = np.asarray(counts, dtype=np.int64)[:, None]
+    top = lan_models._binom_top(int(mm.max()), q)
+    c = np.arange(top + 1)
+    pmf = np.exp(lan_models._binom_log_pmf(mm, q, lf, np.minimum(c, mm)))
+    cdf = np.cumsum(np.where(c <= mm, pmf, 0.0), axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+@pytest.mark.parametrize("q", (1e-12, 1e-4, 1.0 / 9.0, 0.5, 0.97, 1.0 - 1e-12))
+def test_binomial_cdf_rows_bits_match_the_masked_expression(q):
+    # the rows keep their bits when every count reaches the column cut (no
+    # mask) and when some counts stop short of it (masked columns), for one
+    # count and many, in any order
+    n = 1000
+    lf = lan_models._log_factorials(n)
+    rng = np.random.default_rng(7)
+    top = lan_models._binom_top(n, q)
+    reach = rng.permutation(np.arange(max(top, n - 90), n + 1))
+    for counts in (reach, [n], rng.permutation(n + 1), [0, n], [n // 2, 3, n]):
+        got = lan_models._binom_cdf_rows(counts, q, lf)
+        ref = _masked_cdf_rows(counts, q, lf)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert reach.min() >= lan_models._binom_top(int(reach.max()), q)
+
+
 def test_disk_kernel_rows_are_the_full_rows(monkeypatch):
     # the disk kernel builds its CDF rows in one call; each equals the full
     # row of _binom_cdf_row bit for bit and reads 1 past it, also at q = 1
@@ -446,10 +536,22 @@ def test_disk_sections_met_add_what_every_section_adds(probs):
     apart = np.concatenate([tight, tight[:20] + shift, tight[:1] - shift])
     apart = apart[rng.permutation(len(apart))]
     mixed = np.concatenate([apart, near])[rng.permutation(len(apart) + len(near))]
+    # repeated rows, which are summed once: a centre with one threshold, a
+    # centre with two, and a group of short bands nested in long ones (the
+    # same centres with a small and a large threshold)
+    dup = np.concatenate([np.repeat(near[:30], 4, axis=0), near[30:]])
+    dup_thr = np.concatenate([np.repeat(per_row[:30], 4), per_row[30:]])
+    dup_thr[1:40:4] += 1.0
+    order = rng.permutation(len(dup))
+    dup, dup_thr = dup[order], dup_thr[order]
+    nested = np.concatenate([tight, tight, apart[:5]])
+    nested_thr = np.concatenate([np.full(40, 0.02), np.full(40, 8.0), np.full(5, 0.5)])
     for centers, thr in ((near, 4.6), (near, per_row), (near, 1e-300), (off, 4.6),
                          (np.concatenate([near[:5], off[:5]]), 0.5), (near, every),
                          (near, np.where(per_row < 2.0, 30.0, 1e-300)), (near[:1], 4.6),
-                         (apart, 0.5), (mixed, 4.6), (mixed, rng.uniform(0.0, 10.0, len(mixed)))):
+                         (apart, 0.5), (mixed, 4.6), (mixed, rng.uniform(0.0, 10.0, len(mixed))),
+                         (dup, 4.6), (dup, dup_thr), (nested, nested_thr),
+                         (nested[::-1], nested_thr[::-1])):
         got = kern._miss_given(centers, thr)
         ref = _every_section_miss(kern, centers, thr)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
@@ -457,6 +559,37 @@ def test_disk_sections_met_add_what_every_section_adds(probs):
     assert np.all(kern._miss_given(near, 1e-300) == 0.0)
     # a disk that holds the whole lattice holds the mass of every kept section
     assert np.all(np.abs(kern._miss_given(near, every) - kern.w1.sum()) < 1e-14)
+
+
+def test_disk_sections_of_one_repeated_centre_keep_two_rows(monkeypatch):
+    # rows that collapse to one distinct centre are summed once, by one
+    # call, and still take every (rows, 2) @ (2,) product with two rows
+    # at least: numpy rounds a one-row product through dot, not gemv
+    model = DiscreteModel(np.array([0.2, 0.3, 0.5]))
+    n = 300
+    theta1 = local_alternative(np.array([2.0, -1.0]), model, n)
+    kern = _DiscreteDiskKernel(LanProblem(model, theta1, TrainingSetup(n=n, n_x=100)))
+    centers = np.repeat(np.array([[0.3, -0.2]]), 50, axis=0)
+    ref = _every_section_miss(kern, centers, 4.6)
+    shapes = []
+
+    class Rows(np.ndarray):
+        # ``u @ s1`` calls this first, since the type is a subclass of u's
+        def __rmatmul__(self, other):
+            shapes.append(other.shape)
+            return np.asarray(other) @ np.asarray(self)
+
+    calls = []
+    miss_given = _DiscreteDiskKernel._miss_given
+    monkeypatch.setattr(_DiscreteDiskKernel, "_miss_given",
+                        lambda self, *a: calls.append(a) or miss_given(self, *a))
+    monkeypatch.setattr(kern, "s1", kern.s1.view(Rows))
+    for thr in (4.6, np.full(50, 4.6)):
+        got = kern._miss_given(centers, thr)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert got.min() > 0.0
+    assert len(calls) == 2
+    assert shapes and all(rows >= 2 for rows, _ in shapes)
 
 
 def test_binomial_cut_holds_all_but_the_stated_mass():

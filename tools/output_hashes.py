@@ -13,10 +13,12 @@ prints a second line, its id ending in ``:json``.
 Some layers reach a table only through a comparison with a level (a
 p-value or a statistic against its threshold), so a last-bit change in
 them almost never shows in the outputs.  During
-each operation's CSV run, the raw result bytes of four such layers are
+each operation's CSV run, the raw result bytes of five such layers are
 therefore hashed, call by call:
 
     specfun._chisq_tail_pdf_vec             tail and pdf arrays
+    lan_models._binom_cdf_rows              binomial CDF rows, which feed
+                                            the draws and the disk sections
     lan_models._binom_quantile              binomial draws
     lan_models._DiscreteDiskKernel._miss_given
                                             exact miss probabilities
@@ -65,8 +67,9 @@ def _layer_bits():
     call."""
     from ummtest import lan_models, nlp_detect, specfun
 
-    layers = [(specfun, "_chisq_tail_pdf_vec"), (lan_models, "_binom_quantile"),
-              (lan_models._DiscreteDiskKernel, "_miss_given"), (nlp_detect._QuadKernel, "values")]
+    layers = [(specfun, "_chisq_tail_pdf_vec"), (lan_models, "_binom_cdf_rows"),
+              (lan_models, "_binom_quantile"), (lan_models._DiscreteDiskKernel, "_miss_given"),
+              (nlp_detect._QuadKernel, "values")]
     calls = []
 
     def hashed(f):
