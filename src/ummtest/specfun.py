@@ -31,13 +31,13 @@ inverse takes Newton steps on the tail's normal deviate in Sankaran's
 coordinate, in which that deviate is nearly linear (on the log tail where
 the deviate passes 8 or the step fails), and stops once the tail is within
 1e-12 of p in relative terms (or t is pinned to a few ulps); the vector one
-solves a whole (levels, trials) array in one batched solve.  Its start
-depends only on k, the element's p and the noncentralities that share that p
-in the call: a level shared by many of them starts from an interpolant over
-solved nodes, so an element's quantile is the same bit for bit whatever
-other levels share the array, but not whatever noncentralities share its
-level.  The term caps grow with the spread of each sum, and every capped
-loop raises RangeError instead of returning its last iterate.
+solves a whole (levels, trials) array in one batched solve.  A level shared
+by at least 256 elements starts from interpolants on fixed cells of
+log(lam + k/2), each solved once per process; an element's quantile then
+depends only on k, its p and its own lam, not on the other noncentralities
+of the call, on what the process computed before, or on the thread.  The
+term caps grow with the spread of each sum, and every capped loop raises
+RangeError instead of returning its last iterate.
 """
 
 import math
@@ -894,18 +894,37 @@ def _chisq_tail_vec(k, lam, t):
 
 
 # a level shared by at least _GROUP elements of one inverse call starts them
-# from a Chebyshev interpolant over _NODES solved nodes; a node stops once a
-# Newton step moves its t by at most _NODE_STEP in relative terms
-_NODES = 32
-_GROUP = 8 * _NODES
+# from Chebyshev interpolants on fixed cells of v = log(lam + k/2): width 1
+# with 16 nodes below v = _V_FINE and width 1/4 with 8 nodes above it.
+# Uniform cells of widths 1/4 to 2 with 6 to 32 nodes either took more than
+# 1.05 engine evaluations per training draw at rho = 1 or 5, or a second
+# node pass near lam = 400 at rho = 20.  Cell c covers [c/4, c/4 + width),
+# cut below at log(k/2), where lam = 0.  A node stops
+# once a Newton step moves its t by at most _NODE_STEP in relative terms
+_GROUP = 256
 _NODE_STEP = 1e-6
-# the Chebyshev points of the first kind on [-1, 1], cos(pi (i + 1/2) / _NODES),
-# and the matrix taking values there to the coefficients of the interpolant
-# (the one of degree 0 halved)
-_CHEB_ANGLES = np.pi * (np.arange(_NODES) + 0.5) / _NODES
-_CHEB_POINTS = np.cos(_CHEB_ANGLES)
-_CHEB = np.cos(np.outer(np.arange(_NODES), _CHEB_ANGLES)) * (2.0 / _NODES)
-_CHEB[0] *= 0.5
+_V_FINE = 6.0
+_CELL_NODES = (16, 8)  # below and above _V_FINE
+# a cell's row: its 16 coefficients (an 8-node cell's upper 8 are 0, which
+# leaves Clenshaw's sums unchanged), the interpolant's error estimate, and
+# the cell's centre and half-width in v.  _CELLS maps (k, p, cell) to the
+# row for the life of the process; it is emptied when it reaches
+# _CELLS_MAX rows (under 0.5 MB)
+_CELLS = {}
+_CELLS_MAX = 1024
+
+
+def _chebyshev(n):
+    """The Chebyshev points of the first kind on [-1, 1], cos(pi (i + 1/2) / n),
+    and the matrix taking values there to the coefficients of the
+    interpolant (the one of degree 0 halved)."""
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    matrix = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
+    matrix[0] *= 0.5
+    return np.cos(angles), matrix
+
+
+_CHEB = {n: _chebyshev(n) for n in _CELL_NODES}
 
 
 def _chisq_tail_inv_vec(k, lam, p):
@@ -918,12 +937,13 @@ def _chisq_tail_inv_vec(k, lam, p):
     wide.  An element starts from ``_sankaran``'s start, unless at least
     ``_GROUP`` elements share its p: such a group starts from Sankaran's
     start times a Chebyshev interpolant of the ratio of the true quantile to
-    it, in v = log(lam + k/2) over the group's range of v
+    it, on the fixed cell of v = log(lam + k/2) that holds the element
     (``_interpolated_starts``), which the stopping test mostly accepts on
-    the first pass.  An element's start depends only on k, its p and the
-    lam that share its p, so a level gives the same bits alone or inside a
-    sweep.  Raises RangeError when an element or a node has not converged
-    after ``_MAX_PASSES`` passes.
+    the first pass.  An element's start depends only on k, its p, its own
+    lam and whether ``_GROUP`` elements share its p, so it gives the same
+    bits alone or inside a sweep, whatever else the process computed before
+    and on any thread.  Raises RangeError when an element or a node has not
+    converged after ``_MAX_PASSES`` passes.
     """
     lam, p = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(p, dtype=float))
     shape = lam.shape
@@ -941,35 +961,83 @@ def _chisq_tail_inv_vec(k, lam, p):
 def _interpolated_starts(k, lam, p, t, groups):
     """Replace Sankaran's starts ``t`` of each group (indices sharing a p) in place.
 
-    A group's nodes are the Chebyshev points of its span of v = log(lam +
-    k/2); all groups' nodes are solved in one batched ``_newton``.  Each
-    group's ratio q(v) = t* / t_Sankaran at its nodes gives Chebyshev
-    coefficients (one fixed matrix), evaluated by Clenshaw's recurrence at
-    its elements.  Sankaran's start stays where the interpolated one is not
-    finite and positive, and where the two differ by less than the size of
-    the last two coefficients, the interpolant's error estimate: over a
-    span too wide for 32 nodes that keeps Sankaran's start where it is the
-    better one, as in the bulk at large lam.
+    Each element of a group with 0 < p < 1 whose lam is finite and >= 0
+    lies in one fixed cell of v = log(lam + k/2); its ratio q(v) =
+    t* / t_Sankaran comes from the Chebyshev coefficients of that cell,
+    evaluated by Clenshaw's recurrence.  A cell's row is a function of
+    (k, p, cell) alone: ``_CELLS`` keeps it for the process (at most
+    ``_CELLS_MAX`` = 1024 rows, under 0.5 MB, emptied when full), and the
+    cells a call misses are solved in one batched ``_newton``
+    (``_solve_cells``).  Two threads that miss one cell store the same
+    bits, so a start never depends on the cache.  Sankaran's start stays
+    where the interpolated one is not finite and positive, where the two
+    differ by less than the size of the cell's last two coefficients, the
+    interpolant's error estimate, and for an element outside every cell (a
+    lam that is nan, infinite or negative).
     """
-    v = np.log(lam + 0.5 * k)
-    spans = [(v[g].min(), v[g].max()) for g in groups]
-    node_lam = np.concatenate([np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * _CHEB_POINTS)
-                               for lo, hi in spans]) - 0.5 * k
-    np.maximum(node_lam, 0.0, out=node_lam)
-    node_p = np.repeat(p[[g[0] for g in groups]], _NODES)
+    idx, vs, rows, keys = [], [], [], []
+    for g in groups:
+        pg = float(p[g[0]])
+        if not 0.0 < pg < 1.0:
+            continue
+        lg = lam[g]
+        keep = (lg >= 0.0) & (lg < np.inf)
+        g, v = g[keep], np.log(lg[keep] + 0.5 * k)
+        cells, where = np.unique(np.where(v < _V_FINE, 4.0 * np.floor(v), np.floor(4.0 * v)),
+                                 return_inverse=True)
+        idx.append(g)
+        vs.append(v)
+        rows.append(where + len(keys))
+        keys += [(k, pg, c) for c in cells.astype(int).tolist()]
+    if not keys:
+        return
+    table = [_CELLS.get(key) for key in keys]
+    missing = [i for i, row in enumerate(table) if row is None]
+    if missing:
+        for i, row in zip(missing, _solve_cells(k, [keys[i] for i in missing])):
+            table[i] = row
+            if len(_CELLS) >= _CELLS_MAX:
+                _CELLS.clear()
+            _CELLS[keys[i]] = row
+    c = np.array(table).T.take(np.concatenate(rows), axis=1)  # C-ordered: c[j] is contiguous
+    idx = np.concatenate(idx)
+    u = (np.concatenate(vs) - c[17]) / c[18]
+    u2 = 2.0 * u
+    b1 = b2 = 0.0
+    for cj in c[15:0:-1]:
+        b1, b2 = cj + u2 * b1 - b2, b1
+    qs = c[0] + u * b1 - b2
+    ts = t[idx] * qs
+    use = np.isfinite(ts) & (ts > 0.0) & (np.abs(qs - 1.0) > c[16])
+    t[idx] = np.where(use, ts, t[idx])
+
+
+def _solve_cells(k, keys):
+    """The rows of the cells ``keys``, (k, p, cell) triples, from one batched
+    ``_newton`` over all their nodes."""
+    cut = math.log(0.5 * k)
+    spans = []
+    for _, _, c in keys:
+        fine = c >= 4.0 * _V_FINE
+        lo = 0.25 * c
+        hi = lo + (0.25 if fine else 1.0)
+        lo = max(lo, cut)
+        spans.append((0.5 * (hi + lo), 0.5 * (hi - lo), _CELL_NODES[fine]))
+    node_lam = np.concatenate([np.exp(mid + half * _CHEB[n][0]) for mid, half, n in spans])
+    node_lam = np.maximum(node_lam - 0.5 * k, 0.0)
+    node_p = np.repeat([p for _, p, _ in keys], [n for _, _, n in spans])
     node_zp = _normal_tail_inv_vec(node_p)
     start, node_hs = _sankaran(k, node_lam, node_zp, np.maximum)
     q = _newton(k, node_lam, node_p, node_zp, start.copy(), node_hs, node=True) / start
-    for g, (lo, hi), qg in zip(groups, spans, q.reshape(-1, _NODES)):
-        c = _CHEB @ qg
-        u = (v[g] - 0.5 * (hi + lo)) / (0.5 * (hi - lo)) if hi > lo else np.zeros(g.size)
-        b1 = b2 = 0.0
-        for cj in c[:0:-1]:
-            b1, b2 = cj + 2.0 * u * b1 - b2, b1
-        qs = c[0] + u * b1 - b2
-        tg = t[g] * qs
-        use = np.isfinite(tg) & (tg > 0.0) & (np.abs(qs - 1.0) > abs(c[-1]) + abs(c[-2]))
-        t[g] = np.where(use, tg, t[g])
+    rows, at = [], 0
+    for mid, half, n in spans:
+        # a row-wise sum, not a BLAS product: a cell's bits must not depend
+        # on where its nodes sit in the batch
+        coef = (_CHEB[n][1] * q[at:at + n]).sum(axis=1)
+        rows.append(np.concatenate([coef, np.zeros(16 - n),
+                                    [abs(coef[-1]) + abs(coef[-2]), mid, half]]))
+        at += n
+    return rows
 
 
 def _newton(k, lam, p, zp, t, hs, node=False):

@@ -159,6 +159,23 @@ def test_simulate_worker_invariance_across_threads(tmp_path):
     assert len(_read(a)[2]) == 3
 
 
+def test_training_curve_worker_invariance_cold_and_warm(tmp_path):
+    # five 4096-trial blocks invert their thresholds on two threads at once,
+    # sharing the inverse's cache of Chebyshev cells: the table is the same
+    # with one worker and two, from an empty cache and from a filled one
+    base = ["curve", "--detector", "umm-train", "--k", "2", "--delta", "2", "--rho", "5",
+            "--grid", "0.1:0.3:2", "--trials", "20000", "--seed", "6"]
+    tables = []
+    for workers in (("2", "1"), ("1", "2")):
+        specfun._CELLS.clear()
+        for w in workers:
+            out = tmp_path / f"{len(tables)}.csv"
+            assert main(base + ["--workers", w, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+    assert all(t == tables[0] for t in tables)
+    assert len(_read(tmp_path / "0.csv")[2]) == 2
+
+
 def test_simulate_against_reference(tmp_path, capsys):
     ref = tmp_path / "ref.csv"
     assert main(["curve", "--detector", "glrt", "--delta", "2", "--k", "2",

@@ -8,6 +8,8 @@ library code under test never calls either.
 """
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -839,12 +841,8 @@ def test_inverse_near_one_reads_zero_far_out(lam):
         assert abs(specfun.chisq_tail(8, lam, t) - p) <= 1e-12 * p
 
 
-@pytest.mark.parametrize("rho, bound", [(20.0, 2.0), (5.0, 2.5)])
-def test_training_inversions_take_few_passes(monkeypatch, rho, bound):
-    # element evaluations of the vector engine per inversion, over 3,000
-    # training draws at k = 2, delta = 2 and two levels: the Newton step in
-    # Sankaran's coordinate ends every element by its second pass at rho = 20
-    # (2.47 passes on the log tail) and averages at most 2.5 at rho = 5 (3.00)
+def _count_engine(monkeypatch):
+    # the element count of every vector-engine call from here on
     sizes = []
     engine = specfun._chisq_tail_pdf_vec
 
@@ -853,6 +851,16 @@ def test_training_inversions_take_few_passes(monkeypatch, rho, bound):
         return engine(k, lam, t)
 
     monkeypatch.setattr(specfun, "_chisq_tail_pdf_vec", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("rho, bound", [(20.0, 2.0), (5.0, 2.5)])
+def test_training_inversions_take_few_passes(monkeypatch, rho, bound):
+    # element evaluations of the vector engine per inversion, over 3,000
+    # training draws at k = 2, delta = 2 and two levels: the Newton step in
+    # Sankaran's coordinate ends every element by its second pass at rho = 20
+    # (2.47 passes on the log tail) and averages at most 2.5 at rho = 5 (3.00)
+    sizes = _count_engine(monkeypatch)
     g = np.random.default_rng(12).standard_normal((3000, 2))
     rx = math.sqrt(rho) * g
     rx[:, 0] += rho * 2.0
@@ -903,18 +911,11 @@ def _training_draws(k, delta, rho, n=3000):
 @pytest.mark.parametrize("k, delta, rho", [(2, 2.0, 1.0), (2, 2.0, 5.0), (2, 2.0, 20.0),
                                            (1, 2.0, 5.0), (8, 3.0, 5.0), (32, 4.0, 2.0)])
 def test_interpolated_starts_take_one_pass(monkeypatch, k, delta, rho):
-    # a level shared by 3,000 draws starts from a Chebyshev interpolant over
-    # 32 solved nodes, which the stopping test accepts on the first pass:
-    # engine evaluations per element, nodes included (2.0 to 3.0 from
-    # Sankaran's start)
-    sizes = []
-    engine = specfun._chisq_tail_pdf_vec
-
-    def counted(k, lam, t):
-        sizes.append(np.size(t))
-        return engine(k, lam, t)
-
-    monkeypatch.setattr(specfun, "_chisq_tail_pdf_vec", counted)
+    # a level shared by 3,000 draws starts from Chebyshev interpolants on
+    # fixed cells of log(lam + k/2), which the stopping test accepts on the
+    # first pass: engine evaluations per element in a fresh process, nodes
+    # included (2.0 to 3.0 from Sankaran's start)
+    sizes = _count_engine(monkeypatch)
     th0 = np.broadcast_to(_training_draws(k, delta, rho), (2, 3000))
     levels = np.array([[0.1], [0.3]])
     t = specfun._chisq_tail_inv_vec(k, th0, levels)
@@ -924,8 +925,8 @@ def test_interpolated_starts_take_one_pass(monkeypatch, k, delta, rho):
 
 
 def test_interpolated_start_of_a_level_does_not_depend_on_the_sweep():
-    # nodes and interpolant follow from k, the level and the noncentralities
-    # that share it, so a level solved inside a sweep gives the same bits
+    # a cell's nodes and interpolant follow from k, the level and the cell,
+    # so a level solved inside a sweep gives the same bits
     th0 = _training_draws(2, 2.0, 5.0)
     levels = np.array([0.05, 0.1, 0.3])
     t = specfun._chisq_tail_inv_vec(2, np.broadcast_to(th0, (3, th0.size)), levels[:, None])
@@ -935,12 +936,13 @@ def test_interpolated_start_of_a_level_does_not_depend_on_the_sweep():
 
 @pytest.mark.parametrize("k", (1, 8))
 def test_interpolated_starts_on_wide_and_degenerate_ranges(k):
-    # where the interpolant does not resolve the range, Sankaran's start is
-    # kept wherever the two differ by less than its error estimate
+    # over many cells, with outliers in cells of their own, or all in one
+    # cell, every element meets scipy's quantile (Sankaran's start is kept
+    # where the two differ by less than the cell's error estimate)
     rng = np.random.default_rng(3)
     cases = (10.0 ** rng.uniform(-3.0, 6.0, 3000),  # log-uniform over nine decades
              np.concatenate([rng.normal(1600.0, 40.0, 2998), [0.0, 1e6]]),  # two outliers
-             np.full(3000, 37.5))  # all equal: the nodes coincide
+             np.full(3000, 37.5))  # all equal
     for lam in cases:
         for p in (1e-12, 0.1, 0.9):
             t = specfun._chisq_tail_inv_vec(k, lam, p)
@@ -952,6 +954,93 @@ def test_interpolated_starts_raise_at_the_pass_cap(monkeypatch):
     monkeypatch.setattr(specfun, "_MAX_PASSES", 1)
     with pytest.raises(RangeError, match="not converged"):
         specfun._chisq_tail_inv_vec(2, _training_draws(2, 2.0, 1.0), 0.1)
+
+
+def test_warm_cells_take_one_engine_call(monkeypatch):
+    # once a process has solved a level's cells, the 3,000 draws at two
+    # levels take one pass of 6,000 elements, with the bits of the cold call
+    th0 = np.broadcast_to(_training_draws(2, 2.0, 5.0), (2, 3000))
+    levels = np.array([[0.1], [0.3]])
+    cold = specfun._chisq_tail_inv_vec(2, th0, levels)
+    sizes = _count_engine(monkeypatch)
+    assert np.array_equal(specfun._chisq_tail_inv_vec(2, th0, levels), cold)
+    assert sizes == [6000]
+
+
+def test_interpolated_starts_do_not_depend_on_the_cache(monkeypatch):
+    # a start depends on k, the level and the element's own lam: the bits
+    # are those of a fresh process after calls at other k and levels, after
+    # the cache was emptied at its bound in mid call, and warm
+    th0 = _training_draws(2, 2.0, 5.0)
+    cold = specfun._chisq_tail_inv_vec(2, th0, 0.1)
+    specfun._CELLS.clear()
+    specfun._chisq_tail_inv_vec(8, _training_draws(8, 3.0, 5.0), 0.1)
+    specfun._chisq_tail_inv_vec(2, th0, 0.3)
+    specfun._chisq_tail_inv_vec(2, _training_draws(2, 2.0, 20.0), np.array([[0.1], [0.05]]))
+    assert np.array_equal(specfun._chisq_tail_inv_vec(2, th0, 0.1), cold)
+    monkeypatch.setattr(specfun, "_CELLS_MAX", 3)
+    specfun._CELLS.clear()
+    assert np.array_equal(specfun._chisq_tail_inv_vec(2, th0, 0.1), cold)
+    assert 0 < len(specfun._CELLS) <= 3
+    monkeypatch.undo()
+    assert np.array_equal(specfun._chisq_tail_inv_vec(2, th0, 0.1), cold)
+
+
+def test_interpolated_start_does_not_depend_on_the_other_draws():
+    # the first 300 draws of a level give the same bits alone as among 3,000
+    th0 = _training_draws(2, 2.0, 5.0)
+    t = specfun._chisq_tail_inv_vec(2, th0, 0.1)
+    specfun._CELLS.clear()
+    assert np.array_equal(specfun._chisq_tail_inv_vec(2, th0[:300], 0.1), t[:300])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_interpolated_starts_keep_non_finite_noncentralities_out(monkeypatch, bad):
+    # a lam that is not finite (||rho x||^2 overflowing, say) lies in no cell:
+    # it keeps Sankaran's start and its nan, and the other elements of its
+    # level keep their one pass and the bits of the call without it
+    lam = _training_draws(2, 2.0, 5.0)
+    clean = specfun._chisq_tail_inv_vec(2, np.delete(lam, 17), 0.1)
+    specfun._CELLS.clear()
+    lam[17] = bad
+    sizes = _count_engine(monkeypatch)
+    with np.errstate(invalid="ignore"):  # Sankaran's start at lam = inf
+        t = specfun._chisq_tail_inv_vec(2, lam, 0.1)
+    assert sum(sizes) / lam.size <= 1.05
+    assert math.isnan(t[17])
+    assert np.array_equal(np.delete(t, 17), clean)
+
+
+def test_interpolated_starts_share_the_cache_across_threads(monkeypatch):
+    # threads that miss, store and empty the cache at once (a bound of 4
+    # rows, and a short switch interval) each get the serial bits
+    monkeypatch.setattr(specfun, "_CELLS_MAX", 4)
+    cases = [(2, _training_draws(2, 2.0, rho, n=300), p) for rho in (1.0, 5.0, 20.0)
+             for p in (0.1, 0.3)]
+    serial = [specfun._chisq_tail_inv_vec(*case) for case in cases]
+    specfun._CELLS.clear()
+    results = [[] for _ in range(6)]
+
+    def work(out, order):
+        for i in order:
+            out.append((i, specfun._chisq_tail_inv_vec(*cases[i])))
+
+    threads = [threading.Thread(target=work, args=(out, np.roll(np.arange(len(cases)), j)))
+               for j, out in enumerate(results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for out in results:
+        assert len(out) == len(cases)
+        for i, t in out:
+            assert np.array_equal(t, serial[i])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,16 @@ and an operation that called any of them prints one more line, its id
 ending in ``:bits``, with the SHA-256 of its calls' digests in call order.
 An operation that calls them from worker threads (``--workers`` above 1)
 has no fixed call order; its digests are sorted first.  Each wrapped function
-is restored after the run.  Then each script in
+is restored after the run.
+
+The vector chi-square inverse keeps solved Chebyshev cells for the life of
+the process (``specfun._CELLS``).  It is emptied before each operation's CSV
+run, so that run's lines are those of a fresh process.  The CSV run is then
+repeated, warm, and the script exits 1 (after printing every line) if its
+stdout differs: no output may depend on what the process computed before.
+A checkout without that cache runs the same way, with nothing to empty.
+
+Then each script in
 ``demos/`` runs in a fresh interpreter, with this checkout's ``src/`` first
 on the path, and prints
 
@@ -111,8 +120,10 @@ def _run(cli, argv):
 def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import workloads
-    from ummtest import cli
+    from ummtest import cli, specfun
 
+    cells = getattr(specfun, "_CELLS", {})
+    warm_differs = []
     for w in workloads.WORKLOADS:
         for seed in SEEDS:
             ops = [op for op in workloads.build(w, seed)["ops"] if op["kind"] == "cli"]
@@ -120,10 +131,14 @@ def main():
                 for op in ops:
                     tag = f"{w}:{seed}:{r}:{op['id']}"
                     argv = workloads.round_argv(op, r)
+                    cells.clear()
                     with _layer_bits() as calls:
-                        print(f"{tag} {_run(cli, argv)}", flush=True)
+                        line = _run(cli, argv)
+                    print(f"{tag} {line}", flush=True)
                     if calls:
                         print(f"{tag}:bits {_bits_digest(calls)}", flush=True)
+                    if _run(cli, argv) != line:
+                        warm_differs.append(tag)
                     print(f"{tag}:json {_run(cli, argv + ['--format', 'json'])}", flush=True)
 
     src = os.path.join(ROOT, "src")
@@ -135,6 +150,10 @@ def main():
                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         print(f"demo:{name} {run.returncode} {hashlib.sha256(run.stdout).hexdigest()}", flush=True)
 
+    for tag in warm_differs:
+        print(f"{tag}: a warm run printed other bytes than a fresh one", file=sys.stderr)
+    return 1 if warm_differs else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
