@@ -18,7 +18,8 @@ def main():
     for k in (8, 32, 128, 500, 1000, 5000, 20000):
         delta = (2.0 * k) ** 0.25
         h = asymptotics.hardness_param(delta, 0.0, k)
-        exact = float(nlp_detect.glrt_curve(k, delta, [P_FA]).p_md[0])
+        problem = nlp_detect.NlpProblem(k, delta=delta)
+        exact = float(nlp_detect.GlrtDetector.curve(problem, [P_FA]).p_md[0])
         limit = specfun.normal_tail(h - specfun.normal_tail_inv(P_FA))
         print(f"{k:6d}  {delta:7.3f}  {h:8.4f}  {exact:8.4f}  "
               f"{limit:8.4f}  {abs(exact - limit):8.5f}")

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from ummtest import lan_models, nlp_detect
-from ummtest.lan_models import DiscreteModel, TrainingSetup
+from ummtest import nlp_detect
+from ummtest.lan_models import AummDetector, DiscreteModel, LanProblem, TrainingSetup
 from ummtest.montecarlo import McConfig
 
 P_FA = 0.1
@@ -25,13 +25,14 @@ def main():
 
     print("three cells, uniform null, local separation 2, level %g\n" % P_FA)
     for rho, n_x in ((0.0, lambda n: 0), (1.0, lambda n: n)):
-        ref = nlp_detect.umm_curve(2.0, rho, 2, [P_FA], mc).p_md[0]
+        limit = nlp_detect.NlpProblem(2, delta=2.0, rho=rho)
+        ref = nlp_detect.UmmTrainDetector.curve(limit, [P_FA], mc).p_md[0]
         print(f"rho = {rho:g}  (Gaussian limit {ref:.4f})")
         for n in BLOCKLENGTHS:
             eps = math.sqrt(4.0 / (6.0 * n))
             theta1 = model.theta0 + eps * np.array([1.0, -1.0])
-            est = lan_models.discrete_aumm_curve(
-                model, theta1, TrainingSetup(n=n, n_x=n_x(n)), [P_FA], mc)
+            problem = LanProblem(model, theta1, TrainingSetup(n=n, n_x=n_x(n)))
+            est = AummDetector.curve(problem, [P_FA], mc)
             p_md = est.p_md[0]
             tag = "exact" if est.provenance == "analytic" else "simulated"
             print(f"  n = {n:5d}:  p_md = {p_md:.4f}   "

@@ -19,10 +19,12 @@ RHOS = (20.0, 5.0, 1.0)
 
 
 def main():
-    lrt = nlp_detect.lrt_curve(DELTA, GRID)
-    glrt = nlp_detect.glrt_curve(K, DELTA, GRID)
+    problem = nlp_detect.NlpProblem(K, delta=DELTA)
+    lrt = nlp_detect.LrtDetector.curve(problem, GRID)
+    glrt = nlp_detect.GlrtDetector.curve(problem, GRID)
     mc = McConfig(trials=100_000, seed=11)
-    train = {rho: nlp_detect.umm_curve(DELTA, rho, K, GRID, mc) for rho in RHOS}
+    train = {rho: nlp_detect.UmmTrainDetector.curve(
+        nlp_detect.NlpProblem(K, delta=DELTA, rho=rho), GRID, mc) for rho in RHOS}
 
     head = ["p_fa", "matched"] + [f"rho={rho:g}" for rho in RHOS] + ["energy"]
     print(f"miss probabilities, k={K}, separation {DELTA:g}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .nlp_detect import TradeoffCurve, _check_delta, _check_rho, lrt_curve
+from .nlp_detect import LrtDetector, NlpProblem, TradeoffCurve, _check_delta, _check_rho
 
 __all__ = [
     "hardness_param",
@@ -69,7 +69,7 @@ def asymptotic_curve(hardness, p_fa_grid) -> TradeoffCurve:
     h = float(hardness)
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"hardness must be positive and finite, got {hardness!r}")
-    curve = lrt_curve(h, p_fa_grid)
+    curve = LrtDetector.curve(NlpProblem(1, delta=h), p_fa_grid)
     curve.problem = f"limit hardness={h:g}"
     return curve
 

@@ -296,15 +296,31 @@ def _curve_table(curve, fa=None) -> dict:
     }
 
 
+# the location-problem rules of `curve` and `simulate --model nlp`, by --detector
+_DETECTORS = {"lrt": nlp_detect.LrtDetector, "glrt": nlp_detect.GlrtDetector,
+              "umm-train": nlp_detect.UmmTrainDetector}
+
+
+def _mc(args):
+    """The run's Monte Carlo settings; None for a run that reads no --trials."""
+    if args.trials is None:
+        return None
+    return McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
+
+
+def _nlp_problem(args):
+    """The location problem of a `curve` or `simulate --model nlp` run.  The
+    training test alone reads --rho; the matched filter's curve reads no --k
+    and takes k = 1, which its closed form does not use."""
+    rho = _as_float(args.rho, "--rho") if args.detector == "umm-train" else 0.0
+    return nlp_detect.NlpProblem(k=args.k or 1, delta=args.delta, rho=rho)
+
+
 def cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
-    if args.detector == "lrt":
-        curve = nlp_detect.lrt_curve(args.delta, grid)
-    elif args.detector == "glrt":
-        curve = nlp_detect.glrt_curve(args.k, args.delta, grid)
-    elif args.detector == "umm-train":
-        mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
-        curve = nlp_detect.umm_curve(args.delta, _as_float(args.rho, "--rho"), args.k, grid, mc)
+    if args.detector in _DETECTORS:
+        mc = _mc(args)
+        curve = _DETECTORS[args.detector].curve(_nlp_problem(args), grid, mc)
     elif args.k is None:  # asymptotic: --delta is the hardness itself
         curve = asymptotics.asymptotic_curve(args.delta, grid)
     else:  # asymptotic: the hardness of (delta, rho, k)
@@ -318,15 +334,8 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-_NLP_FAMILIES = {"lrt": nlp_detect.LrtDetector, "glrt": nlp_detect.GlrtDetector,
-                 "umm-train": nlp_detect.UmmTrainDetector}
-
-
 def _simulate_nlp(args, grid, mc):
-    # the training test alone reads --rho; the other rules see no training
-    rho = _as_float(args.rho, "--rho") if args.detector == "umm-train" else 0.0
-    problem = nlp_detect.NlpProblem(k=args.k, delta=args.delta, rho=rho)
-    curve = montecarlo.roc_sweep(_NLP_FAMILIES[args.detector], problem, grid, mc)
+    curve = montecarlo.roc_sweep(_DETECTORS[args.detector], _nlp_problem(args), grid, mc)
     return _curve_table(curve, curve.fa_hat)
 
 
@@ -346,21 +355,12 @@ def _simulate_lan(args, grid, mc):
     mu[0] = float(args.delta)
     theta1 = lan_models.local_alternative(mu, model, args.n)
     problem = lan_models.LanProblem(model, theta1, setup)
-
-    # three-symbol models get the conditional estimator (exact test-block
-    # sections given training), everything else the plain indicator average
-    use_disk = isinstance(model, lan_models.DiscreteModel) and model.k == 2
-    if use_disk:
-        dets = [lan_models.AummDetector(float(p)) for p in grid]
-        fa = montecarlo.run_kernel(lan_models.AummDetector.mc_kernel(dets, problem, (False,)), mc)
-        md = lan_models.discrete_aumm_curve(model, theta1, setup, grid, mc)
-    else:
-        md = montecarlo.roc_sweep(lan_models.AummDetector, problem, grid, mc)
-        fa = md.fa_hat
-    table = _curve_table(md, fa)
+    curve = lan_models.AummDetector.curve(problem, grid, mc)
+    table = _curve_table(curve, curve.fa_hat)
     if not isinstance(model, lan_models.GaussianLocationModel):
-        ref = nlp_detect.umm_curve(float(args.delta), problem.rho, model.k, grid, mc)
-        table["dev_from_limit"] = np.abs(md.p_md - ref.p_md).tolist()
+        limit = nlp_detect.NlpProblem(k=model.k, delta=float(args.delta), rho=problem.rho)
+        ref = nlp_detect.UmmTrainDetector.curve(limit, grid, mc)
+        table["dev_from_limit"] = np.abs(curve.p_md - ref.p_md).tolist()
     return table
 
 
@@ -393,7 +393,7 @@ def _check_against(targets, table) -> int:
 def cmd_simulate(args) -> int:
     grid = _parse_grid(args.grid) if args.p_fa is None else montecarlo._check_grid([args.p_fa])
     targets = None if args.against is None else _read_reference(args.against, grid.size)
-    mc = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
+    mc = _mc(args)
     table = (_simulate_nlp if args.model == "nlp" else _simulate_lan)(args, grid, mc)
     _write_table(args, table, seed=mc.seed)
     if targets is not None:

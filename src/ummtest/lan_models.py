@@ -14,7 +14,7 @@ grows.  This module provides the model interface, three concrete families
 (i.i.d. Gaussian location, i.i.d. finite alphabet, stable AR(K)), Fisher
 information builders, the local reparametrization, the problem type with
 its plug-in detector, and the exact lattice sections of the three-symbol
-miss probability.
+miss probability, which ``AummDetector.curve`` uses on that model.
 
 Every family here has the rate sqrt(n), so the training quality is
 rho = n_x / n.  The map is the model's ``local(theta_hat, n)``, on the root
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError, StabilityError
-from .montecarlo import McConfig, _check_grid, _estimates
+from .montecarlo import _check_grid, _estimates
 from .nlp_detect import TradeoffCurve, UmmTrainDetector, _rowsq, _UmmPmdKernel, _UmmTrainKernel
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "local_coord",
     "local_alternative",
     "training_rho",
-    "discrete_aumm_curve",
     "pearson_stat",
     "discrete_fisher",
     "ar_autocov",
@@ -649,6 +648,40 @@ class AummDetector(UmmTrainDetector):
     def mc_kernel(cls, detectors, problem: LanProblem, hypotheses):
         return _UmmTrainKernel(problem, [d.p_fa for d in detectors], hypotheses)
 
+    @classmethod
+    def curve(cls, problem: LanProblem, p_fa_grid, mc=None) -> TradeoffCurve:
+        """Tradeoff curve of the plug-in rule along a grid, simulated under
+        ``mc``, with the measured false-alarm side.
+
+        On a three-symbol ``DiscreteModel`` the miss probability is
+        conditional Monte Carlo: the test block's miss probability given
+        each training draw is computed exactly on the count lattice, so the
+        simulation only averages over training randomness, and one set of
+        training draws serves every level.  Without training (rho = 0)
+        nothing is random: the exact values come back as an "analytic"
+        p_md, without intervals.  The false-alarm side is the indicator
+        kernel's, under H0 alone.  On any other model the curve is
+        ``roc_sweep``'s.
+        """
+        g = _check_grid(p_fa_grid)
+        model = problem.model
+        if not (isinstance(model, DiscreteModel) and model.k == 2):
+            return montecarlo.roc_sweep(cls, problem, g, mc)
+        # the false-alarm draws run before the lattice is built, the order in
+        # which tools/output_hashes.py digests their binomial CDF rows
+        fa = _estimates(cls.mc_kernel([cls(p) for p in g.tolist()], problem, (False,)), mc)
+        disk = _DiscreteDiskKernel(problem)
+        if problem.rho == 0.0:
+            thr = np.array([specfun.chisq_tail_inv(model.k, 0.0, p) for p in g.tolist()])
+            md, lo, hi = disk._miss_given(np.zeros((g.size, model.k)), thr), None, None
+        else:
+            # level by level: rows of one shape cost less than a broadcast
+            # (levels, rows) block
+            md, lo, hi = _estimates(_UmmPmdKernel(
+                problem, g, lambda rx, thr: np.stack([disk._miss_given(rx, t) for t in thr])), mc)
+        label = f"discrete plug-in m={model.m} n={problem.setup.n} nx={problem.setup.n_x}"
+        return TradeoffCurve(g, md, "analytic" if lo is None else "simulated", label, lo, hi, *fa)
+
 
 # ---------------------------------------------------------------------------
 # exact lattice sections for the three-symbol miss probability
@@ -777,32 +810,3 @@ class _DiscreteDiskKernel:
         out = np.empty(centers.shape[0])
         out[by_key] = sums[run]
         return out
-
-
-def discrete_aumm_curve(
-    model: DiscreteModel, theta1, setup: TrainingSetup, p_fa_grid, mc: McConfig
-) -> TradeoffCurve:
-    """Miss probability of the plug-in rule on a three-symbol model, along a grid.
-
-    Conditional Monte Carlo: the test block's miss probability given each
-    training draw is computed exactly on the count lattice, so the
-    simulation only averages over training randomness, and one set of
-    training draws serves every level.  Without training (rho = 0) nothing
-    is random: the exact values come back as an "analytic" curve, without
-    intervals.
-    """
-    g = _check_grid(p_fa_grid)
-    if not isinstance(model, DiscreteModel):
-        raise ConfigError("discrete_aumm_curve needs a DiscreteModel")
-    problem = LanProblem(model, theta1, setup)
-    label = f"discrete plug-in m={model.m} n={setup.n} nx={setup.n_x}"
-    disk = _DiscreteDiskKernel(problem)
-    if problem.rho == 0.0:
-        thr = np.array([specfun.chisq_tail_inv(model.k, 0.0, p) for p in g.tolist()])
-        v = disk._miss_given(np.zeros((g.size, model.k)), thr)
-        return TradeoffCurve(g, v, "analytic", label)
-    # level by level: rows of one shape cost less than a broadcast (levels, rows) block
-    kern = _UmmPmdKernel(
-        problem, g, lambda rx, thr: np.stack([disk._miss_given(rx, t) for t in thr]))
-    md, lo, hi = _estimates(kern, mc)
-    return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)

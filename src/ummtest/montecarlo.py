@@ -26,7 +26,9 @@ kernel; ``hypotheses`` is a tuple of flags, False for H0 and True for H1.
 ``roc_sweep`` asks for ``(False, True)``: both hypotheses judge the same
 trials (common random numbers) from one draw and one transform per block.
 ``estimate_error_probs`` asks for one hypothesis and never computes the
-other.
+other.  A detector's ``curve(problem, p_fa_grid, mc=None)`` runs its
+kernels under ``mc``; a simulated curve called without one raises
+ConfigError, and a closed-form curve does not read it.
 
 Indicator kernels return 0/1; conditional-expectation kernels may return
 fractional values, for which the Wilson interval is conservative (a
@@ -185,7 +187,10 @@ def run_kernel(kernel, config: McConfig) -> np.ndarray:
 
 
 def _estimates(kernel, config: McConfig):
-    """Per-level means of ``kernel`` and their Wilson bounds: (p_hat, ci_low, ci_high)."""
+    """Per-level means of ``kernel`` and their Wilson bounds: (p_hat, ci_low, ci_high).
+    A config of None (a simulated curve asked for without one) raises ConfigError."""
+    if config is None:
+        raise ConfigError("a simulated curve needs an McConfig")
     p = run_kernel(kernel, config)
     lo, hi = np.array([wilson_interval(v, config.trials) for v in p.tolist()]).T
     return p, lo, hi

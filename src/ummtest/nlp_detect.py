@@ -4,12 +4,12 @@ Three tests of H0: mean = mu0 against a composite alternative at
 Mahalanobis distance delta.  Each is an acceptance region in standardized
 coordinates z = Sigma^{-1/2}(y - mu0):
 
-* matched filter (``LrtDetector``, ``lrt_curve``) -- alternative mean known
-  exactly; the half-space mu1' z < T;
-* energy test (``GlrtDetector``, ``glrt_curve``) -- direction unknown; the
-  ball ||z||^2 < q at the origin, q a central chi-square quantile;
-* training test (``UmmTrainDetector``, ``umm_curve``) -- a noisy labeled sample
-  x of the alternative is available with precision rho; the ball
+* matched filter (``LrtDetector``) -- alternative mean known exactly; the
+  half-space mu1' z < T;
+* energy test (``GlrtDetector``) -- direction unknown; the ball ||z||^2 < q
+  at the origin, q a central chi-square quantile;
+* training test (``UmmTrainDetector``) -- a noisy labeled sample x of the
+  alternative is available with precision rho; the ball
   ||z + rho x||^2 < Q_{(k), ||rho x||^2}^{-1}(p_fa) centered at -rho x.
   On a ``lan_models.LanProblem`` it is the plug-in rule (``AummDetector``).
 
@@ -17,15 +17,17 @@ The training rule holds its false-alarm level conditionally on every
 realization of x, and its tradeoff curve sits between the other two,
 approaching the matched filter as rho grows.
 
-A detector's ``region(problem, x=None)`` is its only rule-specific code:
+A detector's ``region(problem, x=None)`` is its acceptance region:
 ``decide`` tests membership in that region, and ``mc_kernel`` builds one
 kernel (the protocol in ``montecarlo``) for a whole sweep of levels and
 the hypotheses asked for, from one draw per trial.  A
 fixed region gives one statistic per trial, compared against every level's
 threshold.  A region that moves from trial to trial (the training test with
 a fresh x) gives one conditional p-value per trial, and the trial is
-rejected at every level that p-value does not exceed.  Analytic curves are
-pure functions.
+rejected at every level that p-value does not exceed.  The class method
+``curve(problem, p_fa_grid, mc=None)`` is the rule's tradeoff curve: a
+closed form for the matched filter and the energy test, an average over
+training draws under ``mc`` for the training test.
 
 The training test's two kernels serve ``NlpProblem`` and
 ``lan_models.LanProblem`` alike: a problem only draws (its ``_draw`` maps
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import linalg, montecarlo, specfun
 from .errors import ConfigError, DomainError
-from .montecarlo import McConfig, _check_grid, _estimates
+from .montecarlo import _check_grid, _estimates
 from .specfun import _chisq_tail_inv_vec, _chisq_tail_vec
 
 __all__ = [
@@ -51,9 +53,6 @@ __all__ = [
     "LrtDetector",
     "GlrtDetector",
     "UmmTrainDetector",
-    "lrt_curve",
-    "glrt_curve",
-    "umm_curve",
 ]
 
 
@@ -268,28 +267,6 @@ def _training_ball(zx, rho, k, p_fa) -> RegionBoundary:
 
 
 # ---------------------------------------------------------------------------
-# analytic curves
-
-def lrt_curve(delta, p_fa_grid) -> TradeoffCurve:
-    """Matched-filter tradeoff: Q^{-1}(p_fa) + Q^{-1}(p_md) = delta."""
-    delta = _check_delta(delta)
-    g = _check_grid(p_fa_grid)
-    md = np.array([specfun.normal_tail(delta - specfun.normal_tail_inv(p)) for p in g])
-    return TradeoffCurve(g, md, "analytic", f"lrt delta={delta:g}")
-
-
-def glrt_curve(k, delta, p_fa_grid) -> TradeoffCurve:
-    """Energy-test tradeoff; also the best guaranteed-level tradeoff without training."""
-    delta = _check_delta(delta)
-    g = _check_grid(p_fa_grid)
-    lam = delta * delta
-    md = np.array([
-        1.0 - specfun.chisq_tail(k, lam, specfun.chisq_tail_inv(k, 0.0, p)) for p in g
-    ])
-    return TradeoffCurve(g, md, "analytic", f"glrt k={k} delta={delta:g}")
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo kernels (see the kernel protocol in montecarlo)
 
 class _LrtKernel:
@@ -428,12 +405,32 @@ class LrtDetector(_RegionDetector):
             raise ConfigError("matched filter needs an explicit alternative mean")
         return super().decide(y, problem, x)
 
+    @classmethod
+    def curve(cls, problem, p_fa_grid, mc=None) -> TradeoffCurve:
+        """Matched-filter tradeoff at the problem's separation delta:
+        Q^{-1}(p_fa) + Q^{-1}(p_md) = delta."""
+        delta = problem.separation()
+        g = _check_grid(p_fa_grid)
+        md = np.array([specfun.normal_tail(delta - specfun.normal_tail_inv(p)) for p in g])
+        return TradeoffCurve(g, md, "analytic", f"lrt delta={delta:g}")
+
 
 class GlrtDetector(_RegionDetector):
     """Energy test at significance level p_fa: the training test without training."""
 
     def region(self, problem, x=None) -> RegionBoundary:
         return _training_ball(np.zeros(problem.k), 0.0, problem.k, self.p_fa)
+
+    @classmethod
+    def curve(cls, problem, p_fa_grid, mc=None) -> TradeoffCurve:
+        """Energy-test tradeoff; also the best guaranteed-level tradeoff without training."""
+        k, delta = problem.k, problem.separation()
+        g = _check_grid(p_fa_grid)
+        lam = delta * delta
+        md = np.array([
+            1.0 - specfun.chisq_tail(k, lam, specfun.chisq_tail_inv(k, 0.0, p)) for p in g
+        ])
+        return TradeoffCurve(g, md, "analytic", f"glrt k={k} delta={delta:g}")
 
 
 class UmmTrainDetector(_RegionDetector):
@@ -476,26 +473,20 @@ class UmmTrainDetector(_RegionDetector):
             return _UmmTrainKernel(problem, [d.p_fa for d in detectors], hypotheses)
         return super().mc_kernel(detectors, problem, hypotheses)
 
+    @classmethod
+    def curve(cls, problem, p_fa_grid, mc=None) -> TradeoffCurve:
+        """Missed-detection probability of the training test along a grid.
 
-# ---------------------------------------------------------------------------
-# training-test performance
-
-def umm_curve(delta, rho, k, p_fa_grid, mc: McConfig) -> TradeoffCurve:
-    """Missed-detection probability of the training test along a grid.
-
-    Averages 1 - Q_{(k), th1}(Q_{(k), th0}^{-1}(p_fa)), th0 = ||rho X||^2 and
-    th1 = ||rho X + mu1||^2, over one set of training draws X for every
-    level, along a fixed axis (only delta matters).  rho = 0 needs no
-    average: the exact energy-test curve comes back, relabeled.
-    """
-    g = _check_grid(p_fa_grid)
-    delta = _check_delta(delta)
-    rho = _check_rho(rho)
-    label = f"umm k={k} delta={delta:g} rho={rho:g}"
-    if rho == 0.0:
-        curve = glrt_curve(k, delta, g)
-        curve.problem = label
-        return curve
-    md, lo, hi = _estimates(_UmmPmdKernel(NlpProblem(k, delta=delta, rho=rho), g), mc)
-    return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)
-
+        Averages 1 - Q_{(k), th1}(Q_{(k), th0}^{-1}(p_fa)), th0 = ||rho X||^2 and
+        th1 = ||rho X + mu1||^2, over one set of training draws X under
+        ``mc`` for every level.  rho = 0 needs no average: the exact
+        energy-test curve comes back, relabeled.
+        """
+        g = _check_grid(p_fa_grid)
+        label = f"umm k={problem.k} delta={problem.separation():g} rho={problem.rho:g}"
+        if problem.rho == 0.0:
+            curve = GlrtDetector.curve(problem, g)
+            curve.problem = label
+            return curve
+        md, lo, hi = _estimates(_UmmPmdKernel(problem, g), mc)
+        return TradeoffCurve(g, md, "simulated", label, ci_low=lo, ci_high=hi)

@@ -1065,7 +1065,7 @@ def _newton(k, lam, p, zp, t, hs, node=False):
         tail, pdf = _chisq_tail_pdf_vec(k, lam[active], ta)
         live = (np.abs(tail - pa) > 1e-12 * pa) & (hi[active] - lo[active] > _T_ULPS * ta)
         if node:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 tn = ta + (tail - pa) / pdf
             fin = ~live & np.isfinite(tn)
             t[active[fin]] = tn[fin]

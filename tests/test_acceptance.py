@@ -38,7 +38,7 @@ def test_matched_filter_curve_agrees_with_simulation():
     problem = nlp_detect.NlpProblem(k=2, delta=2.0)
     cfg = McConfig(trials=100_000, seed=0)
     sim = roc_sweep(lambda p: nlp_detect.LrtDetector(p_fa=p), problem, grid, cfg)
-    exact = nlp_detect.lrt_curve(2.0, grid)
+    exact = nlp_detect.LrtDetector.curve(problem, grid)
     for i, p in enumerate(grid):
         q = float(exact.p_md[i])
         assert abs(sim.fa_hat[i] - p) < 3.0 * _se(p, cfg.trials)
@@ -55,7 +55,7 @@ def test_energy_curve_agrees_with_simulation_and_direction_invariance():
         problem = nlp_detect.NlpProblem(k=k, delta=delta)
         cfg = McConfig(trials=100_000, seed=0)
         sim = roc_sweep(nlp_detect.GlrtDetector, problem, grid, cfg)
-        exact = nlp_detect.glrt_curve(k, delta, grid)
+        exact = nlp_detect.GlrtDetector.curve(problem, grid)
         for i, p in enumerate(grid):
             q = float(exact.p_md[i])
             assert abs(sim.fa_hat[i] - p) < 3.0 * _se(p, cfg.trials)
@@ -112,17 +112,19 @@ _TRAIN_REF = {
 
 def test_training_curves_are_ordered_between_matched_filter_and_energy_test():
     grid = [0.05, 0.1, 0.3]
-    lrt = nlp_detect.lrt_curve(2.0, grid).p_md
-    glrt = nlp_detect.glrt_curve(2, 2.0, grid).p_md
+    untrained = nlp_detect.NlpProblem(2, delta=2.0)
+    lrt = nlp_detect.LrtDetector.curve(untrained, grid).p_md
+    glrt = nlp_detect.GlrtDetector.curve(untrained, grid).p_md
     trivial = 1.0 - np.asarray(grid)
 
     reps = 10
     mean = {}
     se = {}
     for rho in (1.0, 5.0, 20.0):
+        problem = nlp_detect.NlpProblem(2, delta=2.0, rho=rho)
         runs = np.array([
-            nlp_detect.umm_curve(2.0, rho, 2, grid,
-                                 McConfig(trials=10_000, seed=s)).p_md
+            nlp_detect.UmmTrainDetector.curve(problem, grid,
+                                              McConfig(trials=10_000, seed=s)).p_md
             for s in range(reps)
         ])
         mean[rho] = runs.mean(axis=0)
@@ -195,6 +197,8 @@ def test_discrete_model_error_converges_to_gaussian_limit():
     model = DiscreteModel(np.full(3, 1.0 / 3.0))
     mc = McConfig(trials=10_000, seed=0)
     blocklengths = (200, 800, 3200)
+    limit0 = nlp_detect.NlpProblem(2, delta=2.0, rho=0.0)
+    limit1 = nlp_detect.NlpProblem(2, delta=2.0, rho=1.0)
 
     # no training: alternative along (1, -1), scaled to local size 2
     devs = []
@@ -203,9 +207,9 @@ def test_discrete_model_error_converges_to_gaussian_limit():
         theta1 = model.theta0 + eps * np.array([1.0, -1.0])
         lc = local_coord(theta1, model, n)
         assert abs(lc.hardness - 2.0) < 1e-9
-        est = lan_models.discrete_aumm_curve(model, theta1,
-                                             TrainingSetup(n=n, n_x=0), [0.1], mc)
-        ref = nlp_detect.umm_curve(2.0, 0.0, 2, [0.1], mc)
+        problem = lan_models.LanProblem(model, theta1, TrainingSetup(n=n, n_x=0))
+        est = lan_models.AummDetector.curve(problem, [0.1], mc)
+        ref = nlp_detect.UmmTrainDetector.curve(limit0, [0.1], mc)
         devs.append(abs(est.p_md[0] - ref.p_md[0]))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 5e-3
@@ -214,9 +218,9 @@ def test_discrete_model_error_converges_to_gaussian_limit():
     devs = []
     for n in blocklengths:
         theta1 = lan_models.local_alternative([2.0, 0.0], model, n)
-        est = lan_models.discrete_aumm_curve(model, theta1,
-                                             TrainingSetup(n=n, n_x=n), [0.1], mc)
-        ref = nlp_detect.umm_curve(2.0, 1.0, 2, [0.1], mc)
+        problem = lan_models.LanProblem(model, theta1, TrainingSetup(n=n, n_x=n))
+        est = lan_models.AummDetector.curve(problem, [0.1], mc)
+        ref = nlp_detect.UmmTrainDetector.curve(limit1, [0.1], mc)
         devs.append(abs(est.p_md[0] - ref.p_md[0]))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 5e-3
@@ -247,7 +251,8 @@ def test_exact_point_approaches_limit_curve_in_high_dimension():
     for k in (128, 500, 1000, 5000):
         delta = (2.0 * k) ** 0.25  # delta^2 = sqrt(2k): the critical scaling
         h = asymptotics.hardness_param(delta, 0.0, k)
-        q0 = float(nlp_detect.glrt_curve(k, delta, [0.1]).p_md[0])
+        problem = nlp_detect.NlpProblem(k, delta=delta)
+        q0 = float(nlp_detect.GlrtDetector.curve(problem, [0.1]).p_md[0])
         gaps.append(_point_to_curve(h, 0.1, q0))
         vertical.append(abs(q0 - specfun.normal_tail(h - specfun.normal_tail_inv(0.1))))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -21,7 +21,7 @@ from ummtest.asymptotics import (
     hardness_param,
 )
 from ummtest.errors import ConfigError, DomainError
-from ummtest.nlp_detect import lrt_curve
+from ummtest.nlp_detect import LrtDetector, NlpProblem
 
 
 def test_hardness_param_values_and_monotonicity():
@@ -74,7 +74,7 @@ def test_asymptotic_curve_is_a_matched_filter_curve():
     grid = np.linspace(0.05, 0.95, 19)
     h = hardness_param(2.0, 1.0, 64)
     c = asymptotic_curve(h, grid)
-    ref = lrt_curve(h, grid)
+    ref = LrtDetector.curve(NlpProblem(1, delta=h), grid)
     assert np.array_equal(c.p_md, ref.p_md)
     assert c.provenance == "analytic"
     assert c.problem == f"limit hardness={h:g}"

@@ -9,7 +9,7 @@ import pytest
 from ummtest import __version__, cli, lan_models, linalg, montecarlo, specfun
 from ummtest.asymptotics import allocation_hardness, hardness_param
 from ummtest.cli import main
-from ummtest.nlp_detect import NlpProblem, UmmTrainDetector, glrt_curve, lrt_curve
+from ummtest.nlp_detect import GlrtDetector, LrtDetector, NlpProblem, UmmTrainDetector
 
 
 def _read(path):
@@ -57,7 +57,7 @@ def test_curve_lrt_csv(tmp_path):
     assert "delta=2.0" in comments[1] and "detector=lrt" in comments[1]
     assert header == ["p_fa", "p_md", "ci_low", "ci_high", "provenance"]
     assert len(rows) == 10
-    ref = lrt_curve(2.0, np.linspace(0.05, 0.95, 10))
+    ref = LrtDetector.curve(NlpProblem(1, delta=2.0), np.linspace(0.05, 0.95, 10))
     for row, pm in zip(rows, ref.p_md):
         assert float(row["p_md"]) == pm  # repr round-trips exactly
         assert row["ci_low"] == "" and row["ci_high"] == ""
@@ -77,7 +77,7 @@ def test_curve_asymptotic_modes(tmp_path):
     assert main(["curve", "--detector", "asymptotic", "--delta", "0.5",
                  "--grid", "0.1:0.9:5", "--out", str(out1)]) == 0
     _, _, rows1 = _read(out1)
-    ref1 = lrt_curve(0.5, np.linspace(0.1, 0.9, 5))
+    ref1 = LrtDetector.curve(NlpProblem(1, delta=0.5), np.linspace(0.1, 0.9, 5))
     assert [float(r["p_md"]) for r in rows1] == list(ref1.p_md)
 
     out2 = tmp_path / "a2.csv"
@@ -86,7 +86,7 @@ def test_curve_asymptotic_modes(tmp_path):
                  "--out", str(out2)]) == 0
     _, _, rows2 = _read(out2)
     h = hardness_param(2.0, 1.0, 64)
-    ref2 = lrt_curve(h, np.linspace(0.1, 0.9, 5))
+    ref2 = LrtDetector.curve(NlpProblem(1, delta=h), np.linspace(0.1, 0.9, 5))
     assert [float(r["p_md"]) for r in rows2] == list(ref2.p_md)
 
 
@@ -111,6 +111,34 @@ def test_curve_missing_option_exits_two(capsys):
     assert "--rho must be a number" in capsys.readouterr().err
 
 
+def test_every_detector_provides_region_kernel_and_curve():
+    for det in [*cli._DETECTORS.values(), lan_models.AummDetector]:
+        for name in ("region", "mc_kernel", "curve"):
+            assert callable(getattr(det, name, None)), (det.__name__, name)
+
+
+@pytest.mark.parametrize("detector, k, rho", [
+    ("lrt", None, 0.0), ("glrt", 3, 0.0), ("umm-train", 3, 0.0), ("umm-train", 3, 2.0)])
+def test_curve_writes_the_table_of_its_detectors_curve(detector, k, rho, capsys):
+    # `curve --detector X` is X.curve on the problem of its options
+    argv = ["curve", "--detector", detector, "--delta", "2", "--grid", "0.05:0.5:4"]
+    if k is not None:
+        argv += ["--k", str(k)]
+    mc = None
+    if detector == "umm-train":
+        argv += ["--rho", str(rho), "--trials", "3000", "--seed", "5"]
+        mc = montecarlo.McConfig(trials=3000, seed=5)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    problem = NlpProblem(k or 1, delta=2.0, rho=rho)
+    curve = cli._DETECTORS[detector].curve(problem, np.linspace(0.05, 0.5, 4), mc)
+    assert curve.provenance == ("simulated" if rho else "analytic")
+    table = cli._curve_table(curve)
+    rows = [",".join(cli._fmt(v) for v in row) for row in zip(*table.values())]
+    assert lines[0].startswith("# ummtest ") and lines[1].startswith("# config: ")
+    assert lines[2:] == [",".join(table)] + rows
+
+
 def test_curve_umm_train_simulated(tmp_path):
     out = tmp_path / "umm.csv"
     assert main(["curve", "--detector", "umm-train", "--delta", "2", "--k", "2",
@@ -124,8 +152,8 @@ def test_curve_umm_train_simulated(tmp_path):
         assert lo <= pm <= hi
     # between the matched filter and the no-training curve
     grid = np.linspace(0.05, 0.3, 3)
-    lo_ref = lrt_curve(2.0, grid).p_md
-    hi_ref = glrt_curve(2, 2.0, grid).p_md
+    lo_ref = LrtDetector.curve(NlpProblem(1, delta=2.0), grid).p_md
+    hi_ref = GlrtDetector.curve(NlpProblem(2, delta=2.0), grid).p_md
     mids = np.array([float(r["p_md"]) for r in rows])
     assert np.all(mids > lo_ref) and np.all(mids < hi_ref)
 
@@ -388,14 +416,15 @@ def test_config_file_merge_and_errors(tmp_path, capsys):
     assert main(["curve", "--config", str(cfg), "--out", str(out1)]) == 0
     _, _, rows1 = _read(out1)
     assert len(rows1) == 5
-    assert float(rows1[0]["p_md"]) == lrt_curve(1.0, np.linspace(0.1, 0.9, 5)).p_md[0]
+    grid = np.linspace(0.1, 0.9, 5)
+    assert float(rows1[0]["p_md"]) == LrtDetector.curve(NlpProblem(1, delta=1.0), grid).p_md[0]
 
     # command-line flags beat the file
     out2 = tmp_path / "c2.csv"
     assert main(["curve", "--config", str(cfg), "--delta", "2",
                  "--out", str(out2)]) == 0
     _, _, rows2 = _read(out2)
-    assert float(rows2[0]["p_md"]) == lrt_curve(2.0, np.linspace(0.1, 0.9, 5)).p_md[0]
+    assert float(rows2[0]["p_md"]) == LrtDetector.curve(NlpProblem(1, delta=2.0), grid).p_md[0]
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("detektor = lrt\n")
@@ -429,7 +458,7 @@ def test_json_output(tmp_path):
     assert doc["tool"] == "ummtest" and doc["version"] == __version__
     assert doc["columns"] == ["p_fa", "p_md", "ci_low", "ci_high", "provenance"]
     assert len(doc["rows"]) == 3
-    ref = glrt_curve(4, 2.0, np.linspace(0.1, 0.5, 3))
+    ref = GlrtDetector.curve(NlpProblem(4, delta=2.0), np.linspace(0.1, 0.5, 3))
     assert doc["rows"][0]["p_md"] == ref.p_md[0]
     # analytic curves have no interval fields at all in json
     assert "ci_low" not in doc["rows"][0]

@@ -23,7 +23,6 @@ from ummtest.lan_models import (
     _DiscreteDiskKernel,
     ar_autocov,
     ar_fisher,
-    discrete_aumm_curve,
     discrete_fisher,
     expfam_fisher,
     local_alternative,
@@ -31,7 +30,7 @@ from ummtest.lan_models import (
     pearson_stat,
     training_rho,
 )
-from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs
+from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs, roc_sweep
 from ummtest.nlp_detect import NlpProblem, UmmTrainDetector
 
 
@@ -230,8 +229,9 @@ def test_plug_in_rule_takes_no_frozen_training_block():
 def test_plug_in_rule_runs_on_the_training_test_kernels(monkeypatch):
     # each estimator has one kernel: a fresh-x sweep of the plug-in rule and
     # of the training test get the same kernel class, the three-symbol
-    # curve averages through the Gaussian curve's kernel, and no class here
-    # defines values() of its own
+    # curve measures its false alarms through that kernel and averages its
+    # misses through the Gaussian curve's kernel, and no class here defines
+    # values() of its own
     lprob = LanProblem(GaussianLocationModel(2), np.array([0.2, 0.0]),
                        TrainingSetup(n=50, n_x=100))
     nprob = NlpProblem(k=2, delta=2.0, rho=2.0)
@@ -245,8 +245,9 @@ def test_plug_in_rule_runs_on_the_training_test_kernels(monkeypatch):
                         lambda kern, mc: kernels.append(kern) or estimates(kern, mc))
     model = DiscreteModel(np.full(3, 1.0 / 3.0))
     theta1 = local_alternative(np.array([2.0, 0.0]), model, 40)
-    discrete_aumm_curve(model, theta1, TrainingSetup(n=40, n_x=80), [0.1], McConfig(trials=100))
-    assert [type(k) for k in kernels] == [nlp_detect._UmmPmdKernel]
+    problem = LanProblem(model, theta1, TrainingSetup(n=40, n_x=80))
+    AummDetector.curve(problem, [0.1], McConfig(trials=100))
+    assert [type(k) for k in kernels] == [nlp_detect._UmmTrainKernel, nlp_detect._UmmPmdKernel]
 
     own = [name for name, cls in vars(lan_models).items()
            if isinstance(cls, type) and cls.__module__ == lan_models.__name__
@@ -626,8 +627,8 @@ def test_discrete_no_training_value_is_exact():
             mu = root @ (math.sqrt(n) * (np.array([c1, c2]) / n - model.theta0))
             if float(mu @ mu) < thr:
                 total += w
-    c = discrete_aumm_curve(model, theta1, TrainingSetup(n=n, n_x=0), [0.1],
-                            McConfig(trials=1000))
+    problem = LanProblem(model, theta1, TrainingSetup(n=n, n_x=0))
+    c = AummDetector.curve(problem, [0.1], McConfig(trials=1000))
     assert c.provenance == "analytic" and c.ci_low is None
     assert abs(c.p_md[0] - total) < 1e-12
 
@@ -647,30 +648,41 @@ def test_discrete_null_level_approaches_nominal():
     assert devs[2] < 5e-4
 
 
-def test_discrete_aumm_curve_is_one_solve_of_its_points():
+def test_aumm_detector_curve_is_one_solve_of_its_points():
     # one batched inversion for the grid; each level matches the one-level
     # curve, up to 1e-12 relative
     model = DiscreteModel(np.array([0.5, 0.3, 0.2]))
     setup = TrainingSetup(n=60, n_x=120)
     theta1 = local_alternative(np.array([2.0, -1.0]), model, setup.n)
+    problem = LanProblem(model, theta1, setup)
     grid = np.array([0.02, 0.1, 0.4])
     mc = McConfig(trials=1500, seed=4)
-    c = discrete_aumm_curve(model, theta1, setup, grid, mc)
+    c = AummDetector.curve(problem, grid, mc)
     for i, p in enumerate(grid):
-        e = discrete_aumm_curve(model, theta1, setup, [float(p)], mc)
+        e = AummDetector.curve(problem, [float(p)], mc)
         for got, ref in ((c.p_md[i], e.p_md[0]), (c.ci_low[i], e.ci_low[0]),
-                         (c.ci_high[i], e.ci_high[0])):
+                         (c.ci_high[i], e.ci_high[0]), (c.fa_hat[i], e.fa_hat[0])):
             assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
 def test_discrete_aumm_pmd_guards():
+    # the exact lattice sections exist for three symbols only; on any other
+    # model the plug-in curve is the indicator sweep's, and every plug-in
+    # curve simulates its false-alarm side, so it needs an McConfig
     model = DiscreteModel([0.25, 0.25, 0.25, 0.25])  # four symbols -> k = 3
+    four = LanProblem(model, model.theta0 + 0.01, TrainingSetup(n=50, n_x=50))
     with pytest.raises(ConfigError):
-        discrete_aumm_curve(model, model.theta0 + 0.01, TrainingSetup(n=50, n_x=50),
-                            [0.1], McConfig(trials=1000))
+        _DiscreteDiskKernel(four)
+    mc = McConfig(trials=1000)
+    gauss = LanProblem(GaussianLocationModel(2), np.zeros(2), TrainingSetup(n=50))
+    for problem in (four, gauss):
+        c, ref = AummDetector.curve(problem, [0.1], mc), roc_sweep(AummDetector, problem, [0.1], mc)
+        for f in ("p_md", "ci_low", "ci_high", "fa_hat", "fa_ci_low", "fa_ci_high"):
+            assert np.array_equal(getattr(c, f), getattr(ref, f)), f
+        assert (c.provenance, c.problem) == (ref.provenance, ref.problem)
+    three = DiscreteModel(np.full(3, 1.0 / 3.0))
     with pytest.raises(ConfigError):
-        discrete_aumm_curve(GaussianLocationModel(2), np.zeros(2),
-                            TrainingSetup(n=50), [0.1], McConfig(trials=1000))
+        AummDetector.curve(LanProblem(three, three.theta0, TrainingSetup(n=50)), [0.1])
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,13 @@ def test_roc_sweep_grid_validation():
         roc_sweep(fam, prob, [0.1, math.nan], McConfig(trials=200))
 
 
-def test_roc_sweep_glrt_curve():
+def test_roc_sweep_glrt_detector_curve():
     prob = nlp_detect.NlpProblem(k=2, delta=2.0)
     grid = np.array([0.05, 0.1, 0.3])
     cfg = McConfig(trials=20_000, seed=3)
     curve = roc_sweep(nlp_detect.GlrtDetector, prob, grid, cfg)
     assert curve.provenance == "simulated"
-    ref = nlp_detect.glrt_curve(2, 2.0, grid)
+    ref = nlp_detect.GlrtDetector.curve(prob, grid)
     for i, p in enumerate(grid):
         se_md = np.sqrt(ref.p_md[i] * (1.0 - ref.p_md[i]) / cfg.trials)
         assert abs(curve.p_md[i] - ref.p_md[i]) < 3.0 * se_md
@@ -336,18 +336,23 @@ def test_sweep_equals_its_points(rule, monkeypatch):
         assert (curve.p_md[i], curve.ci_low[i], curve.ci_high[i]) == (
             e1.p_hat, e1.ci_low, e1.ci_high)
 
-    # the Rao-Blackwellized curves: one kernel for the grid, equal to its points
-    del calls[:]
+    # the Rao-Blackwellized curves: one kernel for the grid, equal to its
+    # points; the lattice curve measures its false-alarm side in one more
     if rule == "plug-in-discrete":
-        model, theta1, setup = problem.model, problem.theta1, problem.setup
-        curve = lambda g: lan_models.discrete_aumm_curve(model, theta1, setup, g, cfg)
+        rb_curve = lambda g: lan_models.AummDetector.curve(problem, g, cfg)
+        kernels = 2
     else:
-        curve = lambda g: nlp_detect.umm_curve(delta, rho, k, g, cfg)
-    rb = curve(grid)
-    assert len(calls) == nblocks
+        rb_problem = nlp_detect.NlpProblem(k, delta=delta, rho=rho)
+        rb_curve = lambda g: nlp_detect.UmmTrainDetector.curve(rb_problem, g, cfg)
+        kernels = 1
+    del calls[:]
+    rb = rb_curve(grid)
+    assert len(calls) == kernels * nblocks
     for i, p in enumerate(grid):
-        e = curve([float(p)])
+        e = rb_curve([float(p)])
         assert (rb.p_md[i], rb.ci_low[i], rb.ci_high[i]) == (e.p_md[0], e.ci_low[0], e.ci_high[0])
+        if kernels == 2:  # the sweep's false-alarm side, bit for bit
+            assert rb.fa_hat[i] == e.fa_hat[0] == curve.fa_hat[i]
 
 
 def test_sweep_builds_its_regions_once(monkeypatch):

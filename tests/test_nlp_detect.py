@@ -21,9 +21,6 @@ from ummtest.nlp_detect import (
     UmmTrainDetector,
     _LrtKernel,
     _QuadKernel,
-    glrt_curve,
-    lrt_curve,
-    umm_curve,
 )
 
 # full simulation of the training rule, rho=5 p_fa=0.1 k=2 delta=2 (1e6 trials)
@@ -135,29 +132,30 @@ def test_rotation_invariance_of_statistics():
 # ---------------------------------------------------------------------------
 # analytic curves
 
-def test_lrt_curve_pin():
-    c = lrt_curve(2.0, [0.05, 0.1, 0.3])
+def test_lrt_detector_curve_pin():
+    c = LrtDetector.curve(NlpProblem(1, delta=2.0), [0.05, 0.1, 0.3])
     assert c.provenance == "analytic"
     # Q(2 - Q^{-1}(0.1)), frozen from the quadrature oracle
     assert abs(c.p_md[1] - 2.3624041589411687e-01) < 1e-12
     assert np.all(np.diff(c.p_md) < 0.0)
 
 
-def test_glrt_curve_against_mc_oracle():
-    c = glrt_curve(2, 2.0, [0.1])
+def test_glrt_detector_curve_against_mc_oracle():
+    c = GlrtDetector.curve(NlpProblem(2, delta=2.0), [0.1])
     # 1 - (MC tail value 0.54226740 +- 4.7e-4), oracle_ncx2_mc.py
     assert abs(c.p_md[0] - (1.0 - 0.54226740)) < 4.726e-4
     with pytest.raises(DomainError):
-        glrt_curve(2, 2.0, [0.5, 0.2])
+        GlrtDetector.curve(NlpProblem(2, delta=2.0), [0.5, 0.2])
     with pytest.raises(DomainError):
-        glrt_curve(2, -1.0, [0.1])
+        GlrtDetector.curve(NlpProblem(2, delta=-1.0), [0.1])
 
 
 def test_glrt_dominates_lrt():
     grid = np.linspace(0.02, 0.9, 23)
     for k in (1, 2, 8, 32):
-        lo = lrt_curve(2.0, grid).p_md
-        hi = glrt_curve(k, 2.0, grid).p_md
+        problem = NlpProblem(k, delta=2.0)
+        lo = LrtDetector.curve(problem, grid).p_md
+        hi = GlrtDetector.curve(problem, grid).p_md
         assert np.all(hi >= lo - 1e-12)
 
 
@@ -165,13 +163,15 @@ def test_glrt_dominates_lrt():
 # training-test performance
 
 def test_umm_pmd_rho0_exact():
-    c = umm_curve(2.0, 0.0, 2, [0.1], McConfig(trials=1000, seed=0))
-    assert c.p_md[0] == glrt_curve(2, 2.0, [0.1]).p_md[0]
+    problem = NlpProblem(2, delta=2.0, rho=0.0)
+    c = UmmTrainDetector.curve(problem, [0.1], McConfig(trials=1000, seed=0))
+    assert c.p_md[0] == GlrtDetector.curve(problem, [0.1]).p_md[0]
     assert c.provenance == "analytic"
 
 
 def test_umm_pmd_dual_route_pin():
-    c = umm_curve(2.0, 5.0, 2, [0.1], McConfig(trials=20_000, seed=0))
+    c = UmmTrainDetector.curve(NlpProblem(2, delta=2.0, rho=5.0), [0.1],
+                               McConfig(trials=20_000, seed=0))
     p_hat, lo, hi = c.p_md[0], c.ci_low[0], c.ci_high[0]
     assert abs(p_hat - UMM_PMD_FULLSIM) < UMM_PMD_FULLSIM_3SIG + (hi - lo)
     assert lo <= p_hat <= hi
@@ -180,33 +180,40 @@ def test_umm_pmd_dual_route_pin():
 def test_umm_pmd_validation():
     mc = McConfig(trials=1000)
     with pytest.raises(DomainError):
-        umm_curve(2.0, 1.0, 2, [0.0], mc)
+        UmmTrainDetector.curve(NlpProblem(2, delta=2.0, rho=1.0), [0.0], mc)
     with pytest.raises(DomainError):
-        umm_curve(-2.0, 1.0, 2, [0.1], mc)
+        UmmTrainDetector.curve(NlpProblem(2, delta=-2.0, rho=1.0), [0.1], mc)
     with pytest.raises(DomainError):
-        umm_curve(2.0, -1.0, 2, [0.1], mc)
+        UmmTrainDetector.curve(NlpProblem(2, delta=2.0, rho=-1.0), [0.1], mc)
     with pytest.raises(DomainError):
-        umm_curve(2.0, 1.0, 0, [0.1], mc)
+        UmmTrainDetector.curve(NlpProblem(0, delta=2.0, rho=1.0), [0.1], mc)
+    # a simulated curve needs its Monte Carlo settings; at rho = 0 the
+    # closed form reads none
+    with pytest.raises(ConfigError):
+        UmmTrainDetector.curve(NlpProblem(2, delta=2.0, rho=1.0), [0.1])
+    assert UmmTrainDetector.curve(NlpProblem(2, delta=2.0), [0.1]).provenance == "analytic"
 
 
 @pytest.mark.parametrize("k, delta, rho", [(2, 2.0, 20.0), (5, 3.0, 2.0)])
-def test_umm_curve_is_one_solve_of_its_points(k, delta, rho):
+def test_umm_train_detector_curve_is_one_solve_of_its_points(k, delta, rho):
     # the curve inverts every level in one batched solve; each level matches
     # the one-level curve, up to 1e-12 relative
     grid = np.array([0.02, 0.1, 0.4])
     mc = McConfig(trials=1500, seed=3)
-    c = umm_curve(delta, rho, k, grid, mc)
+    problem = NlpProblem(k, delta=delta, rho=rho)
+    c = UmmTrainDetector.curve(problem, grid, mc)
     for i, p in enumerate(grid):
-        e = umm_curve(delta, rho, k, [float(p)], mc)
+        e = UmmTrainDetector.curve(problem, [float(p)], mc)
         for got, ref in ((c.p_md[i], e.p_md[0]), (c.ci_low[i], e.ci_low[0]),
                          (c.ci_high[i], e.ci_high[0])):
             assert abs(got - ref) <= 1e-12 * abs(ref), (p, got, ref)
 
 
-def test_umm_curve_rho0_is_relabeled_energy_curve():
+def test_umm_train_detector_curve_at_rho0_is_relabeled_energy_curve():
     grid = np.array([0.05, 0.2, 0.5])
-    c = umm_curve(2.0, 0.0, 4, grid, McConfig(trials=1000))
-    ref = glrt_curve(4, 2.0, grid)
+    problem = NlpProblem(4, delta=2.0)
+    c = UmmTrainDetector.curve(problem, grid, McConfig(trials=1000))
+    ref = GlrtDetector.curve(problem, grid)
     assert c.provenance == "analytic"
     assert c.problem == "umm k=4 delta=2 rho=0"
     assert np.array_equal(c.p_md, ref.p_md)

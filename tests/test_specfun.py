@@ -841,6 +841,20 @@ def test_inverse_near_one_reads_zero_far_out(lam):
         assert abs(specfun.chisq_tail(8, lam, t) - p) <= 1e-12 * p
 
 
+@pytest.mark.parametrize("lam", [0.3, 1.0, 7.0])
+def test_node_step_near_one_raises_no_overflow_warning(lam):
+    # 300 elements share the level, so the interpolated starts solve their
+    # Chebyshev nodes; a node's last step (tail - p) / pdf overflows where
+    # the pdf underflows, and that infinite step is dropped
+    p = 1.0 - 1e-9
+    lam = np.full(300, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = specfun._chisq_tail_inv_vec(8, lam, p)
+    tail, _ = specfun._chisq_tail_pdf_vec(8, lam, t)
+    assert np.all(np.abs(tail - p) <= 1e-12 * p)
+
+
 def _count_engine(monkeypatch):
     # the element count of every vector-engine call from here on
     sizes = []
