@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .montecarlo import _sorted_unique
 from .nlp_detect import LrtDetector, NlpProblem, TradeoffCurve, _check_delta, _check_rho
 
 __all__ = [
@@ -159,7 +160,7 @@ def allocate(a, k, rho_grid=None, tie_tol: float = 1e-2) -> Allocation:
         raise ConfigError("rho_grid must be a nonempty 1-d array")
     if not float(tie_tol) >= 0.0:
         raise ConfigError(f"tie_tol must be nonnegative, got {tie_tol!r}")
-    grid = np.unique(grid)  # sorts ascending
+    grid = _sorted_unique(grid)  # sorts ascending
     vals = np.atleast_1d(allocation_hardness(a, k, grid))
 
     a, k = float(a), int(k)

@@ -23,6 +23,9 @@ and leaves out those in `_UNPRINTED`.
 Every option is checked before any work, the `--against` reference and the
 `--grid` points included, so a bad one exits 2 with no table written.
 
+`lan_models` and `asymptotics` are imported inside the functions that read
+them, so a run that uses neither loads neither.
+
 Exit codes: 0 success; 1 a `--against` comparison failed; 2 bad usage or
 configuration.
 """
@@ -35,7 +38,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, asymptotics, lan_models, montecarlo, nlp_detect
+from . import __version__, montecarlo, nlp_detect
 from .errors import ConfigError, UmmtestError
 from .montecarlo import McConfig
 
@@ -107,7 +110,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if count < 1:
         raise ConfigError(f"grid count must be at least 1, got {count}")
     g = np.linspace(start, stop, count) if count > 1 else np.array([start])
-    return montecarlo._check_grid(np.unique(g))
+    return montecarlo._check_grid(montecarlo._sorted_unique(g))
 
 
 def _as_float(val, name: str) -> float:
@@ -321,12 +324,13 @@ def cmd_curve(args) -> int:
     if args.detector in _DETECTORS:
         mc = _mc(args)
         curve = _DETECTORS[args.detector].curve(_nlp_problem(args), grid, mc)
-    elif args.k is None:  # asymptotic: --delta is the hardness itself
-        curve = asymptotics.asymptotic_curve(args.delta, grid)
-    else:  # asymptotic: the hardness of (delta, rho, k)
-        rho = _as_float(args.rho, "--rho")
-        curve = asymptotics.asymptotic_curve(
-            asymptotics.hardness_param(args.delta, rho, args.k), grid)
+    else:
+        from . import asymptotics
+
+        hardness = args.delta  # without --k, --delta is the hardness itself
+        if args.k is not None:  # the hardness of (delta, rho, k)
+            hardness = asymptotics.hardness_param(args.delta, _as_float(args.rho, "--rho"), args.k)
+        curve = asymptotics.asymptotic_curve(hardness, grid)
     _write_table(args, _curve_table(curve))
     return 0
 
@@ -339,16 +343,15 @@ def _simulate_nlp(args, grid, mc):
     return _curve_table(curve, curve.fa_hat)
 
 
-def _build_lan_model(args):
-    if args.model == "gaussian":
-        return lan_models.GaussianLocationModel(args.k)
-    if args.model == "discrete":
-        return lan_models.DiscreteModel(np.full(args.k + 1, 1.0 / (args.k + 1)))
-    return lan_models.ArModel(np.array([0.5]))
-
-
 def _simulate_lan(args, grid, mc):
-    model = _build_lan_model(args)
+    from . import lan_models
+
+    if args.model == "gaussian":
+        model = lan_models.GaussianLocationModel(args.k)
+    elif args.model == "discrete":
+        model = lan_models.DiscreteModel(np.full(args.k + 1, 1.0 / (args.k + 1)))
+    else:
+        model = lan_models.ArModel(np.array([0.5]))
     rho = None if args.rho is None else _as_float(args.rho, "--rho")  # None: nx / n
     setup = lan_models.TrainingSetup(n=args.n, n_x=args.nx, rho=rho)
     mu = np.zeros(model.k)
@@ -446,6 +449,8 @@ def cmd_regions(args) -> int:
 # allocate
 
 def cmd_allocate(args) -> int:
+    from . import asymptotics
+
     k, n, delta = args.k, args.n, args.delta
     if n < 1:
         raise ConfigError(f"total blocklength n must be positive, got {n}")

@@ -5,6 +5,8 @@ counter-based stream keyed by ``(seed, block index)``.  Which thread runs a
 block therefore has no effect on the numbers it produces, and the final
 reduction walks blocks in index order, so an estimate is bit-for-bit
 reproducible for a given ``(trials, seed)`` pair at any worker count.
+With one worker the blocks run on the calling thread, and no thread pool
+is built or imported.
 
 A simulation kernel covers every level of a sweep, under every hypothesis
 its caller asks for, at once.  It is any object with
@@ -35,7 +37,6 @@ fractional values, for which the Wilson interval is conservative (a
 Bernoulli draw with the same mean has the largest variance).
 """
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -159,6 +160,18 @@ def _check_grid(grid):
     return g
 
 
+def _sorted_unique(a):
+    """The distinct values of a float array, ascending, every NaN collapsed
+    into one, last: ``np.unique(a)``'s values without the import of
+    ``numpy.ma`` that its first plain call makes.  Like ``np.unique``, it
+    keeps one of 0.0 and -0.0, which compare equal, and promises neither."""
+    g = np.sort(np.asarray(a, dtype=float).ravel())
+    keep = np.ones(g.size, dtype=bool)
+    # NaNs sort last, so a NaN before an element marks a repeat NaN
+    keep[1:] = (g[1:] != g[:-1]) & ~np.isnan(g[:-1])
+    return g[keep]
+
+
 def _block_sums(kernel, seed, index, rows):
     u = block_uniforms(seed, index, rows, kernel.nu)
     vals = np.ascontiguousarray(kernel.values(u), dtype=float)
@@ -171,7 +184,9 @@ def run_kernel(kernel, config: McConfig) -> np.ndarray:
     """Mean kernel value over ``config.trials`` trials, one per level.
 
     Per-block sums are reduced in block order, making the result identical
-    for any ``config.workers``.
+    for any ``config.workers``.  One worker, or a single block, runs every
+    block on the calling thread, with no pool and without importing
+    ``concurrent.futures``; more workers share the blocks in a thread pool.
     """
     n = config.trials
     rows = [min(BLOCK, n - i * BLOCK) for i in range(-(-n // BLOCK))]
@@ -179,7 +194,9 @@ def run_kernel(kernel, config: McConfig) -> np.ndarray:
     if config.workers == 1 or len(rows) == 1:
         sums = [block(i) for i in range(len(rows))]
     else:
-        with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
+        from concurrent.futures import ThreadPoolExecutor  # loaded by pooled runs alone
+
+        with ThreadPoolExecutor(config.workers) as pool:
             sums = list(pool.map(block, range(len(rows))))
     if len({s.shape for s in sums}) != 1:
         raise ConfigError("kernel returned a different number of levels per block")

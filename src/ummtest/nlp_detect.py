@@ -31,7 +31,10 @@ training draws under ``mc`` for the training test.
 
 The training test's two kernels serve ``NlpProblem`` and
 ``lan_models.LanProblem`` alike: a problem only draws (its ``_draw`` maps
-uniforms to rho x and the test points), and the kernels judge.
+uniforms to rho x and the test points), and the kernels judge.  They refuse
+a block whose noncentralities or statistics overflow with DomainError.  The
+closed-form curves and the fixed-region kernels read a separation and a
+mean, and refuse any problem but an ``NlpProblem`` with ConfigError.
 """
 
 import math
@@ -82,6 +85,23 @@ def _check_k(k) -> int:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"dimension k must be a positive integer, got {k!r}")
     return int(k)
+
+
+def _check_nlp(cls, problem):
+    """The closed-form curves and the fixed-region kernels read a location
+    problem's separation and mean, which a ``lan_models.LanProblem`` lacks."""
+    if not isinstance(problem, NlpProblem):
+        raise ConfigError(f"{cls.__name__} needs an NlpProblem, not a {type(problem).__name__} "
+                          "(a LanProblem is run by lan_models.AummDetector)")
+
+
+def _check_finite(values, name):
+    """Refuse a block whose noncentralities or statistics overflowed, before
+    they reach the special functions, which would turn them into NaN."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} overflows: the separation or the training "
+                          "precision is too large for floating point")
+    return values
 
 
 def _rowsq(a):
@@ -329,8 +349,9 @@ class _UmmTrainKernel:
 
     def values(self, u):
         rx, tests = self.problem._draw(u, self.hypotheses)
-        stats = np.stack([_rowsq(rx + t) for t in tests])
-        pval = _chisq_tail_vec(self.problem.k, np.broadcast_to(_rowsq(rx), stats.shape), stats)
+        th0 = _check_finite(_rowsq(rx), "||rho x||^2")
+        stats = _check_finite(np.stack([_rowsq(rx + t) for t in tests]), "||rho x + z||^2")
+        pval = _chisq_tail_vec(self.problem.k, np.broadcast_to(th0, stats.shape), stats)
         return np.concatenate([_errors(p > self.levels, h) for p, h in zip(pval, self.hypotheses)])
 
 
@@ -347,13 +368,15 @@ class _UmmPmdKernel:
         self.miss_given = miss_given or self._gaussian_miss
 
     def _gaussian_miss(self, rx, thr):
-        th1 = np.broadcast_to(_rowsq(rx + self.problem.standardized_mu1()), thr.shape)
+        th1 = _check_finite(_rowsq(rx + self.problem.standardized_mu1()), "||rho x + mu1||^2")
+        th1 = np.broadcast_to(th1, thr.shape)
         return 1.0 - _chisq_tail_vec(self.problem.k, th1, thr)
 
     def values(self, u):
         rx, _ = self.problem._draw(u, ())
         # every level in one solve: trials along rows, levels down the column
-        th0 = np.broadcast_to(_rowsq(rx), (self.levels.size, rx.shape[0]))
+        th0 = _check_finite(_rowsq(rx), "||rho x||^2")
+        th0 = np.broadcast_to(th0, (self.levels.size, rx.shape[0]))
         return self.miss_given(rx, _chisq_tail_inv_vec(self.problem.k, th0, self.levels))
 
 
@@ -380,6 +403,7 @@ class _RegionDetector:
         """One kernel counting the errors of every detector's fixed region
         under each hypothesis in ``hypotheses`` (False for H0, True for H1);
         the regions may differ in their threshold only."""
+        _check_nlp(cls, problem)
         regions = [d.region(problem) for d in detectors]
         b = regions[0]
         if b.shape == "hyperplane":
@@ -409,6 +433,7 @@ class LrtDetector(_RegionDetector):
     def curve(cls, problem, p_fa_grid, mc=None) -> TradeoffCurve:
         """Matched-filter tradeoff at the problem's separation delta:
         Q^{-1}(p_fa) + Q^{-1}(p_md) = delta."""
+        _check_nlp(cls, problem)
         delta = problem.separation()
         g = _check_grid(p_fa_grid)
         md = np.array([specfun.normal_tail(delta - specfun.normal_tail_inv(p)) for p in g])
@@ -424,6 +449,7 @@ class GlrtDetector(_RegionDetector):
     @classmethod
     def curve(cls, problem, p_fa_grid, mc=None) -> TradeoffCurve:
         """Energy-test tradeoff; also the best guaranteed-level tradeoff without training."""
+        _check_nlp(cls, problem)
         k, delta = problem.k, problem.separation()
         g = _check_grid(p_fa_grid)
         lam = delta * delta
@@ -482,6 +508,7 @@ class UmmTrainDetector(_RegionDetector):
         ``mc`` for every level.  rho = 0 needs no average: the exact
         energy-test curve comes back, relabeled.
         """
+        _check_nlp(cls, problem)
         g = _check_grid(p_fa_grid)
         label = f"umm k={problem.k} delta={problem.separation():g} rho={problem.rho:g}"
         if problem.rho == 0.0:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def test_curve_lrt_at_a_huge_separation(tmp_path):
     assert main(["curve", "--detector", "lrt", "--delta", "1e160", "--out", str(out)]) == 0
     _, _, rows = _read(out)
     assert rows and all(float(row["p_md"]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("command", ["curve", "simulate"])
+@pytest.mark.parametrize("rho", ["1", "1e-300"])
+def test_training_test_at_an_overflowing_noncentrality_exits_two(command, rho, capsys):
+    # at delta = 1e160, ||rho x||^2 overflows at rho = 1, and ||rho x + mu1||^2
+    # (the test point's under H1) at rho = 1e-300: the run stops with an
+    # error before the special functions see an infinity, where it printed
+    # p_md = 1 (or p_fa = 1) at every level, and numpy warns of nothing
+    argv = [command, "--detector", "umm-train", "--k", "2", "--delta", "1e160", "--rho", rho,
+            "--grid", "0.1:0.3:2", "--trials", "300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ummtest: error: ||rho x")
+    assert "overflows" in captured.err
 
 
 def test_curve_asymptotic_modes(tmp_path):

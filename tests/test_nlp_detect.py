@@ -5,6 +5,7 @@ simulation of the training rule with scipy thresholds, 1e6 trials).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ import pytest
 from ummtest import linalg, nlp_detect, specfun
 from ummtest.errors import ConfigError, DomainError
 from ummtest.lan_models import AummDetector, GaussianLocationModel, LanProblem, TrainingSetup
-from ummtest.montecarlo import McConfig, block_uniforms, estimate_error_probs, gaussians
+from ummtest.montecarlo import (
+    McConfig,
+    block_uniforms,
+    estimate_error_probs,
+    gaussians,
+    roc_sweep,
+)
 from ummtest.nlp_detect import (
     GlrtDetector,
     LrtDetector,
@@ -21,6 +28,8 @@ from ummtest.nlp_detect import (
     UmmTrainDetector,
     _LrtKernel,
     _QuadKernel,
+    _UmmPmdKernel,
+    _UmmTrainKernel,
 )
 
 # full simulation of the training rule, rho=5 p_fa=0.1 k=2 delta=2 (1e6 trials)
@@ -192,6 +201,39 @@ def test_umm_pmd_validation():
     with pytest.raises(ConfigError):
         UmmTrainDetector.curve(NlpProblem(2, delta=2.0, rho=1.0), [0.1])
     assert UmmTrainDetector.curve(NlpProblem(2, delta=2.0), [0.1]).provenance == "analytic"
+
+
+def test_training_kernels_refuse_an_overflowing_block():
+    # ||rho x||^2 overflows at rho = 1; at rho = 1e-300 it does not, but
+    # ||rho x + mu1||^2 does, and so does the H1 statistic ||rho x + z||^2
+    u = block_uniforms(0, 0, 50, 4)
+    for rho, train, pmd in [(1.0, "||rho x||^2", "||rho x||^2"),
+                            (1e-300, "||rho x + z||^2", "||rho x + mu1||^2")]:
+        prob = NlpProblem(2, delta=1e160, rho=rho)
+        with pytest.raises(DomainError, match=re.escape(train)):
+            _UmmTrainKernel(prob, [0.1, 0.2], (False, True)).values(u)
+        with pytest.raises(DomainError, match=re.escape(pmd)):
+            _UmmPmdKernel(prob, [0.1, 0.2]).values(u[:, :2])
+
+
+@pytest.mark.parametrize("entry", ["LrtDetector.curve", "GlrtDetector.curve",
+                                   "UmmTrainDetector.curve", "LrtDetector kernel",
+                                   "GlrtDetector kernel", "UmmTrainDetector kernel"])
+def test_location_rules_refuse_a_lan_problem(entry):
+    # the closed forms and the fixed-region kernels read a separation and a
+    # mean that a LanProblem lacks; each names the rule, not the attribute
+    model = GaussianLocationModel(2)
+    setup = TrainingSetup(n=100, n_x=0 if entry.startswith("UmmTrain") else 100)
+    problem = LanProblem(model, np.array([0.2, 0.0]), setup)
+    name, kind = entry.split(".") if "." in entry else entry.split()
+    rule = {"LrtDetector": LrtDetector, "GlrtDetector": GlrtDetector,
+            "UmmTrainDetector": UmmTrainDetector}[name]
+    mc = McConfig(trials=200)
+    with pytest.raises(ConfigError, match=f"^{name} needs an NlpProblem, not a LanProblem"):
+        if kind == "curve":
+            rule.curve(problem, [0.1], mc)
+        else:  # through the sweep, as roc_sweep reaches _RegionDetector.mc_kernel
+            roc_sweep(rule, problem, [0.1], mc)
 
 
 @pytest.mark.parametrize("k, delta, rho", [(2, 2.0, 20.0), (5, 3.0, 2.0)])
