@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, nonnegative_real, positive_real
 from .montecarlo import _sorted_unique
-from .nlp_detect import LrtDetector, NlpProblem, TradeoffCurve, _check_delta, _check_rho
+from .nlp_detect import LrtDetector, NlpProblem, TradeoffCurve
 
 __all__ = [
     "hardness_param",
@@ -51,7 +51,7 @@ def hardness_param(delta, rho, k) -> float:
     to delta itself as rho -> inf (training pins down the alternative) and
     to delta^2 sqrt(1+2 rho)/sqrt(2k) when k dominates.
     """
-    delta, rho = _check_delta(delta), _check_rho(rho)
+    delta, rho = positive_real(delta, "delta"), nonnegative_real(rho, "rho")
     k = _check_dim(k)
     # with v = s / (1 + rho) in [1, 2), the root over 2 (1 + rho) is hypot(c,
     # delta): no step overflows, and only a hardness below the floats underflows
@@ -67,9 +67,7 @@ def asymptotic_curve(hardness, p_fa_grid) -> TradeoffCurve:
     place of the separation; as hardness -> 0 it degrades to the trivial
     line p_md = 1 - p_fa.
     """
-    h = float(hardness)
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"hardness must be positive and finite, got {hardness!r}")
+    h = positive_real(hardness, "hardness")
     curve = LrtDetector.curve(NlpProblem(1, delta=h), p_fa_grid)
     curve.problem = f"limit hardness={h:g}"
     return curve
@@ -80,7 +78,7 @@ def hardness_high_rho(delta, rho) -> float:
 
     Leading term when rho grows with k = o(rho); the error is O(k/rho).
     """
-    delta, rho = _check_delta(delta), _check_rho(rho)
+    delta, rho = positive_real(delta, "delta"), nonnegative_real(rho, "rho")
     return delta * (1.0 - 0.5 / (1.0 + rho))
 
 
@@ -90,7 +88,7 @@ def hardness_high_k(delta, rho, k) -> float:
     Leading term when k is of order delta^4 (1 + rho); the relative error
     shrinks like sqrt((1 + rho)/k) along that scaling.
     """
-    delta, rho = _check_delta(delta), _check_rho(rho)
+    delta, rho = positive_real(delta, "delta"), nonnegative_real(rho, "rho")
     k = _check_dim(k)
     h = delta / math.sqrt(k) * math.sqrt(0.5 + rho) * delta
     if h == math.inf:
@@ -111,9 +109,7 @@ def allocation_hardness(a, k, rho):
 
     Vectorized over rho.
     """
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"budget a must be positive and finite, got {a!r}")
+    a = positive_real(a, "budget a")
     k = _check_dim(k)
     r = np.asarray(rho, dtype=float)
     if np.any(~np.isfinite(r)) or np.any(r < 0.0):
@@ -191,11 +187,9 @@ def blocklength_for_dimension(k, rho, delta, target_hardness) -> int:
     (D is then not a float), an answer above 2^62 and a hardness that does
     not reach t near the start raise DomainError.
     """
-    delta, rho = _check_delta(delta), _check_rho(rho)
+    delta, rho = positive_real(delta, "delta"), nonnegative_real(rho, "rho")
     k = _check_dim(k)
-    t = float(target_hardness)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"target hardness must be positive, got {target_hardness!r}")
+    t = positive_real(target_hardness, "target hardness")
     if delta * delta == math.inf:
         raise DomainError(f"block length: delta^2 overflows at delta={delta!r}")
 

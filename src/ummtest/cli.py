@@ -39,7 +39,7 @@ import sys
 import numpy as np
 
 from . import __version__, montecarlo, nlp_detect
-from .errors import ConfigError, UmmtestError
+from .errors import ConfigError, UmmtestError, positive_int, positive_real
 from .montecarlo import McConfig
 
 # every option by dest, with its add_argument keywords; a config file's
@@ -200,9 +200,9 @@ def _resolve(args) -> None:
                 raise ConfigError(f"missing required option {_flag(dest)}")
             setattr(args, dest, default)
     if "delta" in row:
-        nlp_detect._check_delta(args.delta)
+        positive_real(args.delta, "delta")
     if "k" in row:
-        nlp_detect._check_k(args.k)
+        positive_int(args.k, "dimension k")
     if args.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {args.format!r}")
 

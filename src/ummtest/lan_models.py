@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, montecarlo, specfun
-from .errors import ConfigError, DomainError, StabilityError
+from .errors import (ConfigError, DomainError, StabilityError, float_array, positive_int,
+                     positive_real)
 from .montecarlo import _check_grid, _estimates
 from .nlp_detect import TradeoffCurve, UmmTrainDetector, _rowsq, _UmmPmdKernel, _UmmTrainKernel
 
@@ -109,11 +110,8 @@ def ar_autocov(coeffs, sigma, lags) -> np.ndarray:
     raise StabilityError.
     """
     th = _check_stable(coeffs)
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    if not isinstance(lags, (int, np.integer)) or lags < 1:
-        raise DomainError(f"lags must be a positive integer, got {lags!r}")
+    sigma = positive_real(sigma, "sigma")
+    lags = positive_int(lags, "lags")
     big_k = th.size
     a = np.eye(big_k + 1)
     for l in range(big_k + 1):
@@ -328,10 +326,7 @@ class LanModel:
         raise NotImplementedError
 
     def _check_theta(self, theta):
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (self.k,):
-            raise ConfigError(f"theta must have shape ({self.k},), got {th.shape}")
-        return th
+        return float_array(theta, (self.k,), "theta")
 
 
 class GaussianLocationModel(LanModel):
@@ -344,9 +339,7 @@ class GaussianLocationModel(LanModel):
     """
 
     def __init__(self, k):
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise DomainError(f"k must be a positive integer, got {k!r}")
-        self.k = int(k)
+        self.k = positive_int(k, "k")
         self.theta0 = np.zeros(self.k)
         self._set_root()
 
@@ -356,8 +349,8 @@ class GaussianLocationModel(LanModel):
 
     def estimate(self, data):
         data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != self.k:
-            raise ConfigError(f"data must be (n, {self.k}), got {data.shape}")
+        if data.ndim != 2 or data.shape[1] != self.k or data.shape[0] == 0:
+            raise ConfigError(f"data must be (n, {self.k}) with n >= 1, got {data.shape}")
         return data.mean(axis=0)
 
     def fisher_info(self):
@@ -403,8 +396,10 @@ class DiscreteModel(LanModel):
 
     def estimate(self, data):
         data = np.asarray(data)
-        if data.size and (data.min() < 0 or data.max() >= self.m):
-            raise ConfigError(f"symbols must lie in 0..{self.m - 1}")
+        if data.ndim != 1 or data.size == 0:
+            raise ConfigError(f"data must be a nonempty 1-d symbol array, got shape {data.shape}")
+        if data.dtype.kind not in "iu" or data.min() < 0 or data.max() >= self.m:
+            raise ConfigError(f"symbols must be integers in 0..{self.m - 1}")
         counts = np.bincount(data, minlength=self.m)
         return counts[: self.k] / counts.sum()
 
@@ -448,9 +443,7 @@ class ArModel(LanModel):
         th = _check_stable(theta0)
         self.k = th.size
         self.theta0 = th
-        self.sigma = float(sigma)
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {sigma!r}")
+        self.sigma = positive_real(sigma, "sigma")
         self._set_root()
 
     def fisher_info(self):
@@ -510,12 +503,6 @@ class LocalCoord:
     hardness: float
 
 
-def _check_blocklength(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"blocklength must be a positive integer, got {n!r}")
-    return n
-
-
 def local_coord(theta, model: LanModel, n: int) -> LocalCoord:
     """mu = sqrt(n) J^{1/2} (theta - theta0) and its norm.
 
@@ -523,7 +510,7 @@ def local_coord(theta, model: LanModel, n: int) -> LocalCoord:
     (theta - theta0) hold to roundoff, which is what the Pearson identity
     checks on the discrete family.
     """
-    mu = model.local(np.asarray(theta, dtype=float), _check_blocklength(n))
+    mu = model.local(np.asarray(theta, dtype=float), positive_int(n, "blocklength"))
     return LocalCoord(mu=mu, hardness=float(np.linalg.norm(mu)))
 
 
@@ -534,7 +521,7 @@ def local_alternative(mu, model: LanModel, n: int) -> np.ndarray:
     mu / sqrt(n).
     """
     w = linalg.spd_solve(model.root, np.asarray(mu, dtype=float))
-    return model.theta0 + w / math.sqrt(_check_blocklength(n))
+    return model.theta0 + w / math.sqrt(positive_int(n, "blocklength"))
 
 
 # ---------------------------------------------------------------------------
@@ -705,13 +692,16 @@ class _DiscreteDiskKernel:
         # test-lattice geometry, shared by every trial
         p = model._full(problem.theta1)
         lf = _log_factorials(n)
-        w1 = np.exp(_binom_log_pmf(n, p[0], lf))
+        if 0.0 < p[0] < 1.0:
+            w1 = np.exp(_binom_log_pmf(n, p[0], lf))
+        else:  # an alternative on the edge of the simplex: c1 is 0 or n
+            w1 = (np.arange(n + 1) == (n if p[0] >= 1.0 else 0)).astype(float)
         keep = w1 > 1e-18
         self.c1 = np.arange(n + 1)[keep]
         self.w1 = w1[keep]
         # CDF of c2 ~ Bin(n - c1, q) for each kept c1 on columns 0..n, led
         # by a zero; a section reads its row up to column n - c1 only
-        q = p[1] / (p[1] + p[2])
+        q = p[1] / (p[1] + p[2]) if p[1] + p[2] > 0.0 else 0.0
         self.cdfs = np.ones((self.c1.size, n + 2))
         self.cdfs[:, 0] = 0.0
         if q >= 1.0:  # all mass at c2 = n - c1 (q <= 0 puts it at 0: all ones)

@@ -44,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, montecarlo, specfun
-from .errors import ConfigError, DomainError
+from .errors import (ConfigError, DomainError, float_array, level, nonnegative_real, positive_int,
+                     positive_real)
 from .montecarlo import _check_grid, _estimates
 from .specfun import _chisq_tail_inv_vec, _chisq_tail_vec
 
@@ -61,31 +62,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # shared argument checks
-
-def _check_pfa(p_fa):
-    if not (0.0 < p_fa < 1.0):
-        raise DomainError(f"p_fa must lie in (0, 1), got {p_fa!r}")
-
-
-def _check_delta(delta) -> float:
-    delta = float(delta)
-    if not delta > 0.0 or not math.isfinite(delta):
-        raise DomainError(f"delta must be a positive real, got {delta!r}")
-    return delta
-
-
-def _check_rho(rho) -> float:
-    rho = float(rho)
-    if not (rho >= 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be a finite nonnegative real, got {rho!r}")
-    return rho
-
-
-def _check_k(k) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"dimension k must be a positive integer, got {k!r}")
-    return int(k)
-
 
 def _check_nlp(cls, problem):
     """The closed-form curves and the fixed-region kernels read a location
@@ -144,24 +120,18 @@ class NlpProblem:
     rho: float = 0.0
 
     def __post_init__(self):
-        self.k = _check_k(self.k)
+        self.k = positive_int(self.k, "dimension k")
         if (self.delta is None) == (self.mu1 is None):
             raise ConfigError("give exactly one of delta or mu1")
         if self.delta is not None:
-            self.delta = _check_delta(self.delta)
+            self.delta = positive_real(self.delta, "delta")
         if self.mu1 is not None:
-            self.mu1 = np.asarray(self.mu1, dtype=float)
-            if self.mu1.shape != (self.k,):
-                raise ConfigError(f"mu1 must have shape ({self.k},), got {self.mu1.shape}")
+            self.mu1 = float_array(self.mu1, (self.k,), "mu1")
         if self.mu0 is not None:
-            self.mu0 = np.asarray(self.mu0, dtype=float)
-            if self.mu0.shape != (self.k,):
-                raise ConfigError(f"mu0 must have shape ({self.k},), got {self.mu0.shape}")
+            self.mu0 = float_array(self.mu0, (self.k,), "mu0")
         if self.cov is not None:
-            self.cov = np.asarray(self.cov, dtype=float)
-            if self.cov.shape != (self.k, self.k):
-                raise ConfigError(f"cov must have shape ({self.k}, {self.k})")
-        self.rho = _check_rho(self.rho)
+            self.cov = float_array(self.cov, (self.k, self.k), "cov")
+        self.rho = nonnegative_real(self.rho, "rho")
         if self.mu1 is not None:
             base = self.mu1 if self.mu0 is None else self.mu1 - self.mu0
             if not np.linalg.norm(base) > 0.0:
@@ -391,8 +361,7 @@ class _RegionDetector:
     """
 
     def __init__(self, p_fa):
-        _check_pfa(p_fa)
-        self.p_fa = p_fa
+        self.p_fa = level(p_fa, "p_fa")
 
     def decide(self, y, problem, x=None) -> DetectorVerdict:
         """Verdict on one observation y (and training sample x, if the rule uses one)."""

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, level, nonnegative_real
 
 __all__ = [
     "normal_tail",
@@ -161,9 +161,7 @@ def normal_tail_inv(p: float) -> float:
     subnormal p included.  Decreasing in p up to rounding: p a few ulps
     apart can come out up to 4 ulps out of order.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise DomainError("normal_tail_inv: p must lie in (0,1)")
+    p = level(float(p), "normal_tail_inv: p")
     q = 0.5 - p  # upper-tail convention: z is the lower quantile at 1 - p
     if abs(q) <= 0.425:
         return q * _rational(_PPND_CENTRE, 0.180625 - q * q)
@@ -178,10 +176,7 @@ def normal_tail_inv(p: float) -> float:
 def _check_chisq_params(k, lam):
     if not (math.isfinite(k) and int(k) == k and k >= 1):
         raise DomainError("chi-square dof k must be a positive integer")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError("noncentrality must be finite and nonnegative")
-    return int(k), lam
+    return int(k), nonnegative_real(lam, "noncentrality")
 
 
 def _log_g(nu, x):
@@ -382,10 +377,7 @@ def chisq_tail(k: int, lam: float, t: float) -> float:
     converge within them.
     """
     k, lam = _check_chisq_params(k, lam)
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError("chisq_tail: t must be finite and >= 0")
-    return _chisq_tail_pdf(k, lam, t)[0]
+    return _chisq_tail_pdf(k, lam, nonnegative_real(t, "chisq_tail: t"))[0]
 
 
 def _sankaran(k, lam, z, maximum=max):
@@ -422,9 +414,7 @@ def chisq_tail_inv(k: int, lam: float, p: float) -> float:
     ``_MAX_PASSES`` passes.
     """
     k, lam = _check_chisq_params(k, lam)
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise DomainError("chisq_tail_inv: p must lie in (0,1)")
+    p = level(float(p), "chisq_tail_inv: p")
     zp = normal_tail_inv(p)
     t, h = _sankaran(k, lam, zp)
     kl = k + lam

@@ -6,6 +6,7 @@ must reduce to the location detectors of nlp_detect identically.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,30 @@ def test_discrete_estimate_and_sampling():
         model.estimate(np.array([0, 3, 1]))
     with pytest.raises(DomainError):
         model.sample(np.array([0.9, 0.3]), 10, rng)
+
+
+_MALFORMED_SYMBOLS = {
+    "float symbol": [0.5],
+    "float symbols": [0.0, 1.0, 2.0],
+    "empty list": [],
+    "empty int array": np.array([], dtype=np.int64),
+    "2-d": np.zeros((2, 2), dtype=np.int64),
+    "bool": np.array([True, False]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SYMBOLS))
+def test_discrete_estimate_refuses_a_malformed_block(case):
+    # an empty block, a block of the wrong rank and symbols that are not
+    # integers are refused, not averaged into NaN or read as 0 and 1
+    model = DiscreteModel(np.full(3, 1.0 / 3.0))
+    with pytest.raises(ConfigError):
+        model.estimate(_MALFORMED_SYMBOLS[case])
+
+
+def test_gaussian_estimate_refuses_an_empty_block():
+    with pytest.raises(ConfigError):
+        GaussianLocationModel(2).estimate(np.zeros((0, 2)))
 
 
 def test_discrete_counts_match_multinomial_law():
@@ -631,6 +656,47 @@ def test_discrete_no_training_value_is_exact():
     c = AummDetector.curve(problem, [0.1], McConfig(trials=1000))
     assert c.provenance == "analytic" and c.ci_low is None
     assert abs(c.p_md[0] - total) < 1e-12
+
+
+@pytest.mark.parametrize("p_null, theta1", [
+    ((0.05, 0.475, 0.475), (0.0, 0.5)),
+    ((0.05, 0.475, 0.475), (0.0, 0.4)),
+    ((0.02, 0.02, 0.96), (0.0, 0.05)),
+    ((0.02, 0.02, 0.96), (0.0, 0.0)),
+])
+def test_discrete_no_training_value_is_exact_on_the_simplex_edge(p_null, theta1):
+    # an alternative with an empty first cell puts all of c1's mass at 0;
+    # full lattice enumeration (scipy multinomial) against the library value
+    model = DiscreteModel(np.array(p_null))
+    n = 40
+    theta1 = np.array(theta1)
+    p = np.concatenate([theta1, [1.0 - theta1.sum()]])
+    thr = specfun.chisq_tail_inv(2, 0.0, 0.1)
+    root = linalg.sym_sqrt(model.fisher_info())
+    total = 0.0
+    for c1 in range(n + 1):
+        for c2 in range(n - c1 + 1):
+            w = math.exp(stats.multinomial.logpmf([c1, c2, n - c1 - c2], n, p))
+            mu = root @ (math.sqrt(n) * (np.array([c1, c2]) / n - model.theta0))
+            if float(mu @ mu) < thr:
+                total += w
+    problem = LanProblem(model, theta1, TrainingSetup(n=n, n_x=0))
+    c = AummDetector.curve(problem, [0.1], McConfig(trials=1000))
+    assert c.provenance == "analytic"
+    assert abs(c.p_md[0] - total) < 1e-12
+
+
+@pytest.mark.parametrize("theta1", [(0.0, 0.5), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])
+def test_discrete_curve_with_training_runs_on_the_simplex_edge(theta1):
+    # the lattice on a corner or edge alternative takes no log of 0 and no
+    # 0/0, so no warning is raised and every p_md is a probability
+    problem = LanProblem(DiscreteModel(np.full(3, 1.0 / 3.0)), np.array(theta1),
+                         TrainingSetup(n=20, n_x=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = AummDetector.curve(problem, [0.1, 0.5], McConfig(trials=200, seed=1))
+    assert c.provenance == "simulated"
+    assert np.all((c.p_md >= 0.0) & (c.p_md <= 1.0))
 
 
 def test_discrete_null_level_approaches_nominal():
